@@ -59,16 +59,8 @@ class AlgebraElement:
                 raise RingMismatchError(
                     f"coefficient ring {poly.variables!r} does not match {ring!r}"
                 )
-            if word in acc:
-                poly = acc[word] + poly
-            if poly.is_zero():
-                acc.pop(word, None)
-            else:
-                acc[word] = poly
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "_terms", tuple(sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0])))
-        )
+            acc[word] = acc[word] + poly if word in acc else poly
+        _make(ring, acc, self)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("AlgebraElement is immutable")
@@ -108,16 +100,11 @@ class AlgebraElement:
         self._check_ring(other)
         acc = dict(self._terms)
         for word, poly in other._terms:
-            total = acc.get(word)
-            total = poly if total is None else total + poly
-            if total.is_zero():
-                acc.pop(word, None)
-            else:
-                acc[word] = total
-        return AlgebraElement(self.ring, acc)
+            acc[word] = acc[word] + poly if word in acc else poly
+        return _make(self.ring, acc)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.ring, [(w, -p) for w, p in self._terms])
+        return _make(self.ring, {w: -p for w, p in self._terms})
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -135,20 +122,15 @@ class AlgebraElement:
             for w2, p2 in other._terms:
                 word = w1 + w2
                 product = p1 * p2
-                total = acc.get(word)
-                total = product if total is None else total + product
-                if total.is_zero():
-                    acc.pop(word, None)
-                else:
-                    acc[word] = total
-        return AlgebraElement(self.ring, acc)
+                acc[word] = acc[word] + product if word in acc else product
+        return _make(self.ring, acc)
 
     def scale(self, poly: LaurentPolynomial) -> "AlgebraElement":
         if poly.variables != self.ring:
             raise RingMismatchError(
                 f"coefficient ring {poly.variables!r} does not match {self.ring!r}"
             )
-        return AlgebraElement(self.ring, [(w, p * poly) for w, p in self._terms])
+        return _make(self.ring, {w: p * poly for w, p in self._terms})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
@@ -178,6 +160,18 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"AlgebraElement({self.ring!r}, {self})"
+
+
+def _make(ring: tuple[str, ...], acc: Mapping, element=None) -> AlgebraElement:
+    """Drop zero coefficients and order words by length, then by name; checks
+    nothing.  Fills ``element`` when the constructor passes itself."""
+    if element is None:
+        element = object.__new__(AlgebraElement)
+    object.__setattr__(element, "ring", ring)
+    nonzero = [kv for kv in acc.items() if not kv[1].is_zero()]
+    nonzero.sort(key=lambda kv: (len(kv[0]), kv[0]))
+    object.__setattr__(element, "_terms", tuple(nonzero))
+    return element
 
 
 @dataclass(frozen=True)

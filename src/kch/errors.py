@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one reader of the
+``KCH_MAX_STEPS`` work cap."""
+
+import os
 
 
 class KchError(Exception):
@@ -24,3 +27,17 @@ class ResourceLimitError(KchError):
 
 class VerificationError(KchError):
     """A dual-route consistency check failed; the result cannot be trusted."""
+
+
+def max_steps_limit(default: int) -> int:
+    """The ``KCH_MAX_STEPS`` environment cap if set, else the caller's default."""
+    raw = os.environ.get("KCH_MAX_STEPS")
+    if raw is None:
+        return default
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise DomainError(f"KCH_MAX_STEPS must be an integer, got {raw!r}") from None
+    if limit <= 0:
+        raise DomainError("KCH_MAX_STEPS must be positive")
+    return limit

@@ -14,27 +14,13 @@ beyond the cap, so pathological ideals fail loudly instead of spinning.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError
-from .laurent import ExponentVector, LaurentPolynomial
+from .errors import DomainError, ResourceLimitError, max_steps_limit
+from .laurent import ExponentVector, LaurentPolynomial, _make
 from .scalars import ZERO, Scalar
 
 DEFAULT_MAX_STEPS = 20000
-
-
-def max_steps_limit() -> int:
-    raw = os.environ.get("KCH_MAX_STEPS")
-    if raw is None:
-        return DEFAULT_MAX_STEPS
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise DomainError(f"KCH_MAX_STEPS must be an integer, got {raw!r}") from None
-    if limit <= 0:
-        raise DomainError("KCH_MAX_STEPS must be positive")
-    return limit
 
 
 def _check_polynomial(poly: LaurentPolynomial) -> None:
@@ -96,7 +82,7 @@ def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> 
                 break
         else:
             remainder[exps] = coeff
-    return LaurentPolynomial(poly.variables, remainder)
+    return _make(poly.variables, remainder)
 
 
 def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
@@ -133,7 +119,7 @@ def reduced_groebner_basis(
             basis.append(_monic(poly))
     if not basis:
         return []
-    limit = max_steps if max_steps is not None else max_steps_limit()
+    limit = max_steps if max_steps is not None else max_steps_limit(DEFAULT_MAX_STEPS)
 
     pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     steps = 0

@@ -19,8 +19,7 @@ the result must not change, which the test suite exercises.
 
 from __future__ import annotations
 
-import os
-from .errors import DomainError, ResourceLimitError
+from .errors import ResourceLimitError, max_steps_limit
 from .laurent import LaurentPolynomial
 from .pd import LinkDiagram, smooth_crossing, switch_crossing
 from .scalars import Scalar
@@ -49,19 +48,6 @@ def delta() -> LaurentPolynomial:
         HOMFLY_VARIABLES,
         {(1, -1): Scalar.of(1), (-1, -1): Scalar.of(-1)},
     )
-
-
-def _skein_step_limit() -> int:
-    raw = os.environ.get("KCH_MAX_STEPS")
-    if raw is None:
-        return DEFAULT_SKEIN_STEPS
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise DomainError(f"KCH_MAX_STEPS must be an integer, got {raw!r}") from None
-    if limit <= 0:
-        raise DomainError("KCH_MAX_STEPS must be positive")
-    return limit
 
 
 def _traversal_order(diagram: LinkDiagram, rotation: int) -> list[int]:
@@ -109,7 +95,7 @@ def homfly(
         raise ResourceLimitError(
             f"diagram has {diagram.crossing_count} crossings; limit is {max_crossings}"
         )
-    budget = _skein_step_limit()
+    budget = max_steps_limit(DEFAULT_SKEIN_STEPS)
     memo: dict = {}
     one = LaurentPolynomial.one(HOMFLY_VARIABLES)
     unlink_extra = delta()

@@ -12,6 +12,10 @@ Text grammar (``parse_polynomial`` and ``__str__``): terms are joined by
 parenthesized complex value such as ``(2+3i)``) together with ``*``-separated
 variable powers ``X^k`` where ``k`` is optionally signed and ``X`` abbreviates
 ``X^1``.  Whitespace is ignored.  Example: ``1 - X - P + Q*X*P``.
+
+Invariant: ``_terms`` holds no zero coefficient, is sorted by the term order,
+and is built only by the canonicaliser ``_make``.  The public constructor is
+the only path that validates; arithmetic results go straight to ``_make``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, RingMismatchError
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, _rational_literal
 
 ExponentVector = tuple[int, ...]
 
@@ -54,16 +58,8 @@ class LaurentPolynomial:
                 raise DomainError(f"exponent vector {exps!r} does not fit ring {variables!r}")
             if not isinstance(coeff, Scalar):
                 raise DomainError(f"coefficient {coeff!r} is not a scalar")
-            if exps in cleaned:
-                coeff = cleaned[exps] + coeff
-            if coeff.is_zero():
-                cleaned.pop(exps, None)
-            else:
-                cleaned[exps] = coeff
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(
-            self, "_terms", tuple(sorted(cleaned.items(), key=lambda kv: _term_key(kv[0])))
-        )
+            cleaned[exps] = cleaned[exps] + coeff if exps in cleaned else coeff
+        _make(variables, cleaned, self)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("LaurentPolynomial is immutable")
@@ -150,31 +146,30 @@ class LaurentPolynomial:
                 f"mismatched rings {self.variables!r} and {other.variables!r}"
             )
 
+    def _constant(self, value: Scalar | int | Fraction) -> "LaurentPolynomial":
+        return _make(self.variables, {(0,) * len(self.variables): Scalar.of(value)})
+
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = LaurentPolynomial.constant(self.variables, Scalar.of(other))
+            other = self._constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check_ring(other)
         acc = dict(self._terms)
         for exps, coeff in other._terms:
-            total = acc.get(exps, ZERO) + coeff
-            if total.is_zero():
-                acc.pop(exps, None)
-            else:
-                acc[exps] = total
-        return LaurentPolynomial(self.variables, acc)
+            acc[exps] = acc.get(exps, ZERO) + coeff
+        return _make(self.variables, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.variables, [(e, -c) for e, c in self._terms])
+        return _make(self.variables, {e: -c for e, c in self._terms})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = LaurentPolynomial.constant(self.variables, Scalar.of(other))
+            other = self._constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self + (-other)
@@ -192,27 +187,23 @@ class LaurentPolynomial:
         for e1, c1 in self._terms:
             for e2, c2 in other._terms:
                 exps = tuple(a + b for a, b in zip(e1, e2))
-                total = acc.get(exps, ZERO) + c1 * c2
-                if total.is_zero():
-                    acc.pop(exps, None)
-                else:
-                    acc[exps] = total
-        return LaurentPolynomial(self.variables, acc)
+                acc[exps] = acc.get(exps, ZERO) + c1 * c2
+        return _make(self.variables, acc)
 
     __rmul__ = __mul__
 
     def scale(self, value: Scalar | int | Fraction) -> "LaurentPolynomial":
         value = Scalar.of(value)
         if value.is_zero():
-            return LaurentPolynomial.zero(self.variables)
-        return LaurentPolynomial(self.variables, [(e, c * value) for e, c in self._terms])
+            return _make(self.variables, {})
+        return _make(self.variables, {e: c * value for e, c in self._terms})
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.monomial_inverse() ** (-exponent)
-        result = LaurentPolynomial.one(self.variables)
+        result = self._constant(ONE)
         base = self
         n = exponent
         while n:
@@ -227,13 +218,12 @@ class LaurentPolynomial:
         if len(self._terms) != 1:
             raise DomainError(f"{self} is not a unit in the Laurent ring")
         exps, coeff = self._terms[0]
-        return LaurentPolynomial(self.variables, {tuple(-e for e in exps): coeff.inverse()})
+        return _make(self.variables, {tuple(-e for e in exps): coeff.inverse()})
 
     def shift(self, delta: ExponentVector) -> "LaurentPolynomial":
         delta = tuple(delta)
-        return LaurentPolynomial(
-            self.variables,
-            [(tuple(a + b for a, b in zip(e, delta)), c) for e, c in self._terms],
+        return _make(
+            self.variables, {tuple(a + b for a, b in zip(e, delta)): c for e, c in self._terms}
         )
 
     # -- evaluation and substitution ---------------------------------------
@@ -270,12 +260,8 @@ class LaurentPolynomial:
                     continue
                 coeff = coeff * value**e
             new_exps = exps[:idx] + exps[idx + 1 :]
-            total = acc.get(new_exps, ZERO) + coeff
-            if total.is_zero():
-                acc.pop(new_exps, None)
-            else:
-                acc[new_exps] = total
-        return LaurentPolynomial(rest, acc)
+            acc[new_exps] = acc.get(new_exps, ZERO) + coeff
+        return _make(rest, acc)
 
     def with_variables(self, variables: Iterable[str]) -> "LaurentPolynomial":
         """Reinterpret over a larger (or reordered) ring containing every current variable."""
@@ -300,9 +286,8 @@ class LaurentPolynomial:
     def x_log_derivative(self, name: str) -> "LaurentPolynomial":
         """d/dx where the variable is e^x: the monomial X^k picks up a factor k."""
         idx = self._index(name)
-        return LaurentPolynomial(
-            self.variables,
-            [(e, c * Scalar.of(e[idx])) for e, c in self._terms if e[idx] != 0],
+        return _make(
+            self.variables, {e: c * Scalar.of(e[idx]) for e, c in self._terms if e[idx] != 0}
         )
 
     def derivative(self, name: str) -> "LaurentPolynomial":
@@ -314,7 +299,7 @@ class LaurentPolynomial:
                 continue
             new_exps = exps[:idx] + (e - 1,) + exps[idx + 1 :]
             acc[new_exps] = acc.get(new_exps, ZERO) + coeff * Scalar.of(e)
-        return LaurentPolynomial(self.variables, acc)
+        return _make(self.variables, acc)
 
     # -- division and normal forms -----------------------------------------
 
@@ -362,7 +347,7 @@ class LaurentPolynomial:
                 else:
                     work[t] = total
         delta = tuple(a - b for a, b in zip(f_shift, d_shift))
-        return LaurentPolynomial(self.variables, quotient).shift(delta)
+        return _make(self.variables, quotient).shift(delta)
 
     def primitive_normalized(self) -> "LaurentPolynomial":
         """Scale so coefficients are Gaussian integers of content one and the
@@ -430,6 +415,18 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self.variables!r}, {self})"
+
+
+def _make(variables: tuple[str, ...], acc: Mapping, poly=None) -> LaurentPolynomial:
+    """Drop zero coefficients and sort; checks nothing.  Fills ``poly`` when the
+    public constructor passes itself, else a new polynomial."""
+    if poly is None:
+        poly = object.__new__(LaurentPolynomial)
+    object.__setattr__(poly, "variables", variables)
+    nonzero = [kv for kv in acc.items() if not kv[1].is_zero()]
+    nonzero.sort(key=lambda kv: _term_key(kv[0]))
+    object.__setattr__(poly, "_terms", tuple(nonzero))
+    return poly
 
 
 # -- parsing ----------------------------------------------------------------
@@ -513,7 +510,7 @@ class _PolynomialParser:
             kind, value, where = token
             if kind == "number":
                 self.take()
-                coeff = coeff * Scalar(Fraction(value))
+                coeff = coeff * Scalar(_rational_literal(value))
             elif kind == "op" and value == "(":
                 self.take()
                 coeff = coeff * self._complex_literal(where)
@@ -566,7 +563,7 @@ class _PolynomialParser:
             elif count > 0:
                 raise ParseError(f"missing sign inside coefficient at position {token[2]}")
             if token[0] == "number":
-                value = Scalar(Fraction(token[1]))
+                value = Scalar(_rational_literal(token[1]))
                 nxt = self.peek()
                 if nxt is not None and nxt[0] == "name" and nxt[1] == "i":
                     self.take()

@@ -86,15 +86,8 @@ def _substitute_branch(
     x_index = curve.variables.index(x_variable)
     p_index = curve.variables.index(p_variable)
     param_positions = [curve.variables.index(v) for v in parameters]
-    powers: dict[int, FormalSeries] = {0: FormalSeries.one("X", order, parameters)}
-
-    def branch_power(exponent: int) -> FormalSeries:
-        known = powers.get(exponent)
-        if known is None:
-            known = branch_power(exponent - 1) * branch
-            powers[exponent] = known
-        return known
-
+    # powers[e] = branch^e, extended by one product per new power on demand
+    powers = [FormalSeries.one("X", order, parameters)]
     total = FormalSeries.zero("X", order, parameters)
     for exps, coeff in curve.terms():
         e_x = exps[x_index]
@@ -105,7 +98,9 @@ def _substitute_branch(
             continue
         param_exps = tuple(exps[pos] for pos in param_positions)
         scale = LaurentPolynomial.monomial(parameters, param_exps, coeff)
-        total = total + (branch_power(e_p) * scale).shifted(e_x)
+        while len(powers) <= e_p:
+            powers.append(powers[-1] * branch)
+        total = total + (powers[e_p] * scale).shifted(e_x)
     return total
 
 

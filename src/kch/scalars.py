@@ -161,6 +161,14 @@ I = Scalar(_ZERO, _ONE)
 _SCALAR_TERM = _re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(i)?|(i))\s*")
 
 
+def _rational_literal(digits: str) -> Fraction:
+    """A parsed ``n`` or ``n/d`` token; a zero denominator is malformed text."""
+    try:
+        return Fraction(digits)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {digits!r}") from None
+
+
 def parse_scalar(text: str) -> Scalar:
     """Parse ``3``, ``-1/2``, ``2+3i``, ``3i``, ``i`` (optionally parenthesized)."""
     s = text.strip()
@@ -182,7 +190,7 @@ def parse_scalar(text: str) -> Scalar:
         if match.group(4) is not None:
             value, imaginary = _ONE, True
         else:
-            value, imaginary = Fraction(match.group(2)), match.group(3) is not None
+            value, imaginary = _rational_literal(match.group(2)), match.group(3) is not None
         if imaginary:
             im_part += sign * value
         else:

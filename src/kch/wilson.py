@@ -32,15 +32,14 @@ def _check_levels(N: int, k: int) -> None:
         raise DomainError("k + N = +-1 makes q^{1/2} - q^{-1/2} vanish")
 
 
-def _evaluate_cyclotomic(
-    poly: LaurentPolynomial, N: int, k: int
-) -> tuple[CyclotomicField, CyclotomicElement]:
+def _evaluate_cyclotomic(poly: LaurentPolynomial, N: int, k: int) -> CyclotomicElement:
+    if poly.variables != ("a", "z"):
+        raise DomainError("expected a skein polynomial in (a, z)")
     field = CyclotomicField(2 * abs(k + N))
     sign = 1 if k + N > 0 else -1
-    half_q = field.zeta(sign)          # q^{1/2}
     a_value = field.zeta(sign * N)     # q^{N/2}
-    z_value = half_q - field.zeta(-sign)
     a_inverse = field.zeta(-sign * N)
+    z_value = field.zeta(sign) - field.zeta(-sign)  # q^{1/2} - q^{-1/2}
     z_inverse = z_value.inverse()
     total = field.zero()
     for exps, coeff in poly.terms():
@@ -49,24 +48,10 @@ def _evaluate_cyclotomic(
         term = term * (a_value**e_a if e_a >= 0 else a_inverse ** (-e_a))
         term = term * (z_value**e_z if e_z >= 0 else z_inverse ** (-e_z))
         total = total + term
-    prefactor = (field.zeta(sign * N) - field.zeta(-sign * N)) * z_inverse
-    return field, prefactor * total
+    return (a_value - a_inverse) * z_inverse * total
 
 
-def wilson_exact(diagram: LinkDiagram, N: int, k: int) -> CyclotomicElement:
-    """Exact Wilson value in Q(zeta_{2|k+N|}), prefactor included."""
-    _check_levels(N, k)
-    poly = homfly(diagram)
-    if poly.variables != ("a", "z"):
-        raise DomainError("expected a skein polynomial in (a, z)")
-    _, value = _evaluate_cyclotomic(poly, N, k)
-    return value
-
-
-def wilson_loop_float(diagram: LinkDiagram, N: int, k: int) -> complex:
-    """Independent floating-point evaluation; shares no root-of-unity code."""
-    _check_levels(N, k)
-    poly = homfly(diagram)
+def _evaluate_float(poly: LaurentPolynomial, N: int, k: int) -> complex:
     a_value = cmath.exp(1j * cmath.pi * N / (k + N))
     z_value = cmath.exp(1j * cmath.pi / (k + N)) - cmath.exp(-1j * cmath.pi / (k + N))
     total = 0j
@@ -77,10 +62,27 @@ def wilson_loop_float(diagram: LinkDiagram, N: int, k: int) -> complex:
     return prefactor * total
 
 
+def wilson_exact(diagram: LinkDiagram, N: int, k: int) -> CyclotomicElement:
+    """Exact Wilson value in Q(zeta_{2|k+N|}), prefactor included."""
+    _check_levels(N, k)
+    return _evaluate_cyclotomic(homfly(diagram), N, k)
+
+
+def wilson_loop_float(diagram: LinkDiagram, N: int, k: int) -> complex:
+    """Independent floating-point evaluation; shares no root-of-unity code."""
+    _check_levels(N, k)
+    return _evaluate_float(homfly(diagram), N, k)
+
+
 def wilson_loop(diagram: LinkDiagram, N: int, k: int) -> complex:
-    """Complex Wilson value from the exact evaluation, float cross-checked."""
-    exact = wilson_exact(diagram, N, k).to_complex()
-    approximate = wilson_loop_float(diagram, N, k)
+    """Complex Wilson value from the exact evaluation, float cross-checked.
+
+    Both evaluations read one skein polynomial computed once.
+    """
+    _check_levels(N, k)
+    poly = homfly(diagram)
+    exact = _evaluate_cyclotomic(poly, N, k).to_complex()
+    approximate = _evaluate_float(poly, N, k)
     if abs(exact - approximate) > FLOAT_TOLERANCE:
         raise VerificationError(
             f"cyclotomic and floating evaluations disagree: {exact} vs {approximate}"

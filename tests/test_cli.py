@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kch
 from kch.cli import main
 
 TREFOIL_PD = "X[1,5,2,4];X[5,3,6,2];X[3,1,4,6]"
@@ -312,3 +316,16 @@ def test_repeated_runs_are_identical(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def test_zero_denominator_exits_two_without_traceback():
+    # run as a process so an escaping exception would show as a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kch.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kch.cli", "aug", "exists", "unknot", "--at", "Q=1/0,X=1,P=1"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")

@@ -146,6 +146,23 @@ def test_algebra_element_multiplication_is_noncommutative():
     assert word == ("x", "a") and str(poly) == "1"
 
 
+def test_algebra_element_arithmetic_matches_the_public_constructor():
+    algebra = make(BASE_DOC)
+    x = algebra.generator_element("x")
+    a = algebra.generator_element("a")
+    q = LaurentPolynomial.variable(algebra.torus_variables, "Q")
+    d = algebra.differential_of("a")
+    computed = [x * a + d, x * a - a * x, d - d, -d, d * d, (x + a).scale(q), d * x - x * d]
+    for elem in computed:
+        rebuilt = AlgebraElement(elem.ring, dict(elem.terms()))
+        assert rebuilt == elem
+        assert hash(rebuilt) == hash(elem)
+        assert str(rebuilt) == str(elem)
+        assert tuple(rebuilt.terms()) == tuple(elem.terms())
+        assert all(not poly.is_zero() for _, poly in elem.terms())
+    assert (d - d).is_zero()
+
+
 def test_algebra_element_str():
     algebra = make(BASE_DOC)
     x = algebra.generator_element("x")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kch.errors import DomainError, ResourceLimitError
+from kch.errors import DomainError, ResourceLimitError, max_steps_limit
 from kch.groebner import (
     ideal_contains_one,
     leading_term,
@@ -135,3 +135,15 @@ def test_step_cap(monkeypatch):
         reduced_groebner_basis(gens)
     monkeypatch.delenv("KCH_MAX_STEPS")
     assert reduced_groebner_basis(gens)  # default budget is plenty
+
+
+def test_step_cap_reader(monkeypatch):
+    # one reader serves the skein and Groebner caps, each with its own default
+    monkeypatch.delenv("KCH_MAX_STEPS", raising=False)
+    assert max_steps_limit(20000) == 20000 and max_steps_limit(7) == 7
+    monkeypatch.setenv("KCH_MAX_STEPS", "12")
+    assert max_steps_limit(20000) == 12
+    for raw in ("many", "0", "-3"):
+        monkeypatch.setenv("KCH_MAX_STEPS", raw)
+        with pytest.raises(DomainError, match="KCH_MAX_STEPS"):
+            max_steps_limit(20000)

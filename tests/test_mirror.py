@@ -150,3 +150,12 @@ def test_random_polynomial_branches_verify():
         p = p_series(branch)
         w = potential_series(p)
         assert potential_x_derivative(w) == p
+
+
+def test_high_branch_power_builds_without_recursion():
+    # one series product per power of P, built in a loop: P^1200 must not
+    # exhaust the interpreter's recursion limit
+    curve = parse_polynomial("1 - P + X*P^1200", ("X", "P"))
+    branch = branch_series(curve, 1, 2)
+    assert str(branch.series) == "1 + X + 1200*X^2 + O(X^3)"
+    assert verify_on_curve(curve, branch).ok

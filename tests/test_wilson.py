@@ -121,6 +121,24 @@ def test_negative_level_mirror_symmetry():
     assert abs(value - positive.conjugate()) < 1e-9
 
 
+def test_wilson_loop_computes_one_skein_polynomial(monkeypatch):
+    import kch.wilson
+
+    calls = []
+
+    def counted(diagram, **kwargs):
+        calls.append(diagram)
+        return homfly(diagram, **kwargs)
+
+    monkeypatch.setattr(kch.wilson, "homfly", counted)
+    trefoil = bundled("right_trefoil")
+    value = wilson_loop(trefoil, 2, 3)
+    assert len(calls) == 1
+    assert abs(value - wilson_loop_float(trefoil, 2, 3)) < FLOAT_TOLERANCE
+    assert value == wilson_exact(trefoil, 2, 3).to_complex()
+    assert len(calls) == 3
+
+
 def test_domain_guards():
     unknot = bundled("unknot")
     with pytest.raises(DomainError):
