@@ -18,10 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .laurent import LaurentPolynomial
 from .scalars import Scalar
 from .series import FormalSeries
+
+# each order re-substitutes the partial branch into the curve, so the cost
+# grows faster than quadratically: order 150 of 1 - X - P + Q*X*P takes about
+# 1 s on a shared 2-vCPU VM
+MAX_BRANCH_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,13 @@ def branch_series(
     vanish.  Each coefficient is obtained by exact division against that
     derivative value, which must divide exactly in the parameter ring; base
     points making it a nonconstant polynomial may therefore be rejected even
-    off a branch point, reported as such.
+    off a branch point, reported as such.  Orders above ``MAX_BRANCH_ORDER``
+    raise ``ResourceLimitError`` before any work.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
+    if order > MAX_BRANCH_ORDER:
+        raise ResourceLimitError(f"order {order} exceeds the branch order cap {MAX_BRANCH_ORDER}")
     base = Scalar.of(base)
     if base.is_zero():
         raise DomainError("branch base P(0) must be nonzero on the torus")

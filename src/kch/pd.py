@@ -13,13 +13,19 @@ slot 1, negative the other way around.
 Components whose arcs touch only over-slots admit both orientations; the
 lowest-numbered crossing involved is canonically given the positive one, so
 parsing is deterministic.
+
+A ``LinkDiagram`` is immutable.  The public constructor checks every arc;
+``switch_crossing`` and ``smooth_crossing`` check only the crossing index and
+build their result through ``_make``, because an edit of a valid diagram is
+valid by construction.  Each diagram carries a private slot in which
+``kch.homfly`` keeps the polynomials it has finished for it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
 
@@ -37,6 +43,8 @@ class LinkDiagram:
     crossings: tuple[Crossing, ...]
     signs: tuple[int, ...]
     circles: int = 0
+    # resolution -> finished skein polynomial, filled by ``kch.homfly``
+    _homfly: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.signs) != len(self.crossings):
@@ -93,26 +101,40 @@ class LinkDiagram:
 
     def component_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Arc cycles of the strands, each starting at its smallest label."""
-        successor = self.successor_map()
-        seen: set[int] = set()
-        cycles = []
-        for start in sorted(successor):
-            if start in seen:
-                continue
-            cycle = []
-            arc = start
-            while True:
-                cycle.append(arc)
-                seen.add(arc)
-                arc = successor[arc][0]
-                if arc == start:
-                    break
-            cycles.append(tuple(cycle))
-        return tuple(cycles)
+        return _cycles(self.successor_map())
 
     @property
     def component_count(self) -> int:
         return len(self.component_cycles()) + self.circles
+
+
+def _cycles(successor: dict[int, tuple[int, int, bool]]) -> tuple[tuple[int, ...], ...]:
+    """Arc cycles of a successor map, each starting at its smallest label."""
+    seen: set[int] = set()
+    cycles = []
+    for start in sorted(successor):
+        if start in seen:
+            continue
+        cycle = []
+        arc = start
+        while True:
+            cycle.append(arc)
+            seen.add(arc)
+            arc = successor[arc][0]
+            if arc == start:
+                break
+        cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def _make(crossings: tuple[Crossing, ...], signs: tuple[int, ...], circles: int) -> LinkDiagram:
+    """A diagram from parts known to be valid; checks nothing."""
+    diagram = object.__new__(LinkDiagram)
+    object.__setattr__(diagram, "crossings", crossings)
+    object.__setattr__(diagram, "signs", signs)
+    object.__setattr__(diagram, "circles", circles)
+    object.__setattr__(diagram, "_homfly", {})
+    return diagram
 
 
 def parse_pd(text: str) -> LinkDiagram:
@@ -230,7 +252,7 @@ def switch_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
     signs = list(diagram.signs)
     crossings[index] = record
     signs[index] = -sign
-    return LinkDiagram(tuple(crossings), tuple(signs), diagram.circles)
+    return _make(tuple(crossings), tuple(signs), diagram.circles)
 
 
 def smooth_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
@@ -271,4 +293,4 @@ def smooth_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
             continue
         crossings.append(tuple(find(label) for label in record))
         signs.append(s)
-    return LinkDiagram(tuple(crossings), tuple(signs), circles)
+    return _make(tuple(crossings), tuple(signs), circles)

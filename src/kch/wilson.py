@@ -8,6 +8,14 @@ evaluated at a = q^{N/2}, z = q^{1/2} - q^{-1/2}, q = exp(2*pi*i/(k+N)).
 Internally q^{1/2} is the primitive 2|k+N|-th root of unity (conjugated when
 k+N < 0), so the whole evaluation is exact cyclotomic arithmetic; an
 independent floating-point substitution cross-checks the final complexification.
+
+In the exact evaluation every a^e is a root of unity, so the terms of one
+power of z add up as coefficients of powers of zeta with no field product;
+each distinct power of z is computed once per level.  The skein polynomial
+comes from ``homfly``, which keeps it on the diagram, so the levels of one
+diagram share one skein recursion.  |k + N| is capped at ``MAX_LEVEL``,
+because building Q(zeta_{2|k+N|}) and computing in it grow quickly with the
+level; every public entry point checks the cap before building a field.
 """
 
 from __future__ import annotations
@@ -15,12 +23,13 @@ from __future__ import annotations
 import cmath
 
 from .cyclotomic import CyclotomicElement, CyclotomicField
-from .errors import DomainError, VerificationError
+from .errors import DomainError, ResourceLimitError, VerificationError
 from .homfly import homfly
 from .laurent import LaurentPolynomial
 from .pd import LinkDiagram
 
 FLOAT_TOLERANCE = 1e-9
+MAX_LEVEL = 200
 
 
 def _check_levels(N: int, k: int) -> None:
@@ -30,25 +39,39 @@ def _check_levels(N: int, k: int) -> None:
         raise DomainError("k + N must be nonzero")
     if abs(k + N) == 1:
         raise DomainError("k + N = +-1 makes q^{1/2} - q^{-1/2} vanish")
+    if abs(k + N) > MAX_LEVEL:
+        raise ResourceLimitError(f"|k + N| = {abs(k + N)} exceeds the level cap {MAX_LEVEL}")
 
 
 def _evaluate_cyclotomic(poly: LaurentPolynomial, N: int, k: int) -> CyclotomicElement:
     if poly.variables != ("a", "z"):
         raise DomainError("expected a skein polynomial in (a, z)")
     field = CyclotomicField(2 * abs(k + N))
+    n = field.n
     sign = 1 if k + N > 0 else -1
-    a_value = field.zeta(sign * N)     # q^{N/2}
-    a_inverse = field.zeta(-sign * N)
+    # a^e_a = zeta^(sign*N*e_a): per power of z, real and imaginary parts of
+    # the coefficient of each power of zeta
+    rows: dict[int, tuple[list, list]] = {}
+    for (e_a, e_z), coeff in poly.terms():
+        real, imaginary = rows.setdefault(e_z, ([0] * n, [0] * n))
+        position = sign * N * e_a % n
+        real[position] += coeff.re
+        imaginary[position] += coeff.im
     z_value = field.zeta(sign) - field.zeta(-sign)  # q^{1/2} - q^{-1/2}
     z_inverse = z_value.inverse()
+    z_powers = {1: z_value, -1: z_inverse}
+    for e in range(2, max(rows, default=0) + 1):
+        z_powers[e] = z_powers[e - 1] * z_value
+    for e in range(-2, min(rows, default=0) - 1, -1):
+        z_powers[e] = z_powers[e + 1] * z_inverse
     total = field.zero()
-    for exps, coeff in poly.terms():
-        e_a, e_z = exps
-        term = field.from_scalar(coeff)
-        term = term * (a_value**e_a if e_a >= 0 else a_inverse ** (-e_a))
-        term = term * (z_value**e_z if e_z >= 0 else z_inverse ** (-e_z))
-        total = total + term
-    return (a_value - a_inverse) * z_inverse * total
+    for e_z, (real, imaginary) in rows.items():
+        row = field.element(real)
+        if any(imaginary):
+            row = row + field.imaginary_unit() * field.element(imaginary)
+        total = total + (row * z_powers[e_z] if e_z else row)
+    a_value = field.zeta(sign * N)  # q^{N/2}
+    return (a_value - field.zeta(-sign * N)) * z_inverse * total
 
 
 def _evaluate_float(poly: LaurentPolynomial, N: int, k: int) -> complex:

@@ -318,14 +318,33 @@ def test_repeated_runs_are_identical(capsys):
     assert first == second
 
 
-def test_zero_denominator_exits_two_without_traceback():
+def run_process(*argv):
     # run as a process so an escaping exception would show as a traceback
     src = os.path.dirname(os.path.dirname(os.path.abspath(kch.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kch.cli", "aug", "exists", "unknot", "--at", "Q=1/0,X=1,P=1"],
+    return subprocess.run(
+        [sys.executable, "-m", "kch.cli", *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
+
+
+def test_zero_denominator_exits_two_without_traceback():
+    proc = run_process("aug", "exists", "unknot", "--at", "Q=1/0,X=1,P=1")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wilson", "--pd", "unknot", "--N", "2", "--k", "4000"),
+        ("mirror", "branch", "--poly", "1 - X - P + Q*X*P", "--order", "3000"),
+    ],
+)
+def test_over_cap_exits_one_without_traceback(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "cap" in proc.stderr

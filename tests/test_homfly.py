@@ -2,10 +2,25 @@ import pytest
 
 from kch.errors import ResourceLimitError
 from kch.homfly import BUNDLED_DIAGRAMS, DEFAULT_MAX_CROSSINGS, delta, homfly
-from kch.laurent import parse_polynomial
-from kch.pd import parse_pd, smooth_crossing, switch_crossing
+from kch.laurent import LaurentPolynomial, parse_polynomial
+from kch.pd import LinkDiagram, parse_pd, smooth_crossing, switch_crossing
+from kch.scalars import Scalar
 
 VARS = ("a", "z")
+
+# closures of the braid words (5 strands) -2 -3 -2 3 2 -2 -1 -4,
+# (3) -2 -2 -2 1 -1 1 -2 1, (3) -2 1 1 2 -1 -1 2 1 2 and
+# (4) 3 3 1 2 -3 -3 3 2 3 1 2 2
+BRAID_CLOSURES = [
+    "X[3,7,6,2];X[4,9,8,7];X[8,11,10,6];X[11,9,13,12];X[10,12,15,14];X[15,3,16,14];"
+    "X[16,2,1,1];X[5,5,4,13]",
+    "X[3,5,4,2];X[5,7,6,4];X[7,9,8,6];X[1,8,11,10];X[11,13,12,10];X[12,13,15,14];"
+    "X[9,3,16,15];X[14,16,2,1]",
+    "X[3,5,4,2];X[1,4,7,6];X[6,7,9,8];X[9,5,11,10];X[10,13,12,8];X[13,15,14,12];"
+    "X[15,11,17,16];X[14,16,18,1];X[18,17,3,2]",
+    "X[3,4,6,5];X[5,6,8,7];X[1,2,10,9];X[10,7,12,11];X[8,14,13,12];X[14,16,15,13];"
+    "X[15,16,18,17];X[11,17,20,19];X[20,18,4,21];X[9,19,22,1];X[22,21,24,23];X[23,24,3,2]",
+]
 
 
 def lp(text):
@@ -14,6 +29,10 @@ def lp(text):
 
 def bundled(name):
     return parse_pd(BUNDLED_DIAGRAMS[name])
+
+
+def all_diagrams():
+    return [parse_pd(text) for text in [*BUNDLED_DIAGRAMS.values(), *BRAID_CLOSURES]]
 
 
 def test_unknot_is_one():
@@ -110,3 +129,58 @@ def test_memoization_returns_fresh_equal_objects():
     first = homfly(d)
     second = homfly(d)
     assert first == second
+
+
+def test_memo_keeps_each_resolution_its_own_recursion(skein_edits):
+    d = parse_pd(BRAID_CLOSURES[1])
+    reference = homfly(d)
+    skein_edits.clear()
+    assert homfly(d) == reference
+    assert skein_edits == []
+    for resolution in (1, 2, 3, 5):
+        before = len(skein_edits)
+        assert homfly(d, resolution=resolution) == reference
+        assert len(skein_edits) > before, resolution
+
+
+def test_crossing_cap_holds_after_a_memo_hit():
+    d = bundled("right_trefoil")
+    homfly(d)
+    with pytest.raises(ResourceLimitError):
+        homfly(d, max_crossings=2)
+
+
+def test_equal_diagrams_do_not_share_the_memo(skein_edits):
+    homfly(parse_pd(BRAID_CLOSURES[1]))
+    skein_edits.clear()
+    homfly(parse_pd(BRAID_CLOSURES[1]))
+    assert skein_edits
+
+
+def test_edits_equal_a_validated_rebuild(skein_edits):
+    for d in all_diagrams():
+        homfly(d)
+    assert len(skein_edits) > 100
+    for edited in skein_edits:
+        rebuilt = LinkDiagram(edited.crossings, edited.signs, edited.circles)
+        assert rebuilt == edited
+        assert hash(rebuilt) == hash(edited)
+
+
+def test_coefficients_are_integers():
+    for d in all_diagrams():
+        for _, coeff in homfly(d).terms():
+            assert isinstance(coeff, Scalar)
+            assert coeff.im == 0 and coeff.re.denominator == 1, coeff
+
+
+def test_mirror_is_p_at_inverse_a_and_negative_z():
+    for d in all_diagrams():
+        mirror = d
+        for index in range(d.crossing_count):
+            mirror = switch_crossing(mirror, index)
+        expected = LaurentPolynomial(
+            VARS,
+            [((-ea, ez), coeff if ez % 2 == 0 else -coeff) for (ea, ez), coeff in homfly(d).terms()],
+        )
+        assert homfly(mirror) == expected, d

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from kch.errors import DomainError
+from kch.errors import DomainError, ResourceLimitError
 from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.mirror import (
+    MAX_BRANCH_ORDER,
     branch_series,
     p_series,
     potential_series,
@@ -159,3 +161,10 @@ def test_high_branch_power_builds_without_recursion():
     branch = branch_series(curve, 1, 2)
     assert str(branch.series) == "1 + X + 1200*X^2 + O(X^3)"
     assert verify_on_curve(curve, branch).ok
+
+
+def test_order_cap_raises_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"{MAX_BRANCH_ORDER + 1}.*{MAX_BRANCH_ORDER}"):
+        branch_series(UNKNOT_CURVE, 1, MAX_BRANCH_ORDER + 1)
+    assert time.perf_counter() - start < 1.0

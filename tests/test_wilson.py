@@ -5,10 +5,22 @@ from fractions import Fraction
 import pytest
 
 from kch.cyclotomic import CyclotomicField, cyclotomic_polynomial
-from kch.errors import DomainError
+from kch.errors import DomainError, ResourceLimitError
 from kch.homfly import BUNDLED_DIAGRAMS, homfly
 from kch.pd import parse_pd
-from kch.wilson import FLOAT_TOLERANCE, wilson_exact, wilson_loop, wilson_loop_float
+from kch.wilson import (
+    FLOAT_TOLERANCE,
+    MAX_LEVEL,
+    wilson_exact,
+    wilson_loop,
+    wilson_loop_float,
+)
+
+# closure of the 3-strand braid word -2 -2 -2 1 -1 1 -2 1
+BRAID_CLOSURE = (
+    "X[3,5,4,2];X[5,7,6,4];X[7,9,8,6];X[1,8,11,10];X[11,13,12,10];X[12,13,15,14];"
+    "X[9,3,16,15];X[14,16,2,1]"
+)
 
 
 def bundled(name):
@@ -155,3 +167,26 @@ def test_hopf_wilson_loop_finite():
     hopf = bundled("positive_hopf")
     value = wilson_loop(hopf, 2, 3)
     assert abs(value) > 0
+
+
+def test_levels_reuse_the_diagrams_skein_polynomial(skein_edits):
+    homfly(parse_pd(BRAID_CLOSURE))
+    one_call = len(skein_edits)
+    assert one_call > 0
+    skein_edits.clear()
+    d = parse_pd(BRAID_CLOSURE)
+    homfly(d)
+    for N, k in [(2, 1), (3, -10), (4, 8)]:
+        wilson_loop(d, N, k)
+    assert len(skein_edits) == one_call
+
+
+def test_level_cap():
+    unknot = bundled("unknot")
+    for evaluate in (wilson_loop, wilson_exact, wilson_loop_float):
+        for total in (MAX_LEVEL + 1, -MAX_LEVEL - 1, 4002):
+            with pytest.raises(ResourceLimitError, match=f"{abs(total)}.*{MAX_LEVEL}"):
+                evaluate(unknot, 2, total - 2)
+    angle = cmath.pi / MAX_LEVEL
+    expected = cmath.sin(2 * angle) / cmath.sin(angle)
+    assert abs(wilson_loop(unknot, 2, MAX_LEVEL - 2) - expected) < 1e-9
