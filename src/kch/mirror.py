@@ -6,6 +6,14 @@ unique power series P(X) = P0 + c1 X + ..., solved order by order from the
 linearization: if A(X, S + c X^k) = A(X, S) + c X^k dA/dP(0, P0) + O(X^{k+1}),
 each residual coefficient divides out against d = dA/dP(0, P0).
 
+The solve is online: the curve is split once into its X^a P^b coefficients,
+and the X-coefficients of each power P^b are kept and grown by one order per
+step.  At order k the unknown c_k enters P^b only as b P0^(b-1) c_k, so the
+residual r_k is read off the powers with c_k = 0, c_k = -r_k / d is solved,
+and the powers are corrected.  Nothing is substituted twice; the cost is one
+convolution per power and order.  ``verify_on_curve`` checks the result by
+its own full substitution of P0 exp(p) into the curve.
+
 The logarithm p(X) = log(P(X)/P0) is the momentum series; integrating it
 coefficientwise (divide X^k by k) gives the disk potential W with
 p = x-derivative of W, where the derivative acts as X d/dX on series in
@@ -16,16 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import LaurentPolynomial
 from .scalars import Scalar
 from .series import FormalSeries
 
-# each order re-substitutes the partial branch into the curve, so the cost
-# grows faster than quadratically: order 150 of 1 - X - P + Q*X*P takes about
-# 1 s on a shared 2-vCPU VM
+# the online solve makes O(order^2) coefficient products per power of P, but
+# the coefficients themselves grow with the order: order 150 of
+# 1 - X - P + Q*X*P takes about 0.03 s on a shared 2-vCPU VM, while order 60
+# of P - 1 + Q*X*P^2 - 3*X*P^2, whose coefficients are dense in Q, takes 10 s
 MAX_BRANCH_ORDER = 200
 
 
@@ -109,6 +117,29 @@ def _substitute_branch(
     return total
 
 
+def _terms_by_power(
+    curve: LaurentPolynomial,
+    x_variable: str,
+    p_variable: str,
+    parameters: tuple[str, ...],
+    order: int,
+) -> list[tuple[int, int, LaurentPolynomial]]:
+    """(e_x, e_p, coefficient) with A = sum coefficient * X^e_x * P^e_p, for
+    e_x <= order; coefficients live in the parameter ring."""
+    x_index = curve.variables.index(x_variable)
+    p_index = curve.variables.index(p_variable)
+    param_positions = [curve.variables.index(v) for v in parameters]
+    grouped: dict[tuple[int, int], dict] = {}
+    for exps, coeff in curve.terms():
+        if exps[x_index] <= order:
+            param_exps = tuple(exps[pos] for pos in param_positions)
+            grouped.setdefault((exps[x_index], exps[p_index]), {})[param_exps] = coeff
+    return [
+        (e_x, e_p, LaurentPolynomial(parameters, by_parameters))
+        for (e_x, e_p), by_parameters in grouped.items()
+    ]
+
+
 def branch_series(
     curve: LaurentPolynomial,
     base: Scalar | int | Fraction,
@@ -150,13 +181,32 @@ def branch_series(
             f"base {base} is a branch point: dA/d{p_variable} vanishes at {x_variable} = 0"
         )
 
+    zero = LaurentPolynomial.zero(parameters)
+    terms = _terms_by_power(stripped, x_variable, p_variable, parameters, order)
+    top = max(e_p for _, e_p, _ in terms)
     coefficients = [LaurentPolynomial.constant(parameters, base)]
+    # powers[e][j] is the X^j coefficient of P(X)^e; powers[1] is the branch
+    powers = [[LaurentPolynomial.one(parameters)], coefficients]
+    powers += [[LaurentPolynomial.constant(parameters, base**e)] for e in range(2, top + 1)]
+    # c_k enters the X^k coefficient of P^e only as e * P0^(e-1) * c_k
+    lift = {e: Scalar.of(e) * base ** (e - 1) for e in range(2, top + 1)}
     for k in range(1, order + 1):
-        partial = FormalSeries("X", k, coefficients + [LaurentPolynomial.zero(parameters)])
-        residual = _substitute_branch(stripped, x_variable, p_variable, parameters, partial)
-        r_k = residual.coefficient(k)
+        # extend every power by its X^k coefficient with the unknown c_k = 0
+        powers[0].append(zero)
+        coefficients.append(zero)
+        for e in range(2, top + 1):
+            lower = powers[e - 1]
+            acc = zero
+            for j in range(k):
+                if not coefficients[j].is_zero() and not lower[k - j].is_zero():
+                    acc = acc + coefficients[j] * lower[k - j]
+            powers[e].append(acc)
+        # the X^k coefficient of A(X, P0 + ... + c_(k-1) X^(k-1))
+        r_k = zero
+        for e_x, e_p, coeff in terms:
+            if e_x <= k and not powers[e_p][k - e_x].is_zero():
+                r_k = r_k + coeff * powers[e_p][k - e_x]
         if r_k.is_zero():
-            coefficients.append(LaurentPolynomial.zero(parameters))
             continue
         try:
             correction = r_k.exact_divide(derivative)
@@ -166,7 +216,9 @@ def branch_series(
                 f"dA/d{p_variable} = {derivative} does not divide {r_k} "
                 "in the parameter ring"
             ) from exc
-        coefficients.append(-correction)
+        coefficients[k] = -correction
+        for e in range(2, top + 1):
+            powers[e][k] = powers[e][k] + coefficients[k].scale(lift[e])
     series = FormalSeries("X", order, coefficients)
     return BranchSeries(curve, x_variable, p_variable, base, series)
 

@@ -188,21 +188,25 @@ class FormalSeries:
         return FormalSeries(self.variable, self.order, out)
 
     def log(self) -> "FormalSeries":
-        """log of a series with constant coefficient one, via L' = S'/S."""
+        """log of a series with constant coefficient one.
+
+        L = log S satisfies S L' = S', which read coefficientwise is the
+        recurrence k L_k = k S_k - sum_{j=1}^{k-1} j L_j S_{k-j} (Brent & Kung
+        1978): one convolution per coefficient and no series inverse.
+        """
         if not (self.coefficients[0] - LaurentPolynomial.one(self.ring)).is_zero():
             raise DomainError("log requires constant coefficient one")
-        inv = self.inverse()
         zero = LaurentPolynomial.zero(self.ring)
-        # derivative coefficients: (S')_k = (k+1) S_{k+1}
-        out = [zero] * (self.order + 1)
+        s = self.coefficients
+        out = [zero]
+        weighted = [zero]  # j * L_j
         for k in range(1, self.order + 1):
             acc = zero
-            for j in range(1, k + 1):
-                coeff = self.coefficients[j]
-                if coeff.is_zero():
-                    continue
-                acc = acc + (coeff * inv.coefficients[k - j]).scale(Scalar.of(Fraction(j, k)))
-            out[k] = acc
+            for j in range(1, k):
+                if not weighted[j].is_zero() and not s[k - j].is_zero():
+                    acc = acc + weighted[j] * s[k - j]
+            out.append(s[k] - acc.scale(Scalar.of(Fraction(1, k))))
+            weighted.append(out[k].scale(Scalar.of(k)))
         return FormalSeries(self.variable, self.order, out)
 
     def exp(self) -> "FormalSeries":

@@ -340,6 +340,10 @@ def test_zero_denominator_exits_two_without_traceback():
     [
         ("wilson", "--pd", "unknot", "--N", "2", "--k", "4000"),
         ("mirror", "branch", "--poly", "1 - X - P + Q*X*P", "--order", "3000"),
+        ("feynman", "scalar", "--n", "1", "--q", "[[1]]", "--c", "[[[1]]]", "--order", "6"),
+        ("feynman", "matrix", "--N", "2", "--order", "6"),
+        ("feynman", "ribbon", "--order", "6"),
+        ("symtrace", "--eigs", "1,1/2", "--order", "5000"),
     ],
 )
 def test_over_cap_exits_one_without_traceback(argv):

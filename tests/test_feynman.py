@@ -1,10 +1,14 @@
+import importlib
 import random
+import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from kch.errors import DomainError
+from kch.errors import DomainError, ResourceLimitError
 from kch.feynman import (
+    MAX_FEYNMAN_ORDER,
     CubicForm,
     Pairing,
     QuadraticForm,
@@ -24,8 +28,13 @@ from kch.feynman import (
     scalar_model_series,
     stein_oracle_series,
     trace_faces,
+    _class_census,
+    _connected,
+    _contract_multigraph,
+    _graph_coefficient,
+    _multigraph_census,
 )
-from kch.scalars import Scalar
+from kch.scalars import ZERO, Scalar
 
 
 def one_dim():
@@ -255,3 +264,56 @@ def test_moment_oracle_gaussian_normalization():
     for m in range(1, 5):
         assert series.coefficient(m).is_zero()
     assert scalar_model_series(q, c, 4) == series
+
+
+def test_class_census_counts_every_pairing_once():
+    for m, classes in ((2, 2), (4, 8)):
+        census = _class_census(m)
+        assert len(census) == classes
+        assert sum(count for _, count in census) == double_factorial(3 * m - 1)
+        assert all(canonical_graph_class(m, edges) == edges for edges, _ in census)
+    # the connected classes hold the pairings the ribbon census finds connected
+    assert sum(connected_isomorphism_classes(4).values()) == 10395 - 675
+
+
+def test_class_sum_equals_labeled_sum():
+    rng = random.Random(47)
+    labeled = {m: _multigraph_census(m) for m in (2, 4)}
+    for _ in range(4):
+        q, c = random_model(rng, rng.randint(1, 3))
+        for m in (2, 4):
+            full = connected = ZERO
+            for edges, count in labeled[m]:
+                term = _contract_multigraph(edges, m, q.propagator, c) * Scalar.of(count)
+                full = full + term
+                if _connected(m, edges):
+                    connected = connected + term
+            inv_fact = Scalar.of(Fraction(1, factorial(m)))
+            assert _graph_coefficient(m, q.propagator, c, connected_only=False) == full * inv_fact
+            assert (
+                _graph_coefficient(m, q.propagator, c, connected_only=True)
+                == connected * inv_fact
+            )
+
+
+def test_order_cap_raises_before_any_pairing(monkeypatch):
+    feynman = importlib.import_module("kch.feynman")
+    built = []
+    monkeypatch.setattr(feynman, "Pairing", lambda *args: built.append(args))
+    feynman._class_census.cache_clear()
+    feynman._face_census.cache_clear()
+    q, c = one_dim()
+    entries = [
+        lambda order: scalar_model_series(q, c, order),
+        lambda order: connected_scalar_series(q, c, order),
+        lambda order: matrix_model_series(order),
+        lambda order: ribbon_census(order),
+        lambda order: enumerate_pairings(order),
+    ]
+    start = time.perf_counter()
+    for order in (MAX_FEYNMAN_ORDER + 1, MAX_FEYNMAN_ORDER + 2, 10**9):
+        for entry in entries:
+            with pytest.raises(ResourceLimitError, match=f"{order}.*cap {MAX_FEYNMAN_ORDER}"):
+                entry(order)
+    assert built == []
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,4 @@
+import importlib
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,8 @@ from kch.errors import DomainError, ResourceLimitError
 from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.mirror import (
     MAX_BRANCH_ORDER,
+    _split_curve,
+    _substitute_branch,
     branch_series,
     p_series,
     potential_series,
@@ -15,6 +18,7 @@ from kch.mirror import (
     verify_on_curve,
 )
 from kch.scalars import Scalar
+from kch.series import FormalSeries
 
 RING = ("Q", "X", "P")
 UNKNOT_CURVE = parse_polynomial("1 - X - P + Q*X*P", RING)
@@ -168,3 +172,113 @@ def test_order_cap_raises_before_any_work():
     with pytest.raises(ResourceLimitError, match=f"{MAX_BRANCH_ORDER + 1}.*{MAX_BRANCH_ORDER}"):
         branch_series(UNKNOT_CURVE, 1, MAX_BRANCH_ORDER + 1)
     assert time.perf_counter() - start < 1.0
+
+
+class NotSeparating(Exception):
+    pass
+
+
+def resubstituted_branch(curve, base, order):
+    """The branch by definition: at every order k, substitute the partial
+    branch (with c_k = 0) into the whole curve and divide its X^k coefficient
+    by dA/dP(0, P0).  Raises NotSeparating(k, derivative, r_k) where the
+    division fails."""
+    parameters, stripped = _split_curve(curve, "X", "P")
+    base = Scalar.of(base)
+    derivative = stripped.derivative("P").substitute("X", 0).substitute("P", base)
+    zero = LaurentPolynomial.zero(parameters)
+    coefficients = [LaurentPolynomial.constant(parameters, base)]
+    for k in range(1, order + 1):
+        partial = FormalSeries("X", k, coefficients + [zero])
+        r_k = _substitute_branch(stripped, "X", "P", parameters, partial).coefficient(k)
+        if r_k.is_zero():
+            coefficients.append(zero)
+            continue
+        try:
+            coefficients.append(-r_k.exact_divide(derivative))
+        except DomainError:
+            raise NotSeparating(k, derivative, r_k) from None
+    return FormalSeries("X", order, coefficients)
+
+
+def random_curve(rng, base):
+    """Q^s (P - b)(u + a(P - b)) + X*f(Q, X, P), times a unit monomial.
+
+    P0 = b is a simple root with dA/dP = u Q^s there, a unit, so the branch
+    exists to every order; f has P-degree up to 5 and Q-exponents of both
+    signs.
+    """
+    q = rng.randint(-1, 1)
+    u = rng.choice([1, -1, 2, Fraction(1, 2)])
+    a = rng.randint(-2, 2)
+    terms = {
+        (q, 0, 0): Scalar.of(-base * (u - a * base)),
+        (q, 0, 1): Scalar.of(u - 2 * a * base),
+        (q, 0, 2): Scalar.of(a),
+    }
+    for _ in range(rng.randint(1, 5)):
+        key = (rng.randint(-2, 2), rng.randint(1, 2), rng.randint(0, 5))
+        value = Scalar.of(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+        terms[key] = terms.get(key, Scalar.of(0)) + value
+    unit = LaurentPolynomial.monomial(
+        RING, tuple(rng.randint(-2, 2) for _ in RING), rng.choice([1, -3])
+    )
+    return LaurentPolynomial(RING, terms) * unit
+
+
+def test_online_branch_equals_resubstitution_on_random_curves():
+    rng = random.Random(5151)
+    for trial in range(30):
+        base = (1, 2, -1)[trial % 3]
+        curve = random_curve(rng, base)
+        order = rng.randint(0, 6)
+        expected = resubstituted_branch(curve, base, order)
+        assert branch_series(curve, base, order).series == expected, (trial, str(curve))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "P - 1 + Q*P - Q - X",
+        "P - 1 + Q*P - Q - X^3",
+        "P - 1 + Q*P - Q - X*P^2 - Q*X*P^2 - X^2",
+        "Q^-1*X^-2*P - Q^-1*X^-2 + X^-2*P - X^-2 - X^-1*P^3",
+    ],
+)
+def test_non_separating_order_and_message_match_resubstitution(text):
+    curve = parse_polynomial(text, RING)
+    with pytest.raises(NotSeparating) as expected:
+        resubstituted_branch(curve, 1, 6)
+    k, derivative, r_k = expected.value.args
+    with pytest.raises(DomainError) as err:
+        branch_series(curve, 1, 6)
+    assert str(err.value) == (
+        f"coefficient of X^{k} does not separate: dA/dP = {derivative} "
+        f"does not divide {r_k} in the parameter ring"
+    )
+
+
+def test_branch_solving_makes_no_series_product(monkeypatch):
+    mirror = importlib.import_module("kch.mirror")
+    products = []
+    substitutions = []
+    multiply = FormalSeries.__mul__
+    substitute = mirror._substitute_branch
+
+    def counted_multiply(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    def counted_substitute(*args):
+        substitutions.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(FormalSeries, "__mul__", counted_multiply)
+    monkeypatch.setattr(FormalSeries, "__rmul__", counted_multiply)
+    monkeypatch.setattr(mirror, "_substitute_branch", counted_substitute)
+    curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2 + X^2*P^3", RING)
+    branch = branch_series(curve, 1, 12)
+    assert products == [] and substitutions == []
+    # the on-curve check keeps its own substitution, which the counters see
+    assert verify_on_curve(curve, branch).ok
+    assert products and len(substitutions) == 1

@@ -132,3 +132,34 @@ def test_str():
         [LaurentPolynomial.zero(ring), parse_polynomial("-1 + Q", ring)],
     )
     assert str(s) == "(-1 + Q)*X + O(X^2)"
+
+
+def integrated_log_derivative(s):
+    """log S as the integral of S' * S^-1, built from the series inverse:
+    L_k = (1/k) sum_{j=1}^{k} j S_j (S^-1)_{k-j}."""
+    inv = s.inverse()
+    coefficients = [LaurentPolynomial.zero(s.ring)]
+    for k in range(1, s.order + 1):
+        acc = LaurentPolynomial.zero(s.ring)
+        for j in range(1, k + 1):
+            acc = acc + (s.coefficient(j) * inv.coefficient(k - j)).scale(Fraction(j, k))
+        coefficients.append(acc)
+    return FormalSeries(s.variable, s.order, coefficients)
+
+
+def test_log_recurrence_equals_integrated_inverse():
+    rng = random.Random(1978)
+    ring = ("Q", "R")
+    for _ in range(30):
+        order = rng.randint(0, 7)
+        coefficients = [LaurentPolynomial.one(ring)]
+        for _ in range(order):
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                exps = (rng.randint(-2, 2), rng.randint(-1, 2))
+                terms[exps] = Scalar(
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+                )
+            coefficients.append(LaurentPolynomial(ring, terms))
+        s = FormalSeries("t", order, coefficients)
+        assert s.log() == integrated_log_derivative(s)

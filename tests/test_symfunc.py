@@ -1,12 +1,15 @@
+import importlib
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from kch.errors import DomainError
+from kch.errors import DomainError, ResourceLimitError
 from kch.scalars import Scalar
 from kch.symfunc import (
+    MAX_TRACE_ORDER,
     SERIES_VARIABLE,
     HolonomySpectrum,
     complete_homogeneous,
@@ -115,3 +118,19 @@ def test_complex_spectrum():
     # conjugate pair: h_1 = 0, h_2 = i*(-i) + i^2 + (-i)^2 = 1 - 1 - 1 = -1
     assert series.coefficient(1).is_zero()
     assert str(series.coefficient(2).constant_term()) == "-1"
+
+
+def test_trace_order_cap_raises_before_any_power_sum(monkeypatch):
+    symfunc = importlib.import_module("kch.symfunc")
+    monkeypatch.setattr(symfunc, "power_sums", lambda *args: pytest.fail("power sum built"))
+    start = time.perf_counter()
+    for order in (MAX_TRACE_ORDER + 1, 5000):
+        with pytest.raises(ResourceLimitError, match=f"{order}.*cap {MAX_TRACE_ORDER}"):
+            symmetric_trace_series(spectrum(2, Fraction(1, 3), 5), order)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_trace_order_cap_admits_the_cap():
+    series = symmetric_trace_series(spectrum(1), MAX_TRACE_ORDER)
+    assert series.order == MAX_TRACE_ORDER
+    assert all(str(c) == "1" for c in series.coefficients)
