@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .scalars import Scalar
 
 Poly = tuple[Fraction, ...]
 
@@ -125,12 +124,6 @@ class CyclotomicField:
         if self.n % 4:
             raise DomainError(f"Q(zeta_{self.n}) does not contain i (need 4 | n)")
         return self.zeta(self.n // 4)
-
-    def from_scalar(self, value: Scalar) -> "CyclotomicElement":
-        out = self.rational(value.re)
-        if value.im != 0:
-            out = out + self.imaginary_unit() * self.rational(value.im)
-        return out
 
 
 class CyclotomicElement:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError, RingMismatchError
@@ -83,12 +84,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def scalar_part(self) -> LaurentPolynomial:
-        for word, poly in self._terms:
-            if word == ():
-                return poly
-        return LaurentPolynomial.zero(self.ring)
 
     def _check_ring(self, other: "AlgebraElement") -> None:
         if self.ring != other.ring:
@@ -192,7 +187,12 @@ class DgaCheckReport:
 
 
 class DGA:
-    __slots__ = ("name", "torus_variables", "generators", "differential", "_by_name")
+    # ``_augmentation`` holds the augmentation system once ``kch.augment``
+    # has built it (a failed build is not stored); the read-only
+    # ``differential`` keeps it from going stale
+    __slots__ = (
+        "name", "torus_variables", "generators", "differential", "_by_name", "_augmentation"
+    )
 
     def __init__(
         self,
@@ -219,8 +219,9 @@ class DGA:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "torus_variables", torus_variables)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "differential", diff)
+        object.__setattr__(self, "differential", MappingProxyType(diff))
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_augmentation", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("DGA is immutable")

@@ -7,98 +7,189 @@ order therefore doubles as the elimination order: a reduced basis element
 supported on a trailing block of variables certifies membership in the
 corresponding elimination ideal.
 
+The public functions convert their inputs once into ``{exponents:
+coefficient}`` dicts and their results back once, with every coefficient a
+``Scalar``.  Inside, a coefficient takes its narrowest exact type: a
+``Fraction`` when it is real, a ``Scalar`` only with an imaginary part; the
+two mix through ``Scalar``'s reflected operators.  Basis members are monic
+and keep their leading monomial.  Pairs are taken by the normal strategy
+(smallest lcm of leading monomials first) and filtered by the Gebauer-Moller
+update (Gebauer & Moller 1988, "On an installation of Buchberger's
+algorithm"): the product criterion, the chain criterion on old pairs, and the
+M and F rules on new ones.  A nonzero constant remainder ends the loop at
+once, since the reduced basis of the unit ideal is ``[1]``.
+
 The pair loop is capped by the ``KCH_MAX_STEPS`` environment variable
-(default 20000 S-polynomial reductions) and raises ``ResourceLimitError``
-beyond the cap, so pathological ideals fail loudly instead of spinning.
+(default 20000) and raises ``ResourceLimitError`` beyond the cap, so
+pathological ideals fail loudly instead of spinning.  The cap counts the
+S-pairs actually reduced, after the criteria have dropped the rest.
 """
 
 from __future__ import annotations
 
+from operator import add, le, sub
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceLimitError, max_steps_limit
 from .laurent import ExponentVector, LaurentPolynomial, _make
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 
 DEFAULT_MAX_STEPS = 20000
 
+# inside the kernel a polynomial is a dict, exponents -> nonzero Fraction or
+# Scalar, and a basis member the pair (leading monomial, monic terms)
+Terms = dict
+Member = tuple
 
-def _check_polynomial(poly: LaurentPolynomial) -> None:
-    for exps, _ in poly.terms():
-        if any(e < 0 for e in exps):
-            raise DomainError("Groebner computations need nonnegative exponents")
+
+def _terms(poly: LaurentPolynomial) -> Terms:
+    return {exps: c if c.im else c.re for exps, c in poly.terms()}
+
+
+def _polynomial(variables: tuple[str, ...], terms: Terms) -> LaurentPolynomial:
+    scalars = {exps: c if isinstance(c, Scalar) else Scalar(c) for exps, c in terms.items()}
+    return _make(variables, scalars)
+
+
+def _member(terms: Terms) -> Member:
+    if not terms:
+        raise DomainError("zero polynomial has no leading term")
+    lead = max(terms)
+    inverse = 1 / terms[lead]
+    return lead, {exps: c * inverse for exps, c in terms.items()}
+
+
+def _divides(a: ExponentVector, b: ExponentVector) -> bool:
+    return all(map(le, a, b))
+
+
+def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
+    return tuple(map(max, a, b))
+
+
+def _coprime(a: ExponentVector, b: ExponentVector) -> bool:
+    return not any(map(min, a, b))
+
+
+def _subtract(work: Terms, terms: Terms, lead: ExponentVector, shift: ExponentVector, factor):
+    # work -= factor * x^shift * (terms less their lead), in place
+    for exps, coeff in terms.items():
+        if exps != lead:
+            key = tuple(map(add, exps, shift))
+            total = work.get(key, 0) - factor * coeff
+            if total:
+                work[key] = total
+            else:
+                del work[key]
+
+
+def _reduce(work: Terms, divisors: Sequence[Member]) -> Terms:
+    """Full remainder of ``work`` (consumed) by monic members, the first
+    divisor in order taken at each step."""
+    remainder = {}
+    while work:
+        exps = max(work)
+        coeff = work.pop(exps)
+        for lead, g in divisors:
+            if _divides(lead, exps):
+                _subtract(work, g, lead, tuple(map(sub, exps, lead)), coeff)
+                break
+        else:
+            remainder[exps] = coeff
+    return remainder
+
+
+def _spoly(f: Member, g: Member) -> Terms:
+    (f_lead, f_terms), (g_lead, g_terms) = f, g
+    lcm = _lcm(f_lead, g_lead)
+    f_shift = tuple(map(sub, lcm, f_lead))
+    g_shift = tuple(map(sub, lcm, g_lead))
+    work = {tuple(map(add, e, f_shift)): c for e, c in f_terms.items() if e != f_lead}
+    _subtract(work, g_terms, g_lead, g_shift, 1)
+    return work
+
+
+def _update(members: list[Member], active: list[int], pairs: list, new: int):
+    """Gebauer-Moller update: the active members and pending pairs once
+    member ``new`` joins.  A pair is ``(lcm, i, j)`` with ``i < j``."""
+    h = members[new][0]
+    candidates = [(_lcm(members[g][0], h), g) for g in active]
+    chosen = []
+    for k, (lcm, g) in enumerate(candidates):
+        # M and F: drop a pair when the lcm of another new pair, not yet
+        # dropped, divides its lcm; coprime pairs stay here as witnesses
+        if _coprime(members[g][0], h) or not (
+            any(_divides(m, lcm) for m, _ in candidates[k + 1 :])
+            or any(_divides(m, lcm) for m, _ in chosen)
+        ):
+            chosen.append((lcm, g))
+    # chain criterion on the old pairs, then the product criterion on the new
+    kept = [
+        (lcm, i, j)
+        for lcm, i, j in pairs
+        if not _divides(h, lcm)
+        or _lcm(members[i][0], h) == lcm
+        or _lcm(members[j][0], h) == lcm
+    ]
+    kept += [(lcm, g, new) for lcm, g in chosen if not _coprime(members[g][0], h)]
+    return [g for g in active if not _divides(h, members[g][0])] + [new], kept
+
+
+def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
+    """Monic reduced lex basis, sorted by leading monomial."""
+    members = sorted((_member(p) for p in polys if p), key=lambda m: m[0])
+    if not members:
+        return []
+    limit = max_steps if max_steps is not None else max_steps_limit(DEFAULT_MAX_STEPS)
+    if not any(members[0][0]):
+        return [members[0]]
+    active: list[int] = []
+    pairs: list = []
+    for new in range(len(members)):
+        active, pairs = _update(members, active, pairs, new)
+    steps = 0
+    while pairs:
+        pair = min(pairs)
+        pairs.remove(pair)
+        steps += 1
+        if steps > limit:
+            raise ResourceLimitError(
+                f"Groebner basis exceeded {limit} reduction steps (set KCH_MAX_STEPS to raise)"
+            )
+        _, i, j = pair
+        remainder = _reduce(_spoly(members[i], members[j]), [members[g] for g in active])
+        if remainder:
+            members.append(_member(remainder))
+            if not any(members[-1][0]):
+                return [members[-1]]
+            active, pairs = _update(members, active, pairs, len(members) - 1)
+
+    # minimalise, then reduce each tail against the others once
+    basis = sorted((members[g] for g in active), key=lambda m: m[0])
+    basis = [m for m in basis if not any(o is not m and _divides(o[0], m[0]) for o in basis)]
+    return [
+        (lead, _reduce(dict(terms), [o for o in basis if o[0] != lead]))
+        for lead, terms in basis
+    ]
 
 
 def leading_term(poly: LaurentPolynomial) -> tuple[ExponentVector, Scalar]:
     """Leading term under plain lex on the declared variable order."""
-    best = None
-    for exps, coeff in poly.terms():
-        if best is None or exps > best[0]:
-            best = (exps, coeff)
-    if best is None:
+    if poly.is_zero():
         raise DomainError("zero polynomial has no leading term")
-    return best
-
-
-def _divides(a: ExponentVector, b: ExponentVector) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _monomial_lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _sub_shifted(
-    work: dict[ExponentVector, Scalar],
-    poly: LaurentPolynomial,
-    shift: ExponentVector,
-    factor: Scalar,
-) -> None:
-    # work -= factor * x^shift * poly, in place
-    for exps, coeff in poly.terms():
-        key = tuple(a + b for a, b in zip(exps, shift))
-        total = work.get(key, ZERO) - factor * coeff
-        if total.is_zero():
-            work.pop(key, None)
-        else:
-            work[key] = total
+    return max(poly.terms(), key=lambda term: term[0])
 
 
 def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
     """Full remainder of multivariate division by the basis (deterministic)."""
     if poly.is_zero() or not basis:
         return poly
-    leads = [leading_term(g) for g in basis]
-    work = dict(poly.terms())
-    remainder: dict[ExponentVector, Scalar] = {}
-    while work:
-        exps = max(work)
-        coeff = work.pop(exps)
-        for g, (g_exps, g_coeff) in zip(basis, leads):
-            if _divides(g_exps, exps):
-                shift = tuple(a - b for a, b in zip(exps, g_exps))
-                work[exps] = coeff
-                _sub_shifted(work, g, shift, coeff / g_coeff)
-                break
-        else:
-            remainder[exps] = coeff
-    return _make(poly.variables, remainder)
+    divisors = [_member(_terms(g)) for g in basis]
+    return _polynomial(poly.variables, _reduce(_terms(poly), divisors))
 
 
 def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    f_exps, f_coeff = leading_term(f)
-    g_exps, g_coeff = leading_term(g)
-    lcm = _monomial_lcm(f_exps, g_exps)
-    f_shift = tuple(a - b for a, b in zip(lcm, f_exps))
-    g_shift = tuple(a - b for a, b in zip(lcm, g_exps))
-    left = f.shift(f_shift).scale(f_coeff.inverse())
-    right = g.shift(g_shift).scale(g_coeff.inverse())
-    return left - right
-
-
-def _monic(poly: LaurentPolynomial) -> LaurentPolynomial:
-    _, coeff = leading_term(poly)
-    return poly.scale(coeff.inverse())
+    return _polynomial(f.variables, _spoly(_member(_terms(f)), _member(_terms(g))))
 
 
 def reduced_groebner_basis(
@@ -107,78 +198,17 @@ def reduced_groebner_basis(
     max_steps: int | None = None,
 ) -> list[LaurentPolynomial]:
     """Unique reduced lex Groebner basis of the ideal the inputs generate."""
-    basis: list[LaurentPolynomial] = []
+    inputs = []
     ring = None
     for poly in polys:
         if ring is None:
             ring = poly.variables
         elif poly.variables != ring:
             raise DomainError("generators live in different rings")
-        _check_polynomial(poly)
-        if not poly.is_zero():
-            basis.append(_monic(poly))
-    if not basis:
-        return []
-    limit = max_steps if max_steps is not None else max_steps_limit(DEFAULT_MAX_STEPS)
-
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    steps = 0
-    while pairs:
-        # normal strategy: smallest pair lcm first, ties broken by index
-        def pair_key(pair):
-            i, j = pair
-            return (_monomial_lcm(leading_term(basis[i])[0], leading_term(basis[j])[0]), i, j)
-
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        lt_i = leading_term(basis[i])[0]
-        lt_j = leading_term(basis[j])[0]
-        if _monomial_lcm(lt_i, lt_j) == tuple(a + b for a, b in zip(lt_i, lt_j)):
-            continue  # coprime leading monomials reduce to zero
-        steps += 1
-        if steps > limit:
-            raise ResourceLimitError(
-                f"Groebner basis exceeded {limit} reduction steps (set KCH_MAX_STEPS to raise)"
-            )
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero():
-            continue
-        remainder = _monic(remainder)
-        basis.append(remainder)
-        k = len(basis) - 1
-        pairs.update((idx, k) for idx in range(k))
-
-    # minimalize: drop members whose leading monomial another member divides
-    keep: list[LaurentPolynomial] = []
-    leads = [leading_term(g)[0] for g in basis]
-    for idx, g in enumerate(basis):
-        lt_g = leads[idx]
-        redundant = False
-        for jdx, lt_h in enumerate(leads):
-            if jdx == idx or not _divides(lt_h, lt_g):
-                continue
-            if lt_h != lt_g or jdx < idx:
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-
-    # reduce tails against the rest until stable
-    reduced = keep
-    changed = True
-    while changed:
-        changed = False
-        next_basis = []
-        for idx, g in enumerate(reduced):
-            others = next_basis + reduced[idx + 1 :]
-            replacement = normal_form(g, others) if others else g
-            if replacement != g:
-                changed = True
-            if not replacement.is_zero():
-                next_basis.append(_monic(replacement))
-        reduced = next_basis
-    reduced.sort(key=lambda g: leading_term(g)[0])
-    return reduced
+        if any(e < 0 for exps, _ in poly.terms() for e in exps):
+            raise DomainError("Groebner computations need nonnegative exponents")
+        inputs.append(_terms(poly))
+    return [_polynomial(ring, terms) for _, terms in _groebner(inputs, max_steps)]
 
 
 def ideal_contains_one(
@@ -188,10 +218,10 @@ def ideal_contains_one(
 ) -> bool:
     """True when the inputs generate the whole ring.
 
-    Accepts arbitrary generators; a basis that is already reduced costs one
-    cheap pass because every S-polynomial reduces to zero.
+    Accepts arbitrary generators; the basis computation stops at the first
+    nonzero constant remainder.
     """
     if any(not g.is_zero() and g.is_constant() for g in polys):
         return True
     basis = reduced_groebner_basis(polys, max_steps=max_steps)
-    return any(not g.is_zero() and g.is_constant() for g in basis)
+    return any(g.is_constant() for g in basis)

@@ -117,11 +117,6 @@ class LaurentPolynomial:
                 return coeff
         return ZERO
 
-    def as_constant(self) -> Scalar:
-        if not self.is_constant():
-            raise DomainError(f"polynomial {self} is not constant")
-        return self.constant_term()
-
     def leading_term(self) -> tuple[ExponentVector, Scalar]:
         if not self._terms:
             raise DomainError("zero polynomial has no leading term")

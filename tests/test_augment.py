@@ -1,12 +1,16 @@
+import json
+from fractions import Fraction
+
 import pytest
 
+from kch import augment
 from kch.augment import (
     augmentation_exists,
     augmentation_system,
     eliminate_augmentation_ideal,
     is_augmentation,
 )
-from kch.dga import build_dga, load_bundled
+from kch.dga import DGA, build_dga, bundled_names, load_bundled, load_dga_text
 from kch.errors import DomainError
 from kch.laurent import parse_polynomial
 from kch.scalars import Scalar
@@ -208,3 +212,139 @@ def test_check_failures_block_the_system():
     algebra = build_dga(doc, source="inline")
     with pytest.raises(DomainError):
         augmentation_system(algebra)
+
+
+# -- frozen outputs of the first implementation --------------------------------
+#
+# Printed by the Groebner kernel that skipped only coprime pairs and worked on
+# LaurentPolynomial values, with the augmentation system rebuilt for every
+# call; any later kernel must print the same text byte for byte.
+
+FROZEN_POINTS = [
+    (1, 2, 1),
+    (2, 1, 1),
+    (1, 4, 2),
+    (1, 4, 3),
+    (1, -1, Scalar(0, 1)),
+    (Fraction(1, 2), 3, -2),
+    (3, Fraction(-2, 3), Fraction(1, 5)),
+]
+
+FROZEN_BUNDLED = {
+    "elim_synthetic": (
+        "AugmentationVarietyResult(principal=True, polynomial=LaurentPolynomial(("
+        "'Q', 'X', 'P'), -X + P^2), generators=(LaurentPolynomial(('Q', 'X', 'P'),"
+        " -X + P^2),), notes=('unknowns: u_u', 'equations from degree-one generato"
+        "rs: 2', 'saturated against _w*Q*X*P', 'reduced basis has 3 elements, 1 in"
+        " the torus block'))",
+        [False, True, True, False, True, False, False],
+    ),
+    "unknot": (
+        "AugmentationVarietyResult(principal=True, polynomial=LaurentPolynomial(("
+        "'Q', 'X', 'P'), 1 - X - P + Q*X*P), generators=(LaurentPolynomial(('Q', "
+        "'X', 'P'), 1 - X - P + Q*X*P),), notes=('unknowns: (none)', 'equations fr"
+        "om degree-one generators: 1', 'saturated against _w*Q*X*P', 'reduced basi"
+        "s has 3 elements, 1 in the torus block'))",
+        [True, False, False, False, False, False, False],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BUNDLED))
+def test_bundled_outputs_are_frozen(name):
+    variety_text, exists = FROZEN_BUNDLED[name]
+    algebra = load_bundled(name)
+    result = eliminate_augmentation_ideal(algebra)
+    assert repr(result) == variety_text
+    for poly in result.generators:
+        assert all(type(c) is Scalar for _, c in poly.terms())
+    points = [dict(zip(RING, map(sc, point))) for point in FROZEN_POINTS]
+    assert [augmentation_exists(algebra, point) for point in points] == exists
+
+
+def test_bundled_set_is_covered():
+    assert set(bundled_names()) == set(FROZEN_BUNDLED)
+
+
+# -- one augmentation system per algebra ---------------------------------------
+
+BROKEN = {
+    "name": "broken",
+    "torus_variables": ["Q", "X", "P"],
+    "generators": [{"name": "a", "degree": 1}, {"name": "b", "degree": 2}],
+    "differential": {
+        "a": [{"coefficient": "1 - X", "word": []}],
+        "b": [{"coefficient": "1", "word": ["a"]}],
+    },
+}
+
+
+def test_system_is_kept_per_algebra_object():
+    text = json.dumps(
+        {
+            "name": "synthetic",
+            "torus_variables": ["Q", "X", "P"],
+            "generators": [{"name": "u", "degree": 0}, {"name": "a", "degree": 1}],
+            "differential": {
+                "a": [
+                    {"coefficient": "1", "word": ["u", "u"]},
+                    {"coefficient": "-X", "word": []},
+                ]
+            },
+        }
+    )
+    first, second = load_dga_text(text), load_dga_text(text)
+    assert augmentation_system(first) is augmentation_system(first)
+    assert augmentation_system(second) is not augmentation_system(first)
+    assert augmentation_system(second) == augmentation_system(first)
+
+
+def test_differential_is_read_only():
+    # the kept system would go stale if the differential could change
+    algebra = load_bundled("unknot")
+    augmentation_system(algebra)
+    with pytest.raises(TypeError):
+        algebra.differential["c"] = algebra.differential["c"]
+
+
+def test_failing_algebra_raises_on_every_call():
+    algebra = build_dga(BROKEN, source="inline")
+    point = {"Q": sc(1), "X": sc(2), "P": sc(1)}
+    for _ in range(3):
+        with pytest.raises(DomainError, match="fails structural checks"):
+            augmentation_system(algebra)
+        with pytest.raises(DomainError, match="fails structural checks"):
+            eliminate_augmentation_ideal(algebra)
+        with pytest.raises(DomainError, match="fails structural checks"):
+            augmentation_exists(algebra, point)
+        with pytest.raises(DomainError, match="fails structural checks"):
+            is_augmentation(algebra, {}, point)
+
+
+def test_check_runs_once_per_algebra(monkeypatch):
+    calls = []
+    original = DGA.check
+    monkeypatch.setattr(DGA, "check", lambda self: calls.append(self) or original(self))
+    algebra = load_bundled("elim_synthetic")
+    eliminate_augmentation_ideal(algebra)
+    assert augmentation_exists(algebra, {"Q": sc(1), "X": sc(4), "P": sc(2)})
+    assert not augmentation_exists(algebra, {"Q": sc(1), "X": sc(4), "P": sc(3)})
+    assert is_augmentation(algebra, {"u": sc(2)}, {"Q": sc(1), "X": sc(4), "P": sc(2)})
+    eliminate_augmentation_ideal(algebra)
+    assert calls == [algebra]
+
+
+def test_specialised_equations_keep_scalar_coefficients(monkeypatch):
+    seen = []
+    original = augment.ideal_contains_one
+
+    def recorded(polys, **kwargs):
+        seen.extend(polys)
+        return original(polys, **kwargs)
+
+    monkeypatch.setattr(augment, "ideal_contains_one", recorded)
+    algebra = load_bundled("elim_synthetic")
+    assert augmentation_exists(algebra, {"Q": sc(1), "X": sc(-1), "P": Scalar(0, 1)})
+    assert not augmentation_exists(algebra, {"Q": sc(1), "X": sc(Fraction(1, 4)), "P": sc(3)})
+    assert seen and all(type(c) is Scalar for poly in seen for _, c in poly.terms())
+    assert all(poly.variables == ("u_u",) for poly in seen)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from kch import groebner
 from kch.errors import DomainError, ResourceLimitError, max_steps_limit
 from kch.groebner import (
     ideal_contains_one,
@@ -147,3 +149,160 @@ def test_step_cap_reader(monkeypatch):
         monkeypatch.setenv("KCH_MAX_STEPS", raw)
         with pytest.raises(DomainError, match="KCH_MAX_STEPS"):
             max_steps_limit(20000)
+
+
+# -- an independent oracle: textbook Buchberger over Scalar ---------------------
+#
+# Every pair is reduced, with no criterion, by division written on the public
+# LaurentPolynomial arithmetic; the basis is then minimalised and inter-reduced
+# until stable.  It shares no code with the kernel of kch.groebner.
+
+
+def textbook_lead(poly):
+    return max(poly.terms(), key=lambda term: term[0])
+
+
+def textbook_monic(poly):
+    return poly.scale(textbook_lead(poly)[1].inverse())
+
+
+def textbook_normal_form(poly, basis):
+    remainder = LaurentPolynomial.zero(poly.variables)
+    while not poly.is_zero():
+        exps, coeff = textbook_lead(poly)
+        for g in basis:
+            g_exps, g_coeff = textbook_lead(g)
+            if all(a <= b for a, b in zip(g_exps, exps)):
+                shift = tuple(a - b for a, b in zip(exps, g_exps))
+                poly = poly - g.shift(shift).scale(coeff / g_coeff)
+                break
+        else:
+            term = LaurentPolynomial.monomial(poly.variables, exps, coeff)
+            remainder, poly = remainder + term, poly - term
+    return remainder
+
+
+def textbook_s_polynomial(f, g):
+    f_exps, g_exps = textbook_lead(f)[0], textbook_lead(g)[0]
+    lcm = tuple(max(a, b) for a, b in zip(f_exps, g_exps))
+    left = textbook_monic(f).shift(tuple(a - b for a, b in zip(lcm, f_exps)))
+    right = textbook_monic(g).shift(tuple(a - b for a, b in zip(lcm, g_exps)))
+    return left - right
+
+
+def textbook_basis(gens, counter=None):
+    basis = [textbook_monic(g) for g in gens if not g.is_zero()]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        if counter is not None:
+            counter.append((i, j))
+        remainder = textbook_normal_form(textbook_s_polynomial(basis[i], basis[j]), basis)
+        if not remainder.is_zero():
+            basis.append(textbook_monic(remainder))
+            pairs += [(k, len(basis) - 1) for k in range(len(basis) - 1)]
+    leads = [textbook_lead(g)[0] for g in basis]
+    minimal = [
+        g
+        for k, g in enumerate(basis)
+        if not any(
+            l != k and all(a <= b for a, b in zip(leads[l], leads[k]))
+            and (leads[l] != leads[k] or l < k)
+            for l in range(len(basis))
+        )
+    ]
+    while True:
+        reduced = [
+            textbook_monic(textbook_normal_form(g, minimal[:k] + minimal[k + 1 :]))
+            for k, g in enumerate(minimal)
+        ]
+        if reduced == minimal:
+            return sorted(reduced, key=lambda g: textbook_lead(g)[0])
+        minimal = reduced
+
+
+MONOMIALS = {
+    2: [(a, b) for a in range(3) for b in range(3) if a + b <= 2],
+    3: [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if a + b + c <= 2],
+}
+
+
+def random_ideal(rng):
+    """At most 3 generators of degree <= 2 in 2 or 3 variables; about a third
+    of the ideals have imaginary coefficients."""
+    width = rng.choice((2, 3))
+    ring = ("x", "y", "z")[:width]
+    imaginary = rng.random() < 0.3
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for exps in rng.sample(MONOMIALS[width], rng.randint(1, 3)):
+            re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            im = rng.randint(-2, 2) if imaginary else 0
+            terms[exps] = Scalar(re, im)
+        gens.append(LaurentPolynomial(ring, terms))
+    return gens
+
+
+def seeded_ideals(count=150):
+    rng = random.Random(20261018)
+    return [random_ideal(rng) for _ in range(count)]
+
+
+def assert_scalar_coefficients(polys):
+    for poly in polys:
+        for _, coeff in poly.terms():
+            assert type(coeff) is Scalar
+
+
+def test_basis_matches_textbook_oracle():
+    imaginary = 0
+    for gens in seeded_ideals():
+        basis = reduced_groebner_basis(gens)
+        expected = textbook_basis(gens)
+        assert basis == expected
+        assert [str(g) for g in basis] == [str(g) for g in expected]
+        assert [repr(tuple(g.terms())) for g in basis] == [
+            repr(tuple(g.terms())) for g in expected
+        ]
+        assert_scalar_coefficients(basis)
+        imaginary += any(not c.is_real() for g in gens for _, c in g.terms())
+    assert imaginary >= 20
+
+
+def test_normal_form_and_s_polynomial_match_textbook_oracle():
+    for gens in seeded_ideals(60):
+        gens = [g for g in gens if not g.is_zero()]
+        for f in gens:
+            for g in gens:
+                s = s_polynomial(f, g)
+                assert s == textbook_s_polynomial(f, g)
+                assert_scalar_coefficients([s])
+            square = f * f
+            remainder = normal_form(square, gens)
+            assert remainder == textbook_normal_form(square, gens)
+            assert_scalar_coefficients([remainder])
+
+
+def test_ideal_contains_one_agrees_with_the_basis():
+    units = 0
+    ideals = seeded_ideals()
+    for gens in ideals:
+        answer = ideal_contains_one(gens)
+        assert answer == any(g.is_constant() for g in reduced_groebner_basis(gens))
+        assert answer == any(g.is_constant() for g in textbook_basis(gens))
+        units += answer
+    assert 20 <= units <= len(ideals) - 20
+
+
+def test_criteria_skip_pairs(monkeypatch):
+    ring = ("x", "y", "z")
+    gens = [lp("x^2 - y*z", ring), lp("y^2 - x*z", ring), lp("z^2 - x*y", ring)]
+    reduced = []
+    original = groebner._spoly
+    monkeypatch.setattr(groebner, "_spoly", lambda f, g: reduced.append(1) or original(f, g))
+    basis = reduced_groebner_basis(gens)
+    textbook_pairs = []
+    assert basis == textbook_basis(gens, textbook_pairs)
+    # the textbook loop reduces all 6 pairs; the criteria leave 4
+    assert len(reduced) == 4 and len(textbook_pairs) == 6
