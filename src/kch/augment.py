@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .dga import DGA, AlgebraElement
 from .errors import DomainError
-from .groebner import _polynomial, ideal_contains_one, reduced_groebner_basis
+from .groebner import ideal_contains_one, reduced_groebner_basis
 from .laurent import LaurentPolynomial
 from .scalars import Scalar
 
@@ -78,7 +79,7 @@ def _build_system(dga: DGA) -> AugmentationSystem:
         dga_name=dga.name,
         torus_variables=dga.torus_variables,
         unknowns=unknowns,
-        unknown_of=unknown_of,
+        unknown_of=MappingProxyType(unknown_of),
         ring=ring,
         equations=tuple(equations),
     )
@@ -94,9 +95,10 @@ def _epsilon_image(
     for word, coeff in element.terms():
         if any(dga.generator(letter).degree != 0 for letter in word):
             continue
-        # the unknowns commute, so the word is one monomial in them
-        exps = tuple(sum(unknown_of[letter] == name for letter in word) for name in ring)
-        total = total + coeff.with_variables(ring).shift(exps)
+        term = coeff.with_variables(ring)
+        for letter in word:
+            term = term * LaurentPolynomial.variable(ring, unknown_of[letter])
+        total = total + term
     return total
 
 
@@ -151,24 +153,7 @@ def augmentation_exists(
     """
     system = augmentation_system(dga)
     values = _validated_point(system.torus_variables, point)
-    # one pass over each equation's terms: evaluate the torus block, keep the
-    # unknowns; real values stay Fractions, and each power is taken once
-    narrow = [v if v.im else v.re for v in map(values.get, system.torus_variables)]
-    powers: dict = {}
-    width = len(system.unknowns)
-    specialized = []
-    for _, eq in system.equations:
-        acc: dict = {}
-        for exps, coeff in eq.terms():
-            c = coeff if coeff.im else coeff.re
-            for k, e in enumerate(exps[width:]):
-                if e:
-                    if (k, e) not in powers:
-                        powers[k, e] = narrow[k] ** e
-                    c *= powers[k, e]
-            key = exps[:width]
-            acc[key] = acc[key] + c if key in acc else c
-        specialized.append(_polynomial(system.unknowns, acc))
+    specialized = [eq.specialize(values) for _, eq in system.equations]
     if not system.unknowns:
         return all(poly.is_zero() for poly in specialized)
     return not ideal_contains_one(specialized, max_steps=max_steps)

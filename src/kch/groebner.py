@@ -9,7 +9,9 @@ corresponding elimination ideal.
 
 The public functions convert their inputs once into ``{exponents:
 coefficient}`` dicts and their results back once, with every coefficient a
-``Scalar``.  Inside, a coefficient takes its narrowest exact type: a
+``Scalar``.  The pair loop forms and reduces each S-polynomial through the
+public ``s_polynomial`` and ``normal_form``, which take kernel values as well,
+so a wrapper around those two names sees every reduction the algorithm makes.  Inside, a coefficient takes its narrowest exact type: a
 ``Fraction`` when it is real, a ``Scalar`` only with an imaginary part; the
 two mix through ``Scalar``'s reflected operators.  Basis members are monic
 and keep their leading monomial.  Pairs are taken by the normal strategy
@@ -36,14 +38,21 @@ from .scalars import Scalar
 
 DEFAULT_MAX_STEPS = 20000
 
-# inside the kernel a polynomial is a dict, exponents -> nonzero Fraction or
-# Scalar, and a basis member the pair (leading monomial, monic terms)
-Terms = dict
+# a basis member is the pair (leading monomial, monic terms)
 Member = tuple
 
 
+class Terms(dict):
+    """A kernel polynomial: exponents -> nonzero ``Fraction`` or ``Scalar``."""
+
+    __slots__ = ()
+
+    def is_zero(self) -> bool:
+        return not self
+
+
 def _terms(poly: LaurentPolynomial) -> Terms:
-    return {exps: c if c.im else c.re for exps, c in poly.terms()}
+    return Terms((exps, c if c.im else c.re) for exps, c in poly.terms())
 
 
 def _polynomial(variables: tuple[str, ...], terms: Terms) -> LaurentPolynomial:
@@ -86,7 +95,7 @@ def _subtract(work: Terms, terms: Terms, lead: ExponentVector, shift: ExponentVe
 def _reduce(work: Terms, divisors: Sequence[Member]) -> Terms:
     """Full remainder of ``work`` (consumed) by monic members, the first
     divisor in order taken at each step."""
-    remainder = {}
+    remainder = Terms()
     while work:
         exps = max(work)
         coeff = work.pop(exps)
@@ -104,7 +113,7 @@ def _spoly(f: Member, g: Member) -> Terms:
     lcm = _lcm(f_lead, g_lead)
     f_shift = tuple(map(sub, lcm, f_lead))
     g_shift = tuple(map(sub, lcm, g_lead))
-    work = {tuple(map(add, e, f_shift)): c for e, c in f_terms.items() if e != f_lead}
+    work = Terms((tuple(map(add, e, f_shift)), c) for e, c in f_terms.items() if e != f_lead)
     _subtract(work, g_terms, g_lead, g_shift, 1)
     return work
 
@@ -157,7 +166,8 @@ def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
                 f"Groebner basis exceeded {limit} reduction steps (set KCH_MAX_STEPS to raise)"
             )
         _, i, j = pair
-        remainder = _reduce(_spoly(members[i], members[j]), [members[g] for g in active])
+        spoly = s_polynomial(members[i], members[j])
+        remainder = normal_form(spoly, [members[g] for g in active])
         if remainder:
             members.append(_member(remainder))
             if not any(members[-1][0]):
@@ -168,7 +178,7 @@ def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
     basis = sorted((members[g] for g in active), key=lambda m: m[0])
     basis = [m for m in basis if not any(o is not m and _divides(o[0], m[0]) for o in basis)]
     return [
-        (lead, _reduce(dict(terms), [o for o in basis if o[0] != lead]))
+        (lead, normal_form(Terms(terms), [o for o in basis if o[0] != lead]))
         for lead, terms in basis
     ]
 
@@ -181,7 +191,10 @@ def leading_term(poly: LaurentPolynomial) -> tuple[ExponentVector, Scalar]:
 
 
 def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
-    """Full remainder of multivariate division by the basis (deterministic)."""
+    """Full remainder of multivariate division by the basis (deterministic);
+    the pair loop passes kernel ``Terms`` (consumed) and members instead."""
+    if not isinstance(poly, LaurentPolynomial):
+        return _reduce(poly, basis)
     if poly.is_zero() or not basis:
         return poly
     divisors = [_member(_terms(g)) for g in basis]
@@ -189,6 +202,10 @@ def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> 
 
 
 def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
+    """S-polynomial of the monic multiples of ``f`` and ``g``; the pair loop
+    passes two basis members instead and gets ``Terms`` back."""
+    if not isinstance(f, LaurentPolynomial):
+        return _spoly(f, g)
     return _polynomial(f.variables, _spoly(_member(_terms(f)), _member(_terms(g))))
 
 

@@ -242,21 +242,30 @@ class LaurentPolynomial:
 
     def substitute(self, name: str, value: Scalar | int | Fraction) -> "LaurentPolynomial":
         """Evaluate one variable, returning a polynomial over the remaining ring."""
-        value = Scalar.of(value)
-        idx = self._index(name)
-        rest = self.variables[:idx] + self.variables[idx + 1 :]
+        return self.specialize({name: value})
+
+    def specialize(self, values: Mapping[str, Scalar | int | Fraction]) -> "LaurentPolynomial":
+        """Evaluate the named variables in one pass over the terms, returning a
+        polynomial over the remaining ring; each power of a value is taken once."""
+        at = [(self._index(name), Scalar.of(value)) for name, value in values.items()]
+        fixed = {idx for idx, _ in at}
+        keep = [k for k in range(len(self.variables)) if k not in fixed]
+        powers: dict[tuple[int, int], Scalar] = {}
         acc: dict[ExponentVector, Scalar] = {}
         for exps, coeff in self._terms:
-            e = exps[idx]
-            if e < 0 and value.is_zero():
-                raise DomainError("zero assigned to a variable with a negative exponent")
-            if e != 0:
-                if value.is_zero():
+            for idx, value in at:
+                e = exps[idx]
+                if e == 0:
                     continue
-                coeff = coeff * value**e
-            new_exps = exps[:idx] + exps[idx + 1 :]
-            acc[new_exps] = acc.get(new_exps, ZERO) + coeff
-        return _make(rest, acc)
+                if e < 0 and value.is_zero():
+                    raise DomainError("zero assigned to a variable with a negative exponent")
+                power = powers.get((idx, e))
+                if power is None:
+                    power = powers[idx, e] = value if e == 1 else value**e
+                coeff = coeff * power
+            new_exps = tuple(exps[k] for k in keep)
+            acc[new_exps] = acc[new_exps] + coeff if new_exps in acc else coeff
+        return _make(tuple(self.variables[k] for k in keep), acc)
 
     def with_variables(self, variables: Iterable[str]) -> "LaurentPolynomial":
         """Reinterpret over a larger (or reordered) ring containing every current variable."""

@@ -302,9 +302,11 @@ def test_system_is_kept_per_algebra_object():
 def test_differential_is_read_only():
     # the kept system would go stale if the differential could change
     algebra = load_bundled("unknot")
-    augmentation_system(algebra)
+    system = augmentation_system(algebra)
     with pytest.raises(TypeError):
         algebra.differential["c"] = algebra.differential["c"]
+    with pytest.raises(TypeError):
+        system.unknown_of["c"] = "u_c"
 
 
 def test_failing_algebra_raises_on_every_call():

@@ -306,3 +306,30 @@ def test_criteria_skip_pairs(monkeypatch):
     assert basis == textbook_basis(gens, textbook_pairs)
     # the textbook loop reduces all 6 pairs; the criteria leave 4
     assert len(reduced) == 4 and len(textbook_pairs) == 6
+
+
+def test_pair_loop_reduces_through_the_public_names(monkeypatch):
+    # instrumentation that wraps s_polynomial and normal_form must see every
+    # S-polynomial the loop forms and every reduction it makes
+    ring = ("x", "y", "z")
+    gens = [lp("x^2 - y*z", ring), lp("y^2 - x*z", ring), lp("z^2 - x*y", ring)]
+    formed, reduced = [], []
+    s_original, nf_original = groebner.s_polynomial, groebner.normal_form
+
+    def spoly(f, g):
+        formed.append(s_original(f, g))
+        return formed[-1]
+
+    def reduce(poly, basis):
+        reduced.append((poly, nf_original(poly, basis)))
+        return reduced[-1][1]
+
+    monkeypatch.setattr(groebner, "s_polynomial", spoly)
+    monkeypatch.setattr(groebner, "normal_form", reduce)
+    basis = reduced_groebner_basis(gens)
+    monkeypatch.undo()
+    assert basis == reduced_groebner_basis(gens)
+    # 4 S-polynomials, each reduced once, then one tail reduction per member
+    assert len(formed) == 4
+    assert all(poly is spoly for (poly, _), spoly in zip(reduced, formed))
+    assert len(reduced) == 4 + len(basis)

@@ -109,7 +109,8 @@ def test_arithmetic_results_match_the_public_constructor():
         a, b = rand_poly(), rand_poly()
         computed = [
             a + b, a - b, a - a, -a, a * b, a + 1, 2 - a, a ** 2, a.scale(Fraction(-3, 2)),
-            a.scale(0), a.shift((1, -2, 0)), a.substitute("X", 2), a.x_log_derivative("P"),
+            a.scale(0), a.shift((1, -2, 0)), a.substitute("X", 2), a.specialize({"X": 2, "P": Scalar(1, 1)}),
+            a.x_log_derivative("P"),
             a.derivative("Q"), normal_form(a, [lp("X - 2")]), lp("Q^2*X^-1").monomial_inverse(),
         ]
         if not b.is_zero():
@@ -154,6 +155,30 @@ def test_evaluate_and_substitute():
 def test_substitute_negative_power():
     p = lp("X^-2")
     assert p.substitute("X", Scalar(2)) == parse_polynomial("1/4", ("Q", "P"))
+
+
+def test_specialize_agrees_with_evaluate():
+    rng = random.Random(43)
+    values = [Scalar(2), Scalar(Fraction(-1, 3)), Scalar(1, 1), Scalar(0, -2)]
+    for _ in range(80):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple(rng.randint(-2, 2) for _ in RING)
+            terms[exps] = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice([0, 1]))
+        p = LaurentPolynomial(RING, terms)
+        point = {name: rng.choice(values) for name in RING}
+        fixed = rng.sample(RING, rng.randint(1, 3))
+        part = p.specialize({name: point[name] for name in fixed})
+        assert part.variables == tuple(name for name in RING if name not in fixed)
+        assert part.evaluate({name: point[name] for name in part.variables}) == p.evaluate(point)
+
+
+def test_specialize_at_zero():
+    assert lp("Q + X*P").specialize({"X": 0, "P": 5}) == parse_polynomial("Q", ("Q",))
+    with pytest.raises(DomainError):
+        lp("X^-1 + P").specialize({"P": 1, "X": 0})
+    with pytest.raises(DomainError):
+        lp("X").specialize({"Y": 1})
 
 
 def test_with_variables_extends_ring():
