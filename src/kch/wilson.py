@@ -5,31 +5,50 @@ For a diagram K and Chern-Simons data (N, k) the value is
     W(K) = (q^{N/2} - q^{-N/2}) / (q^{1/2} - q^{-1/2}) * P_K(a, z)
 
 evaluated at a = q^{N/2}, z = q^{1/2} - q^{-1/2}, q = exp(2*pi*i/(k+N)).
-Internally q^{1/2} is the primitive 2|k+N|-th root of unity (conjugated when
-k+N < 0), so the whole evaluation is exact cyclotomic arithmetic; an
-independent floating-point substitution cross-checks the final complexification.
+With L = |k + N|, q^{1/2} = zeta^sign for zeta = exp(pi*i/L), the primitive
+2L-th root of unity, and sign that of k + N.
 
-In the exact evaluation every a^e is a root of unity, so the terms of one
-power of z add up as coefficients of powers of zeta with no field product;
-each distinct power of z is computed once per level.  The skein polynomial
-comes from ``homfly``, which keeps it on the diagram, so the levels of one
-diagram share one skein recursion.  |k + N| is capped at ``MAX_LEVEL``,
-because building Q(zeta_{2|k+N|}) and computing in it grow quickly with the
-level; every public entry point checks the cap before building a field.
+The exact value is computed in integers, in Z[x]/(x^{2L} - 1) with x for
+q^{1/2}.  Every a^e is a power of x, so each term of the skein polynomial,
+times the prefactor's a - a^{-1}, adds its integer coefficient at two
+positions of the row of its power of z.  The rows are summed by Horner in
+z = x - x^{-1}, a shift and a subtraction.  The prefactor's 1/z and the
+negative powers of z come from the closed form L/z = sum_{j<L} j x^{2j+1},
+so the vector is the value times L^m.  One reduction by the integer
+cyclotomic polynomial and one division by L^m, the only ``Fraction`` step,
+give the field element; no field product or inverse runs.  An independent
+floating-point substitution cross-checks the complexified value.
+
+The skein polynomial comes from ``homfly``, which keeps it on the diagram, so
+the levels of one diagram share one skein recursion.  L is capped at
+``MAX_LEVEL``; every public entry point checks it first.
 """
 
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
-from .cyclotomic import CyclotomicElement, CyclotomicField
+from .cyclotomic import (
+    MAX_CYCLOTOMIC_INDEX,
+    CyclotomicElement,
+    CyclotomicField,
+    _divmod_monic,
+    _integer_cyclotomic,
+)
 from .errors import DomainError, ResourceLimitError, VerificationError
 from .homfly import homfly
 from .laurent import LaurentPolynomial
 from .pd import LinkDiagram
 
 FLOAT_TOLERANCE = 1e-9
-MAX_LEVEL = 200
+# the values lie in Q(zeta_{2|k+N|}): half the cap on the cyclotomic index
+MAX_LEVEL = MAX_CYCLOTOMIC_INDEX // 2
+
+# one field per level, at most MAX_LEVEL - 1 of them
+_field = lru_cache(maxsize=None)(CyclotomicField)
 
 
 def _check_levels(N: int, k: int) -> None:
@@ -43,35 +62,57 @@ def _check_levels(N: int, k: int) -> None:
         raise ResourceLimitError(f"|k + N| = {abs(k + N)} exceeds the level cap {MAX_LEVEL}")
 
 
+def _times_level_over_z(v: list[int], level: int) -> list[int]:
+    """A vector congruent to v * L/z modulo Phi_{2L}, for z = x - x^{-1}.
+
+    y = v/z solves y[p] = y[p - 2] - (x v)[p] on each parity class of
+    positions once the mean of x v over the class is subtracted: that changes
+    x v by a multiple of sum_{j<L} x^{2j}, which vanishes modulo Phi_{2L} for
+    L >= 2, as does the free constant of each class.  L times the mean is an
+    integer.  This is the closed form L/z = sum_{j<L} j x^{2j+1} as a running sum.
+    """
+    shifted = v[-1:] + v[:-1]
+    out = [0] * (2 * level)
+    for parity in (0, 1):
+        t = shifted[parity::2]
+        total = sum(t)
+        out[parity::2] = accumulate(total - level * c for c in t)
+    return out
+
+
 def _evaluate_cyclotomic(poly: LaurentPolynomial, N: int, k: int) -> CyclotomicElement:
     if poly.variables != ("a", "z"):
         raise DomainError("expected a skein polynomial in (a, z)")
-    field = CyclotomicField(2 * abs(k + N))
-    n = field.n
-    sign = 1 if k + N > 0 else -1
-    # a^e_a = zeta^(sign*N*e_a): per power of z, real and imaginary parts of
-    # the coefficient of each power of zeta
-    rows: dict[int, tuple[list, list]] = {}
+    level = abs(k + N)
+    n = 2 * level
+    # rows[e_z]: the coefficient of z^e_z in (a - a^{-1}) P, with a = x^N
+    rows: dict[int, list[int]] = {}
     for (e_a, e_z), coeff in poly.terms():
-        real, imaginary = rows.setdefault(e_z, ([0] * n, [0] * n))
-        position = sign * N * e_a % n
-        real[position] += coeff.re
-        imaginary[position] += coeff.im
-    z_value = field.zeta(sign) - field.zeta(-sign)  # q^{1/2} - q^{-1/2}
-    z_inverse = z_value.inverse()
-    z_powers = {1: z_value, -1: z_inverse}
-    for e in range(2, max(rows, default=0) + 1):
-        z_powers[e] = z_powers[e - 1] * z_value
-    for e in range(-2, min(rows, default=0) - 1, -1):
-        z_powers[e] = z_powers[e + 1] * z_inverse
-    total = field.zero()
-    for e_z, (real, imaginary) in rows.items():
-        row = field.element(real)
-        if any(imaginary):
-            row = row + field.imaginary_unit() * field.element(imaginary)
-        total = total + (row * z_powers[e_z] if e_z else row)
-    a_value = field.zeta(sign * N)  # q^{N/2}
-    return (a_value - field.zeta(-sign * N)) * z_inverse * total
+        value = coeff.re
+        if coeff.im or value.denominator != 1:
+            raise DomainError(f"skein coefficient {coeff} is not an integer")
+        row = rows.get(e_z)
+        if row is None:
+            row = rows[e_z] = [0] * n
+        row[N * (e_a + 1) % n] += value.numerator
+        row[N * (e_a - 1) % n] -= value.numerator
+    low = min(min(rows, default=0), 0)
+    # Horner in z = x - x^{-1}: total = (a - a^{-1}) P z^{-low}
+    total = [0] * n
+    for e_z in range(max(rows, default=0), low - 1, -1):
+        total = [up - down for up, down in zip(total[-1:] + total[:-1], total[1:] + total[:1])]
+        if e_z in rows:
+            total = [t + r for t, r in zip(total, rows[e_z])]
+    # times (L/z)^{1 - low}: the value times L^{1 - low}
+    for _ in range(1 - low):
+        total = _times_level_over_z(total, level)
+    if k + N < 0:  # x = zeta^{-1}: x^i is zeta^{-i}
+        total = total[:1] + total[:0:-1]
+    # zeta^L = -1 and Phi_{2L} divides x^L + 1: fold, then reduce once
+    folded = [c - c_high for c, c_high in zip(total[:level], total[level:])]
+    _, residue = _divmod_monic(folded, _integer_cyclotomic(n))
+    scale = level ** (1 - low)
+    return CyclotomicElement(_field(n), tuple(Fraction(c, scale) for c in residue))
 
 
 def _evaluate_float(poly: LaurentPolynomial, N: int, k: int) -> complex:

@@ -9,6 +9,7 @@ from kch.errors import DomainError, ResourceLimitError
 from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.mirror import (
     MAX_BRANCH_ORDER,
+    MAX_BRANCH_P_DEGREE,
     _split_curve,
     _substitute_branch,
     branch_series,
@@ -172,6 +173,18 @@ def test_order_cap_raises_before_any_work():
     with pytest.raises(ResourceLimitError, match=f"{MAX_BRANCH_ORDER + 1}.*{MAX_BRANCH_ORDER}"):
         branch_series(UNKNOT_CURVE, 1, MAX_BRANCH_ORDER + 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_p_degree_cap_raises_before_any_work():
+    start = time.perf_counter()
+    for degree in (MAX_BRANCH_P_DEGREE + 1, 100000):
+        curve = parse_polynomial(f"1 - P + X*P^{degree}", ("X", "P"))
+        with pytest.raises(ResourceLimitError, match=f"{degree}.*{MAX_BRANCH_P_DEGREE}"):
+            branch_series(curve, 1, 2)
+    assert time.perf_counter() - start < 1.0
+    # the degree counts after the monomial factor P^-3 is stripped
+    curve = parse_polynomial(f"P^-3 - P^-2 + X*P^{MAX_BRANCH_P_DEGREE - 3}", ("X", "P"))
+    assert str(branch_series(curve, 1, 1).series) == "1 + X + O(X^2)"
 
 
 class NotSeparating(Exception):

@@ -1,16 +1,27 @@
 import cmath
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from kch.cyclotomic import CyclotomicField, cyclotomic_polynomial
+from kch.cyclotomic import (
+    MAX_CYCLOTOMIC_INDEX,
+    CyclotomicElement,
+    CyclotomicField,
+    _integer_cyclotomic,
+    cyclotomic_polynomial,
+)
 from kch.errors import DomainError, ResourceLimitError
 from kch.homfly import BUNDLED_DIAGRAMS, homfly
+from kch.laurent import LaurentPolynomial
 from kch.pd import parse_pd
+from kch.scalars import Scalar
 from kch.wilson import (
     FLOAT_TOLERANCE,
     MAX_LEVEL,
+    _evaluate_cyclotomic,
     wilson_exact,
     wilson_loop,
     wilson_loop_float,
@@ -43,6 +54,48 @@ def test_cyclotomic_polynomial_known_cases():
     assert cyclotomic_polynomial(2) == (Fraction(1), Fraction(1))
     assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
     assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
+
+
+@lru_cache(maxsize=None)
+def fraction_cyclotomic(n):
+    """Phi_n by long division of x^n - 1 in Fraction arithmetic."""
+    quotient = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    for d in range(1, n):
+        if n % d:
+            continue
+        divisor = fraction_cyclotomic(d)
+        remainder, quotient = quotient, [Fraction(0)] * (len(quotient) - len(divisor) + 1)
+        for shift in range(len(quotient) - 1, -1, -1):
+            factor = remainder[shift + len(divisor) - 1] / divisor[-1]
+            quotient[shift] = factor
+            for i, c in enumerate(divisor):
+                remainder[shift + i] -= factor * c
+        assert not any(remainder)
+    return tuple(quotient)
+
+
+def test_integer_cyclotomic_matches_fraction_division():
+    for n in range(1, 61):
+        integer = _integer_cyclotomic(n)
+        assert all(type(c) is int for c in integer), n
+        assert integer == fraction_cyclotomic(n), n
+        public = cyclotomic_polynomial(n)
+        assert public == integer and all(type(c) is Fraction for c in public), n
+
+
+def test_cyclotomic_index_is_an_int_below_the_cap():
+    for bad in (True, False, "3", 3.0, None, Fraction(3), 0, -4):
+        for build in (cyclotomic_polynomial, CyclotomicField):
+            with pytest.raises(DomainError):
+                build(bad)
+    assert MAX_CYCLOTOMIC_INDEX == 2 * MAX_LEVEL
+    assert CyclotomicField(MAX_CYCLOTOMIC_INDEX).degree == 160
+    start = time.perf_counter()
+    for n in (MAX_CYCLOTOMIC_INDEX + 1, 2400, 10**9):
+        for build in (cyclotomic_polynomial, CyclotomicField):
+            with pytest.raises(ResourceLimitError, match=f"{n}.*{MAX_CYCLOTOMIC_INDEX}"):
+                build(n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_zeta_has_exact_order():
@@ -190,3 +243,84 @@ def test_level_cap():
     angle = cmath.pi / MAX_LEVEL
     expected = cmath.sin(2 * angle) / cmath.sin(angle)
     assert abs(wilson_loop(unknot, 2, MAX_LEVEL - 2) - expected) < 1e-9
+
+
+# -- exact values against field arithmetic ----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def z_power(field, sign, e):
+    """(zeta^sign - zeta^-sign)^e by products and one inverse in the field."""
+    if e == 0:
+        return field.one()
+    if e > 0:
+        return z_power(field, sign, e - 1) * (field.zeta(sign) - field.zeta(-sign))
+    return z_power(field, sign, e + 1) * z_power(field, sign, 1).inverse()
+
+
+def field_wilson(poly, N, k):
+    """The Wilson value by products, sums and inverses in Q(zeta_2L)."""
+    field = CyclotomicField(2 * abs(k + N))
+    sign = 1 if k + N > 0 else -1
+    rows = {}
+    for (e_a, e_z), coeff in poly.terms():
+        term = field.rational(coeff.re) * field.zeta(sign * N * e_a)
+        rows[e_z] = rows[e_z] + term if e_z in rows else term
+    total = field.zero()
+    for e_z, row in rows.items():
+        total = total + row * z_power(field, sign, e_z)
+    prefactor = (field.zeta(sign * N) - field.zeta(-sign * N)) * z_power(field, sign, -1)
+    return prefactor * total
+
+
+def test_exact_values_match_field_arithmetic():
+    diagrams = [bundled("right_trefoil"), bundled("positive_hopf"), parse_pd(BRAID_CLOSURE)]
+    for level in (2, 3, 4, 7, 12, MAX_LEVEL):
+        for d in diagrams:
+            poly = homfly(d)
+            for N in (1, 2, 3, 5):
+                for sign in (1, -1):
+                    k = sign * level - N
+                    value = wilson_exact(d, N, k)
+                    assert value.field == CyclotomicField(2 * level)
+                    assert value.coeffs == field_wilson(poly, N, k).coeffs, (level, N, k)
+                    assert all(type(c) is Fraction for c in value.coeffs)
+
+
+def skein_like(terms):
+    return LaurentPolynomial(("a", "z"), {exps: Scalar.of(c) for exps, c in terms.items()})
+
+
+def test_exact_kernel_on_deep_and_mixed_powers_of_z():
+    # z^-3 (four components), positive powers only, and mixed parity
+    polys = [
+        skein_like({(-3, -3): 1, (1, -3): -3, (0, -1): 2, (2, 1): 5}),
+        skein_like({(1, 1): 2, (-1, 3): -1}),
+        skein_like({(1, 2): 3, (0, 4): -1}),
+        skein_like({(0, 0): 1, (2, 1): -4, (-1, -1): 3, (1, 2): 7}),
+        skein_like({}),
+    ]
+    for poly in polys:
+        for level in (2, 3, 5, 8):
+            for N in (1, 2, 4, 7, 19):
+                for sign in (1, -1):
+                    k = sign * level - N
+                    expected = field_wilson(poly, N, k)
+                    assert _evaluate_cyclotomic(poly, N, k) == expected, (poly, level, N, k)
+
+
+def test_exact_kernel_rejects_non_integer_coefficients():
+    for coeff in (Fraction(1, 2), Scalar(Fraction(0), Fraction(1))):
+        with pytest.raises(DomainError, match="not an integer"):
+            _evaluate_cyclotomic(skein_like({(0, 0): 1, (1, 2): coeff}), 2, 3)
+
+
+def test_exact_values_make_no_field_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("field arithmetic ran")
+
+    for name in ("__mul__", "__add__", "__sub__", "inverse", "__pow__"):
+        monkeypatch.setattr(CyclotomicElement, name, refuse)
+    d = parse_pd(BRAID_CLOSURE)
+    for N, k in [(2, 1), (3, -10), (4, 8), (2, MAX_LEVEL - 2)]:
+        wilson_loop(d, N, k)
