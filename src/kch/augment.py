@@ -18,7 +18,7 @@ from typing import Mapping
 from .dga import DGA, AlgebraElement
 from .errors import DomainError
 from .groebner import ideal_contains_one, reduced_groebner_basis
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _make
 from .scalars import Scalar
 
 SATURATION_VARIABLE = "_w"
@@ -168,7 +168,7 @@ def _clear_torus_negatives(poly: LaurentPolynomial, first_torus_index: int) -> L
     """
     width = len(poly.variables)
     mins = [0] * width
-    for exps, _ in poly.terms():
+    for exps, _ in poly._terms:
         for k in range(first_torus_index, width):
             if exps[k] < mins[k]:
                 mins[k] = exps[k]
@@ -212,14 +212,13 @@ def eliminate_augmentation_ideal(
     basis = reduced_groebner_basis(generators, max_steps=max_steps)
     eliminated = []
     for g in basis:
-        if all(all(exps[k] == 0 for k in range(lead_width)) for exps, _ in g.terms()):
-            torus_poly = LaurentPolynomial(
-                system.torus_variables,
-                [(exps[lead_width:], coeff) for exps, coeff in g.terms()],
+        if all(all(exps[k] == 0 for k in range(lead_width)) for exps, _ in g._terms):
+            torus_poly = _make(
+                system.torus_variables, {exps[lead_width:]: c for exps, c in g._terms}
             )
             torus_poly = torus_poly.strip_monomial_factor()[0].primitive_normalized()
             eliminated.append(torus_poly)
-    eliminated.sort(key=lambda p: (len(tuple(p.terms())), str(p)))
+    eliminated.sort(key=lambda p: (len(p._terms), str(p)))
     notes.append(
         f"reduced basis has {len(basis)} elements, {len(eliminated)} in the torus block"
     )

@@ -36,7 +36,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _narrow
 from .scalars import ONE, ZERO, Scalar
 from .series import FormalSeries
 
@@ -298,18 +298,24 @@ def connected_isomorphism_classes(m: int) -> dict[tuple[Edge, ...], int]:
 # -- scalar model -------------------------------------------------------------
 
 
-def _contract_multigraph(
-    edges: Sequence[Edge], m: int, propagator, cubic: CubicForm
-) -> Scalar:
+def _contract_multigraph(edges: Sequence[Edge], m: int, propagator, cubic: CubicForm):
     """Tensor contraction of one labeled multigraph.
 
     Vertices are consumed in order; the state maps each edge with exactly one
     visited endpoint to the index carried at that endpoint.  Symmetry of C
-    makes the stub ordering at a vertex irrelevant.
+    makes the stub ordering at a vertex irrelevant.  The values are exact,
+    in the narrow types a polynomial stores: int, Fraction, or a ``Scalar``
+    only with an imaginary part.
     """
     n = cubic.dimension
+    propagator = [[_narrow(value) for value in row] for row in propagator]
+    vertices = [
+        (idx, factor)
+        for idx in product(range(n), repeat=3)
+        if (factor := _narrow(cubic.entry(*idx)))
+    ]
     indexed = list(enumerate(edges))
-    states: dict[tuple[tuple[int, int], ...], Scalar] = {(): ONE}
+    states = {(): 1}
     for v in range(m):
         loops = [eid for eid, (a, b) in indexed if a == v and b == v]
         closing = [eid for eid, (a, b) in indexed if (a == v) != (b == v) and min(a, b) < v]
@@ -317,13 +323,10 @@ def _contract_multigraph(
         stubs = 2 * len(loops) + len(closing) + len(opening)
         if stubs != 3:
             raise DomainError("multigraph is not trivalent")
-        next_states: dict[tuple[tuple[int, int], ...], Scalar] = {}
+        next_states = {}
         for state_key, weight in states.items():
             state = dict(state_key)
-            for idx in product(range(n), repeat=3):
-                factor = cubic.entry(*idx)
-                if factor.is_zero():
-                    continue
+            for idx, factor in vertices:
                 pos = 0
                 for eid in loops:
                     a, b = idx[pos], idx[pos + 1]
@@ -334,7 +337,7 @@ def _contract_multigraph(
                     other = state[eid]
                     factor = factor * propagator[other][idx[pos]]
                     pos += 1
-                    if factor.is_zero():
+                    if not factor:
                         ok = False
                         break
                 if not ok:
@@ -344,15 +347,15 @@ def _contract_multigraph(
                     new_state[eid] = idx[pos]
                     pos += 1
                 key = tuple(sorted(new_state.items()))
-                total = next_states.get(key, ZERO) + weight * factor
-                if total.is_zero():
-                    next_states.pop(key, None)
-                else:
+                total = next_states.get(key, 0) + weight * factor
+                if total:
                     next_states[key] = total
+                else:
+                    next_states.pop(key, None)
         states = next_states
         if not states:
-            return ZERO
-    return states.get((), ZERO)
+            return 0
+    return states.get((), 0)
 
 
 def _graph_coefficient(
@@ -365,9 +368,9 @@ def _graph_coefficient(
         if connected_only and not _connected(m, edges):
             continue
         weight = _contract_multigraph(edges, m, propagator, cubic)
-        if not weight.is_zero():
-            total = total + weight * Scalar.of(count)
-    return total * Scalar.of(Fraction(1, factorial(m)))
+        if weight:
+            total = total + weight * count
+    return total * Fraction(1, factorial(m))
 
 
 def _check_model(q: QuadraticForm, c: CubicForm, order: int) -> None:
@@ -465,7 +468,7 @@ def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
                 continue
             lower = list(reduced)
             lower[j] -= 1
-            total = total + propagator[i][j] * Scalar.of(reduced[j]) * moment(tuple(lower))
+            total = total + propagator[i][j] * reduced[j] * moment(tuple(lower))
         moments[exps] = total
         return total
 
@@ -480,7 +483,7 @@ def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
             value = moment(exps)
             if not value.is_zero():
                 expectation = expectation + coeff * value
-        values.append(expectation * Scalar.of(Fraction(1, factorial(m))))
+        values.append(expectation * Fraction(1, factorial(m)))
     return FormalSeries.from_scalars("hbar", values)
 
 
@@ -605,11 +608,8 @@ def matrix_model_series(
     coefficients = []
     for m in range(order + 1):
         poly = LaurentPolynomial.zero(ring)
-        inv_fact = Scalar.of(Fraction(1, factorial(m)))
         for faces, count in _face_census(m):
-            poly = poly + LaurentPolynomial.monomial(
-                ring, (faces,), Scalar.of(count) * inv_fact
-            )
+            poly = poly + LaurentPolynomial.monomial(ring, (faces,), Fraction(count, factorial(m)))
         coefficients.append(poly)
     return FormalSeries("g", order, coefficients)
 
@@ -659,7 +659,7 @@ def matrix_wick_oracle_series(size: int, order: int) -> FormalSeries:
                 union(col_f, row_g)
             classes = len({find(x) for x in range(count_vars)})
             total += size**classes
-        values.append(Scalar.of(Fraction(total, factorial(m))))
+        values.append(Fraction(total, factorial(m)))
     return FormalSeries.from_scalars("g", values)
 
 
@@ -671,7 +671,7 @@ def evaluate_matrix_series(series: FormalSeries, size: int) -> FormalSeries:
     if len(ring) != 1:
         raise DomainError("expected a series with one symbolic matrix-size variable")
     coefficients = [
-        coeff.substitute(ring[0], Scalar.of(size)) for coeff in series.coefficients
+        coeff.substitute(ring[0], size) for coeff in series.coefficients
     ]
     return FormalSeries(series.variable, series.order, coefficients)
 

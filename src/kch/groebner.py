@@ -7,18 +7,20 @@ order therefore doubles as the elimination order: a reduced basis element
 supported on a trailing block of variables certifies membership in the
 corresponding elimination ideal.
 
-The public functions convert their inputs once into ``{exponents:
-coefficient}`` dicts and their results back once, with every coefficient a
-``Scalar``.  The pair loop forms and reduces each S-polynomial through the
-public ``s_polynomial`` and ``normal_form``, which take kernel values as well,
-so a wrapper around those two names sees every reduction the algorithm makes.  Inside, a coefficient takes its narrowest exact type: a
-``Fraction`` when it is real, a ``Scalar`` only with an imaginary part; the
-two mix through ``Scalar``'s reflected operators.  Basis members are monic
-and keep their leading monomial.  Pairs are taken by the normal strategy
-(smallest lcm of leading monomials first) and filtered by the Gebauer-Moller
-update (Gebauer & Moller 1988, "On an installation of Buchberger's
-algorithm"): the product criterion, the chain criterion on old pairs, and the
-M and F rules on new ones.  A nonzero constant remainder ends the loop at
+The public functions read their inputs' stored terms once into
+``{exponents: coefficient}`` dicts and hand their results back once through
+the polynomial canonicaliser.  The pair loop forms and reduces each
+S-polynomial through the public ``s_polynomial`` and ``normal_form``, which
+take kernel values as well, so a wrapper around those two names sees every
+reduction the algorithm makes.  Coefficients stay exact Gaussian rationals in
+the polynomials' narrow stored types: an ``int`` or ``Fraction`` when real, a
+``Scalar`` only with an imaginary part; they mix through ``Scalar``'s
+reflected operators.  Basis members are monic and keep their leading
+monomial.  Pairs are taken by the normal strategy (smallest lcm of leading
+monomials first) and filtered by the Gebauer-Moller update (Gebauer & Moller
+1988, "On an installation of Buchberger's algorithm"): the product
+criterion, the chain criterion on old pairs, and the M and F rules on new
+ones.  A nonzero constant remainder ends the loop at
 once, since the reduced basis of the unit ideal is ``[1]``.
 
 The pair loop is capped by the ``KCH_MAX_STEPS`` environment variable
@@ -29,6 +31,7 @@ S-pairs actually reduced, after the criteria have dropped the rest.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
@@ -43,7 +46,7 @@ Member = tuple
 
 
 class Terms(dict):
-    """A kernel polynomial: exponents -> nonzero ``Fraction`` or ``Scalar``."""
+    """A kernel polynomial: exponents -> nonzero int, ``Fraction`` or ``Scalar``."""
 
     __slots__ = ()
 
@@ -52,19 +55,14 @@ class Terms(dict):
 
 
 def _terms(poly: LaurentPolynomial) -> Terms:
-    return Terms((exps, c if c.im else c.re) for exps, c in poly.terms())
-
-
-def _polynomial(variables: tuple[str, ...], terms: Terms) -> LaurentPolynomial:
-    scalars = {exps: c if isinstance(c, Scalar) else Scalar(c) for exps, c in terms.items()}
-    return _make(variables, scalars)
+    return Terms(poly._terms)
 
 
 def _member(terms: Terms) -> Member:
     if not terms:
         raise DomainError("zero polynomial has no leading term")
     lead = max(terms)
-    inverse = 1 / terms[lead]
+    inverse = Fraction(1) / terms[lead]
     return lead, {exps: c * inverse for exps, c in terms.items()}
 
 
@@ -198,7 +196,7 @@ def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> 
     if poly.is_zero() or not basis:
         return poly
     divisors = [_member(_terms(g)) for g in basis]
-    return _polynomial(poly.variables, _reduce(_terms(poly), divisors))
+    return _make(poly.variables, _reduce(_terms(poly), divisors))
 
 
 def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
@@ -206,7 +204,7 @@ def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
     passes two basis members instead and gets ``Terms`` back."""
     if not isinstance(f, LaurentPolynomial):
         return _spoly(f, g)
-    return _polynomial(f.variables, _spoly(_member(_terms(f)), _member(_terms(g))))
+    return _make(f.variables, _spoly(_member(_terms(f)), _member(_terms(g))))
 
 
 def reduced_groebner_basis(
@@ -222,10 +220,10 @@ def reduced_groebner_basis(
             ring = poly.variables
         elif poly.variables != ring:
             raise DomainError("generators live in different rings")
-        if any(e < 0 for exps, _ in poly.terms() for e in exps):
+        if any(e < 0 for exps, _ in poly._terms for e in exps):
             raise DomainError("Groebner computations need nonnegative exponents")
         inputs.append(_terms(poly))
-    return [_polynomial(ring, terms) for _, terms in _groebner(inputs, max_steps)]
+    return [_make(ring, terms) for _, terms in _groebner(inputs, max_steps)]
 
 
 def ideal_contains_one(

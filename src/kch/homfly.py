@@ -18,12 +18,13 @@ the result must not change, which the test suite exercises.
 
 The recursion runs on integer coefficients: a polynomial is a dict
 {(e_a, e_z): int}, each rule term is an exponent shift with a signed integer
-add, and the result becomes a ``LaurentPolynomial`` once, at the end.  Every
-node walks its strands once, for both its memo key and its pivot.  The
-finished polynomial is stored on the (immutable) diagram per resolution, so
-the Wilson evaluations of a diagram that already has it make no skein step;
-the crossing cap is still checked on every call.  Distinct diagram objects
-share nothing, even when they are equal.
+add, and the result becomes a ``LaurentPolynomial`` once, at the end, which
+stores the integers as they are.  Every node walks its strands once, for both
+its memo key and its pivot.  The finished polynomial is stored on the
+(immutable) diagram per resolution, so the Wilson evaluations of a diagram
+that already has it make no skein step; the crossing cap is still checked on
+every call.  Distinct diagram objects share nothing, even when they are
+equal.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from math import comb
 from .errors import ResourceLimitError, max_steps_limit
 from .laurent import LaurentPolynomial, _make
 from .pd import LinkDiagram, _cycles, smooth_crossing, switch_crossing
-from .scalars import Scalar
 
 HOMFLY_VARIABLES = ("a", "z")
 
@@ -59,7 +59,7 @@ def delta() -> LaurentPolynomial:
 
 
 def _to_laurent(poly: dict[tuple[int, int], int]) -> LaurentPolynomial:
-    return _make(HOMFLY_VARIABLES, {exps: Scalar.of(c) for exps, c in poly.items()})
+    return _make(HOMFLY_VARIABLES, poly)
 
 
 def _unlink(components: int) -> dict[tuple[int, int], int]:

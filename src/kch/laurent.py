@@ -1,8 +1,8 @@
 """Sparse multivariate Laurent polynomials over Gaussian rationals.
 
-A polynomial is a finite map from exponent vectors to nonzero ``Scalar``
-coefficients.  The exponent vector carries one signed integer per declared
-variable, so negative powers are first class.  The canonical term order
+A polynomial is a finite map from exponent vectors to nonzero Gaussian
+rational coefficients.  The exponent vector carries one signed integer per
+declared variable, so negative powers are first class.  The canonical term order
 compares exponent vectors lexicographically reading from the LAST declared
 variable back to the first; printing, hashing, and leading-term selection all
 use it, which keeps every rendering byte-stable.
@@ -13,9 +13,15 @@ parenthesized complex value such as ``(2+3i)``) together with ``*``-separated
 variable powers ``X^k`` where ``k`` is optionally signed and ``X`` abbreviates
 ``X^1``.  Whitespace is ignored.  Example: ``1 - X - P + Q*X*P``.
 
-Invariant: ``_terms`` holds no zero coefficient, is sorted by the term order,
-and is built only by the canonicaliser ``_make``.  The public constructor is
-the only path that validates; arithmetic results go straight to ``_make``.
+Values stay exact, but a coefficient is stored narrow: an ``int`` when it is
+integral, a ``Fraction`` when it is real, a ``Scalar`` only with a nonzero
+imaginary part; the types mix through ``Scalar``'s reflected operators.  The
+public accessors (``terms``, ``term_map``, ``constant_term``,
+``leading_term``, ``evaluate``) hand out ``Scalar`` values, while the
+library's own loops read the stored ``_terms``.  Invariant: ``_terms`` holds
+no zero or over-wide coefficient, is sorted by the term order, and is built
+only by the canonicaliser ``_make``.  The public constructor is the only path
+that validates; arithmetic results go straight to ``_make``.
 """
 
 from __future__ import annotations
@@ -23,16 +29,39 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, RingMismatchError
-from .scalars import ONE, ZERO, Scalar, _rational_literal
+from .scalars import I, ONE, ZERO, Scalar, _rational_literal
 
 ExponentVector = tuple[int, ...]
 
 
 def _term_key(exps: ExponentVector) -> ExponentVector:
-    return tuple(reversed(exps))
+    return exps[::-1]
+
+
+def _narrow(c):
+    """A nonzero int, Fraction or Scalar in its narrowest exact type."""
+    if type(c) is Scalar:
+        if c.im:
+            return c
+        c = c.re
+    return c.numerator if c.denominator == 1 else c
+
+
+def _scalar(c) -> Scalar:
+    """The public ``Scalar`` form of a stored coefficient."""
+    return c if type(c) is Scalar else Scalar(c)
+
+
+def _check_variables(variables: tuple[str, ...]) -> None:
+    for name in variables:
+        if name == "i" or not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
+            raise DomainError(f"invalid variable name {name!r}")
+    if len(set(variables)) != len(variables):
+        raise DomainError("duplicate variable names in ring")
 
 
 class LaurentPolynomial:
@@ -44,11 +73,7 @@ class LaurentPolynomial:
         terms: Mapping[ExponentVector, Scalar] | Iterable[tuple[ExponentVector, Scalar]],
     ) -> None:
         variables = tuple(variables)
-        for name in variables:
-            if name == "i" or not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-                raise DomainError(f"invalid variable name {name!r}")
-        if len(set(variables)) != len(variables):
-            raise DomainError("duplicate variable names in ring")
+        _check_variables(variables)
         items = terms.items() if isinstance(terms, Mapping) else terms
         width = len(variables)
         cleaned: dict[ExponentVector, Scalar] = {}
@@ -99,10 +124,10 @@ class LaurentPolynomial:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[ExponentVector, Scalar]]:
-        return iter(self._terms)
+        return ((exps, _scalar(c)) for exps, c in self._terms)
 
     def term_map(self) -> dict[ExponentVector, Scalar]:
-        return dict(self._terms)
+        return {exps: _scalar(c) for exps, c in self._terms}
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -114,13 +139,14 @@ class LaurentPolynomial:
         zero_exps = (0,) * len(self.variables)
         for exps, coeff in self._terms:
             if exps == zero_exps:
-                return coeff
+                return _scalar(coeff)
         return ZERO
 
     def leading_term(self) -> tuple[ExponentVector, Scalar]:
         if not self._terms:
             raise DomainError("zero polynomial has no leading term")
-        return self._terms[-1]
+        exps, coeff = self._terms[-1]
+        return exps, _scalar(coeff)
 
     def exponent_range(self, name: str) -> tuple[int, int]:
         idx = self._index(name)
@@ -142,7 +168,7 @@ class LaurentPolynomial:
             )
 
     def _constant(self, value: Scalar | int | Fraction) -> "LaurentPolynomial":
-        return _make(self.variables, {(0,) * len(self.variables): Scalar.of(value)})
+        return _make(self.variables, {(0,) * len(self.variables): value})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -154,7 +180,7 @@ class LaurentPolynomial:
         self._check_ring(other)
         acc = dict(self._terms)
         for exps, coeff in other._terms:
-            acc[exps] = acc.get(exps, ZERO) + coeff
+            acc[exps] = acc.get(exps, 0) + coeff
         return _make(self.variables, acc)
 
     __radd__ = __add__
@@ -174,22 +200,22 @@ class LaurentPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(Scalar.of(other))
+            return self.scale(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check_ring(other)
-        acc: dict[ExponentVector, Scalar] = {}
+        acc = {}
         for e1, c1 in self._terms:
             for e2, c2 in other._terms:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc[exps] = acc.get(exps, ZERO) + c1 * c2
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = acc.get(exps, 0) + c1 * c2
         return _make(self.variables, acc)
 
     __rmul__ = __mul__
 
     def scale(self, value: Scalar | int | Fraction) -> "LaurentPolynomial":
-        value = Scalar.of(value)
-        if value.is_zero():
+        value = _narrow(Scalar.of(value))
+        if not value:
             return _make(self.variables, {})
         return _make(self.variables, {e: c * value for e, c in self._terms})
 
@@ -198,7 +224,7 @@ class LaurentPolynomial:
             return NotImplemented
         if exponent < 0:
             return self.monomial_inverse() ** (-exponent)
-        result = self._constant(ONE)
+        result = self._constant(1)
         base = self
         n = exponent
         while n:
@@ -213,12 +239,12 @@ class LaurentPolynomial:
         if len(self._terms) != 1:
             raise DomainError(f"{self} is not a unit in the Laurent ring")
         exps, coeff = self._terms[0]
-        return _make(self.variables, {tuple(-e for e in exps): coeff.inverse()})
+        return _make(self.variables, {tuple(-e for e in exps): Fraction(1) / coeff})
 
     def shift(self, delta: ExponentVector) -> "LaurentPolynomial":
         delta = tuple(delta)
         return _make(
-            self.variables, {tuple(a + b for a, b in zip(e, delta)): c for e, c in self._terms}
+            self.variables, {tuple(map(add, e, delta)): c for e, c in self._terms}
         )
 
     # -- evaluation and substitution ---------------------------------------
@@ -247,21 +273,21 @@ class LaurentPolynomial:
     def specialize(self, values: Mapping[str, Scalar | int | Fraction]) -> "LaurentPolynomial":
         """Evaluate the named variables in one pass over the terms, returning a
         polynomial over the remaining ring; each power of a value is taken once."""
-        at = [(self._index(name), Scalar.of(value)) for name, value in values.items()]
+        at = [(self._index(name), _narrow(Scalar.of(value))) for name, value in values.items()]
         fixed = {idx for idx, _ in at}
         keep = [k for k in range(len(self.variables)) if k not in fixed]
-        powers: dict[tuple[int, int], Scalar] = {}
-        acc: dict[ExponentVector, Scalar] = {}
+        powers = {}
+        acc = {}
         for exps, coeff in self._terms:
             for idx, value in at:
                 e = exps[idx]
                 if e == 0:
                     continue
-                if e < 0 and value.is_zero():
+                if e < 0 and not value:
                     raise DomainError("zero assigned to a variable with a negative exponent")
                 power = powers.get((idx, e))
                 if power is None:
-                    power = powers[idx, e] = value if e == 1 else value**e
+                    power = powers[idx, e] = value**e if e > 0 else Fraction(1) / value**-e
                 coeff = coeff * power
             new_exps = tuple(exps[k] for k in keep)
             acc[new_exps] = acc[new_exps] + coeff if new_exps in acc else coeff
@@ -270,6 +296,7 @@ class LaurentPolynomial:
     def with_variables(self, variables: Iterable[str]) -> "LaurentPolynomial":
         """Reinterpret over a larger (or reordered) ring containing every current variable."""
         variables = tuple(variables)
+        _check_variables(variables)
         try:
             positions = [variables.index(v) for v in self.variables]
         except ValueError as exc:
@@ -283,7 +310,7 @@ class LaurentPolynomial:
             for pos, e in zip(positions, exps):
                 new_exps[pos] = e
             acc[tuple(new_exps)] = coeff
-        return LaurentPolynomial(variables, acc)
+        return _make(variables, acc)
 
     # -- calculus ----------------------------------------------------------
 
@@ -291,7 +318,7 @@ class LaurentPolynomial:
         """d/dx where the variable is e^x: the monomial X^k picks up a factor k."""
         idx = self._index(name)
         return _make(
-            self.variables, {e: c * Scalar.of(e[idx]) for e, c in self._terms if e[idx] != 0}
+            self.variables, {e: c * e[idx] for e, c in self._terms if e[idx] != 0}
         )
 
     def derivative(self, name: str) -> "LaurentPolynomial":
@@ -302,7 +329,7 @@ class LaurentPolynomial:
             if e == 0:
                 continue
             new_exps = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            acc[new_exps] = acc.get(new_exps, ZERO) + coeff * Scalar.of(e)
+            acc[new_exps] = acc.get(new_exps, 0) + coeff * e
         return _make(self.variables, acc)
 
     # -- division and normal forms -----------------------------------------
@@ -333,23 +360,24 @@ class LaurentPolynomial:
         f0, f_shift = self.strip_monomial_factor()
         d0, d_shift = divisor.strip_monomial_factor()
         lead_exps, lead_coeff = d0._terms[-1]
+        inverse = Fraction(1) / lead_coeff
         work = dict(f0._terms)
-        quotient: dict[ExponentVector, Scalar] = {}
+        quotient = {}
         while work:
             exps = max(work, key=_term_key)
             coeff = work[exps]
             q_exps = tuple(a - b for a, b in zip(exps, lead_exps))
             if any(e < 0 for e in q_exps):
                 raise DomainError("exact division failed: remainder is nonzero")
-            factor = coeff / lead_coeff
+            factor = coeff * inverse
             quotient[q_exps] = factor
             for de, dc in d0._terms:
-                t = tuple(a + b for a, b in zip(q_exps, de))
-                total = work.get(t, ZERO) - factor * dc
-                if total.is_zero():
-                    work.pop(t, None)
-                else:
+                t = tuple(map(add, q_exps, de))
+                total = work.get(t, 0) - factor * dc
+                if total:
                     work[t] = total
+                else:
+                    work.pop(t, None)
         delta = tuple(a - b for a, b in zip(f_shift, d_shift))
         return _make(self.variables, quotient).shift(delta)
 
@@ -359,18 +387,9 @@ class LaurentPolynomial:
         breaking a zero-real tie)."""
         if self.is_zero():
             return self
-        denominators = []
-        for _, coeff in self._terms:
-            denominators.append(coeff.re.denominator)
-            denominators.append(coeff.im.denominator)
-        scale = Fraction(lcm(*denominators))
-        numerators = 0
-        for _, coeff in self._terms:
-            numerators = gcd(numerators, abs(int(coeff.re * scale)))
-            numerators = gcd(numerators, abs(int(coeff.im * scale)))
-        if numerators:
-            scale = scale / numerators
-        result = self.scale(Scalar.of(scale))
+        parts = [p for _, c in self._terms for p in ((c.re, c.im) if type(c) is Scalar else (c,))]
+        scale = Fraction(lcm(*(p.denominator for p in parts)))
+        result = self.scale(scale / gcd(*(int(p * scale) for p in parts)))
         _, lead = result.leading_term()
         if lead.re < 0 or (lead.re == 0 and lead.im < 0):
             result = -result
@@ -400,16 +419,16 @@ class LaurentPolynomial:
         rendered = []
         for exps, coeff in self._terms:
             mono = self._monomial_text(exps)
-            if coeff.is_real():
-                negative = coeff.re < 0
-                magnitude = abs(coeff.re)
+            if type(coeff) is Scalar:
+                negative = False
+                body = f"({coeff})" if not mono else f"({coeff})*{mono}"
+            else:
+                negative = coeff < 0
+                magnitude = abs(coeff)
                 if magnitude == 1 and mono:
                     body = mono
                 else:
                     body = str(magnitude) if not mono else f"{magnitude}*{mono}"
-            else:
-                negative = False
-                body = f"({coeff})" if not mono else f"({coeff})*{mono}"
             rendered.append((negative, body))
         negative, body = rendered[0]
         out = ("-" if negative else "") + body
@@ -422,12 +441,12 @@ class LaurentPolynomial:
 
 
 def _make(variables: tuple[str, ...], acc: Mapping, poly=None) -> LaurentPolynomial:
-    """Drop zero coefficients and sort; checks nothing.  Fills ``poly`` when the
-    public constructor passes itself, else a new polynomial."""
+    """Drop zero coefficients, narrow the rest and sort; checks nothing.  Fills
+    ``poly`` when the public constructor passes itself, else a new polynomial."""
     if poly is None:
         poly = object.__new__(LaurentPolynomial)
     object.__setattr__(poly, "variables", variables)
-    nonzero = [kv for kv in acc.items() if not kv[1].is_zero()]
+    nonzero = [(e, c if type(c) is int else _narrow(c)) for e, c in acc.items() if c]
     nonzero.sort(key=lambda kv: _term_key(kv[0]))
     object.__setattr__(poly, "_terms", tuple(nonzero))
     return poly
@@ -451,11 +470,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
         if match.end() == pos:
             break
-        for kind in ("number", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value, match.start(kind)))
-                break
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind)))
         pos = match.end()
     return tokens
 
@@ -478,33 +494,27 @@ class _PolynomialParser:
         return token
 
     def parse(self) -> LaurentPolynomial:
+        """All terms in one pass, collected into one dict and canonicalised once."""
         if not self.tokens:
             raise ParseError("empty polynomial text")
-        result = LaurentPolynomial.zero(self.variables)
-        sign = 1
-        first = True
-        while True:
-            token = self.peek()
-            if token is None:
-                if first:
-                    raise ParseError(f"empty polynomial text {self.text!r}")
-                break
+        _check_variables(self.variables)
+        acc = {}
+        while (token := self.peek()) is not None:
             if token[1] in "+-" and token[0] == "op":
                 self.take()
                 sign = -1 if token[1] == "-" else 1
-            elif not first:
+            elif self.pos:
                 raise ParseError(
                     f"expected '+' or '-' at position {token[2]} in {self.text!r}"
                 )
             else:
                 sign = 1
-            term = self._term()
-            result = result + (term.scale(Scalar.of(sign)) if sign < 0 else term)
-            first = False
-        return result
+            exps, coeff = self._term()
+            acc[exps] = acc.get(exps, 0) + (coeff if sign > 0 else -coeff)
+        return _make(self.variables, acc)
 
-    def _term(self) -> LaurentPolynomial:
-        coeff = ONE
+    def _term(self) -> tuple[ExponentVector, object]:
+        coeff = 1
         exps = [0] * len(self.variables)
         saw_factor = False
         while True:
@@ -514,7 +524,7 @@ class _PolynomialParser:
             kind, value, where = token
             if kind == "number":
                 self.take()
-                coeff = coeff * Scalar(_rational_literal(value))
+                coeff = coeff * _rational_literal(value)
             elif kind == "op" and value == "(":
                 self.take()
                 coeff = coeff * self._complex_literal(where)
@@ -539,7 +549,7 @@ class _PolynomialParser:
             break
         if not saw_factor:
             raise ParseError(f"empty term in {self.text!r}")
-        return LaurentPolynomial.monomial(self.variables, tuple(exps), coeff)
+        return tuple(exps), coeff
 
     def _exponent(self) -> int:
         token = self.peek()
@@ -555,8 +565,8 @@ class _PolynomialParser:
             raise ParseError(f"expected an integer exponent at position {token[2]}")
         return sign * int(token[1])
 
-    def _complex_literal(self, where: int) -> Scalar:
-        total = ZERO
+    def _complex_literal(self, where: int):
+        total = 0
         count = 0
         while True:
             token = self.take()
@@ -567,13 +577,13 @@ class _PolynomialParser:
             elif count > 0:
                 raise ParseError(f"missing sign inside coefficient at position {token[2]}")
             if token[0] == "number":
-                value = Scalar(_rational_literal(token[1]))
+                value = _rational_literal(token[1])
                 nxt = self.peek()
                 if nxt is not None and nxt[0] == "name" and nxt[1] == "i":
                     self.take()
-                    value = value * Scalar(0, 1)
+                    value = Scalar(0, value)
             elif token[0] == "name" and token[1] == "i":
-                value = Scalar(0, 1)
+                value = I
             else:
                 raise ParseError(f"invalid coefficient starting at position {where}")
             total = total + (value if sign > 0 else -value)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _make
 from .scalars import Scalar
 from .series import FormalSeries
 
@@ -106,7 +106,7 @@ def _substitute_branch(
     # powers[e] = branch^e, extended by one product per new power on demand
     powers = [FormalSeries.one("X", order, parameters)]
     total = FormalSeries.zero("X", order, parameters)
-    for exps, coeff in curve.terms():
+    for exps, coeff in curve._terms:
         e_x = exps[x_index]
         e_p = exps[p_index]
         if e_x < 0 or e_p < 0:
@@ -114,7 +114,7 @@ def _substitute_branch(
         if e_x > order:
             continue
         param_exps = tuple(exps[pos] for pos in param_positions)
-        scale = LaurentPolynomial.monomial(parameters, param_exps, coeff)
+        scale = _make(parameters, {param_exps: coeff})
         while len(powers) <= e_p:
             powers.append(powers[-1] * branch)
         total = total + (powers[e_p] * scale).shifted(e_x)
@@ -134,12 +134,12 @@ def _terms_by_power(
     p_index = curve.variables.index(p_variable)
     param_positions = [curve.variables.index(v) for v in parameters]
     grouped: dict[tuple[int, int], dict] = {}
-    for exps, coeff in curve.terms():
+    for exps, coeff in curve._terms:
         if exps[x_index] <= order:
             param_exps = tuple(exps[pos] for pos in param_positions)
             grouped.setdefault((exps[x_index], exps[p_index]), {})[param_exps] = coeff
     return [
-        (e_x, e_p, LaurentPolynomial(parameters, by_parameters))
+        (e_x, e_p, _make(parameters, by_parameters))
         for (e_x, e_p), by_parameters in grouped.items()
     ]
 
@@ -171,7 +171,7 @@ def branch_series(
         raise DomainError("branch base P(0) must be nonzero on the torus")
     parameters, stripped = _split_curve(curve, x_variable, p_variable)
     p_index = stripped.variables.index(p_variable)
-    p_degree = max((exps[p_index] for exps, _ in stripped.terms()), default=0)
+    p_degree = max((exps[p_index] for exps, _ in stripped._terms), default=0)
     if p_degree > MAX_BRANCH_P_DEGREE:
         raise ResourceLimitError(
             f"curve has {p_variable}-degree {p_degree}, above the cap {MAX_BRANCH_P_DEGREE}"
@@ -200,7 +200,7 @@ def branch_series(
     powers = [[LaurentPolynomial.one(parameters)], coefficients]
     powers += [[LaurentPolynomial.constant(parameters, base**e)] for e in range(2, top + 1)]
     # c_k enters the X^k coefficient of P^e only as e * P0^(e-1) * c_k
-    lift = {e: Scalar.of(e) * base ** (e - 1) for e in range(2, top + 1)}
+    lift = {e: e * base ** (e - 1) for e in range(2, top + 1)}
     for k in range(1, order + 1):
         # extend every power by its X^k coefficient with the unknown c_k = 0
         powers[0].append(zero)
@@ -248,7 +248,7 @@ def potential_series(p: FormalSeries) -> PotentialSeries:
     """Integrate: the X^k coefficient divides by k; the constant becomes linear in x."""
     coefficients = [LaurentPolynomial.zero(p.ring)]
     for k in range(1, p.order + 1):
-        coefficients.append(p.coefficient(k).scale(Scalar.of(Fraction(1, k))))
+        coefficients.append(p.coefficient(k).scale(Fraction(1, k)))
     return PotentialSeries(
         linear_coefficient=p.coefficient(0),
         series=FormalSeries(p.variable, p.order, coefficients),
@@ -260,7 +260,7 @@ def potential_x_derivative(potential: PotentialSeries) -> FormalSeries:
     series = potential.series
     coefficients = [potential.linear_coefficient]
     for k in range(1, series.order + 1):
-        coefficients.append(series.coefficient(k).scale(Scalar.of(k)))
+        coefficients.append(series.coefficient(k).scale(k))
     return FormalSeries(series.variable, series.order, coefficients)
 
 

@@ -1,9 +1,11 @@
 """Exact Gaussian-rational arithmetic.
 
-Every coefficient in the toolkit lives in the field Q(i): complex numbers
-whose real and imaginary parts are arbitrary-precision rationals.
+Every coefficient value in the toolkit lies in the field Q(i): complex
+numbers whose real and imaginary parts are arbitrary-precision rationals.
 ``fractions.Fraction`` keeps each part reduced with a positive denominator,
-so equality is exact and hashing is stable.
+so equality is exact and hashing is stable.  ``Scalar`` is the public form of
+such a value; polynomials store a real one as an ``int`` or ``Fraction``,
+which ``Scalar``'s operators take on either side.
 """
 
 from __future__ import annotations
@@ -39,18 +41,6 @@ class Scalar:
             return Scalar(Fraction(value))
         raise TypeError(f"cannot interpret {value!r} as a Scalar")
 
-    @staticmethod
-    def zero() -> "Scalar":
-        return ZERO
-
-    @staticmethod
-    def one() -> "Scalar":
-        return ONE
-
-    @staticmethod
-    def i() -> "Scalar":
-        return I
-
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
@@ -65,7 +55,7 @@ class Scalar:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
+            return Scalar(self.re + other, self.im)
         if not isinstance(other, Scalar):
             return NotImplemented
         return Scalar(self.re + other.re, self.im + other.im)
@@ -74,7 +64,7 @@ class Scalar:
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
+            return Scalar(self.re - other, self.im)
         if not isinstance(other, Scalar):
             return NotImplemented
         return Scalar(self.re - other.re, self.im - other.im)
@@ -87,10 +77,9 @@ class Scalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
+            return Scalar(self.re * other, self.im * other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        # real-by-real is the overwhelmingly common case
         if not self.im and not other.im:
             return Scalar(self.re * other.re)
         return Scalar(

@@ -68,7 +68,7 @@ class FormalSeries:
         ring: Iterable[str] = (),
     ) -> "FormalSeries":
         ring = tuple(ring)
-        coeffs = [LaurentPolynomial.constant(ring, Scalar.of(v)) for v in values]
+        coeffs = [LaurentPolynomial.constant(ring, v) for v in values]
         return cls(variable, len(values) - 1, coeffs)
 
     # -- inspection --------------------------------------------------------
@@ -115,7 +115,7 @@ class FormalSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            return self.scale(Scalar.of(other))
+            return self.scale(other)
         if isinstance(other, LaurentPolynomial):
             return FormalSeries(
                 self.variable, self.order, [c * other for c in self.coefficients]
@@ -139,7 +139,6 @@ class FormalSeries:
     __rmul__ = __mul__
 
     def scale(self, value: Scalar | int | Fraction) -> "FormalSeries":
-        value = Scalar.of(value)
         return FormalSeries(self.variable, self.order, [c.scale(value) for c in self.coefficients])
 
     def truncate(self, order: int) -> "FormalSeries":
@@ -205,8 +204,8 @@ class FormalSeries:
             for j in range(1, k):
                 if not weighted[j].is_zero() and not s[k - j].is_zero():
                     acc = acc + weighted[j] * s[k - j]
-            out.append(s[k] - acc.scale(Scalar.of(Fraction(1, k))))
-            weighted.append(out[k].scale(Scalar.of(k)))
+            out.append(s[k] - acc.scale(Fraction(1, k)))
+            weighted.append(out[k].scale(k))
         return FormalSeries(self.variable, self.order, out)
 
     def exp(self) -> "FormalSeries":
@@ -220,7 +219,7 @@ class FormalSeries:
                 coeff = self.coefficients[j]
                 if coeff.is_zero():
                     continue
-                acc = acc + (coeff * out[k - j]).scale(Scalar.of(Fraction(j, k)))
+                acc = acc + (coeff * out[k - j]).scale(Fraction(j, k))
             out.append(acc)
         return FormalSeries(self.variable, self.order, out)
 
@@ -249,7 +248,7 @@ class FormalSeries:
             power = self.variable if k == 1 else f"{self.variable}^{k}"
             if coeff == LaurentPolynomial.one(self.ring):
                 pieces.append(power)
-            elif len(coeff.term_map()) > 1:
+            elif len(coeff._terms) > 1:
                 pieces.append(f"({coeff})*{power}")
             else:
                 text = str(coeff)

@@ -71,7 +71,7 @@ def complete_homogeneous(spectrum: HolonomySpectrum, order: int) -> list[Scalar]
         total = ZERO
         for j in range(1, k + 1):
             total = total + p[j - 1] * h[k - j]
-        h.append(total * Scalar.of(Fraction(1, k)))
+        h.append(total * Fraction(1, k))
     return h
 
 

@@ -87,15 +87,15 @@ def _evaluate_cyclotomic(poly: LaurentPolynomial, N: int, k: int) -> CyclotomicE
     n = 2 * level
     # rows[e_z]: the coefficient of z^e_z in (a - a^{-1}) P, with a = x^N
     rows: dict[int, list[int]] = {}
-    for (e_a, e_z), coeff in poly.terms():
-        value = coeff.re
-        if coeff.im or value.denominator != 1:
+    # the stored coefficients: a skein polynomial's are ints
+    for (e_a, e_z), coeff in poly._terms:
+        if type(coeff) is not int:
             raise DomainError(f"skein coefficient {coeff} is not an integer")
         row = rows.get(e_z)
         if row is None:
             row = rows[e_z] = [0] * n
-        row[N * (e_a + 1) % n] += value.numerator
-        row[N * (e_a - 1) % n] -= value.numerator
+        row[N * (e_a + 1) % n] += coeff
+        row[N * (e_a - 1) % n] -= coeff
     low = min(min(rows, default=0), 0)
     # Horner in z = x - x^{-1}: total = (a - a^{-1}) P z^{-low}
     total = [0] * n
@@ -119,9 +119,8 @@ def _evaluate_float(poly: LaurentPolynomial, N: int, k: int) -> complex:
     a_value = cmath.exp(1j * cmath.pi * N / (k + N))
     z_value = cmath.exp(1j * cmath.pi / (k + N)) - cmath.exp(-1j * cmath.pi / (k + N))
     total = 0j
-    for exps, coeff in poly.terms():
-        e_a, e_z = exps
-        total += coeff.to_complex() * a_value**e_a * z_value**e_z
+    for (e_a, e_z), coeff in poly._terms:
+        total += complex(coeff) * a_value**e_a * z_value**e_z
     prefactor = (a_value - 1 / a_value) / z_value
     return prefactor * total
 

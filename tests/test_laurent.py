@@ -1,12 +1,22 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from kch.augment import augmentation_system, eliminate_augmentation_ideal
+from kch.dga import bundled_names, load_bundled
 from kch.errors import DomainError, ParseError, RingMismatchError
-from kch.groebner import normal_form
+from kch.feynman import CubicForm, QuadraticForm, matrix_model_series, scalar_model_series
+from kch.groebner import normal_form, s_polynomial
+from kch.homfly import BUNDLED_DIAGRAMS, homfly
 from kch.laurent import LaurentPolynomial, parse_polynomial
+from kch.mirror import branch_series, p_series, potential_series, verify_on_curve
+from kch.pd import parse_pd
 from kch.scalars import Scalar
+from kch.series import FormalSeries
+from kch.symfunc import HolonomySpectrum, symmetric_trace_series
+from kch.wilson import wilson_loop
 
 RING = ("Q", "X", "P")
 
@@ -260,3 +270,93 @@ def test_exponent_range_and_leading_term():
     assert (lo, hi) == (-1, 1)
     exps, coeff = p.leading_term()
     assert exps == (0, -1, 1) and coeff == Scalar(1)
+
+
+def mis_narrowed(value):
+    """Stored coefficients, in every polynomial reachable from ``value``, that
+    are zero or wider than their value needs: a real ``Scalar``, an integral
+    ``Fraction``, or any other type."""
+    if isinstance(value, LaurentPolynomial):
+        return [
+            c
+            for _, c in value._terms
+            if not c
+            or not (
+                type(c) is int
+                or (type(c) is Fraction and c.denominator != 1)
+                or (type(c) is Scalar and c.im)
+            )
+        ]
+    if isinstance(value, FormalSeries):
+        return mis_narrowed(value.coefficients)
+    if isinstance(value, (tuple, list)):
+        return [c for item in value for c in mis_narrowed(item)]
+    if dataclasses.is_dataclass(value):
+        return mis_narrowed([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return []
+
+
+def test_arithmetic_stores_narrow_coefficients():
+    # results keep each coefficient in its narrowest exact type, whatever
+    # the operand types, and still match the validating constructor
+    rng = random.Random(43)
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(-2, 2) for _ in RING)
+            re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            terms[exps] = Scalar(re, rng.choice([0, 0, 1, -1]))
+        return LaurentPolynomial(RING, terms)
+
+    i_x = LaurentPolynomial(RING, {(0, 1, 0): Scalar(0, 1)})
+    assert (i_x * i_x)._terms == (((0, 2, 0), -1),)
+    assert type((i_x * i_x)._terms[0][1]) is int
+    computed = [i_x * i_x, i_x.scale(Scalar(0, -1)), lp("1/2*X").scale(2), lp("(1+i)*X") * lp("(1-i)*P")]
+    for _ in range(60):
+        a, b = rand_poly(), rand_poly()
+        computed += [
+            a + b, a - b, a * b, a.scale(Fraction(2, 3)), a.scale(Scalar(0, 2)), a * Fraction(1, 2),
+            a.specialize({"X": Scalar(0, 1)}), a.specialize({"Q": Fraction(1, 2), "P": 2}),
+            normal_form(a, [lp("(i)*X - 2")]),
+        ]
+        if not (a.is_zero() or b.is_zero()):
+            computed += [(a * b).exact_divide(b), s_polynomial(a, b)]
+    for poly in computed:
+        assert not mis_narrowed(poly), poly
+        rebuilt = LaurentPolynomial(poly.variables, poly.term_map())
+        assert rebuilt == poly
+        assert hash(rebuilt) == hash(poly)
+        assert all(type(coeff) is Scalar for _, coeff in poly.terms())
+        assert type(poly.constant_term()) is Scalar
+        point = {name: Scalar(1, 1) for name in poly.variables}
+        assert type(poly.evaluate(point)) is Scalar
+        if not poly.is_zero():
+            assert type(poly.leading_term()[1]) is Scalar
+
+
+def test_end_to_end_results_store_narrow_coefficients():
+    # mirror branch, its logarithm, potential and on-curve check
+    for text in ("1 - X - P + (1+i)*Q*X*P - 3*X*P^2", "2 - X - 2*P + 1/2*Q*X*P^2"):
+        curve = lp(text)
+        branch = branch_series(curve, 1, 5)
+        p = p_series(branch)
+        report = verify_on_curve(curve, branch)
+        assert report.ok
+        assert not mis_narrowed([branch, p, potential_series(p), report])
+    # skein polynomial and its Wilson values: the stored coefficients are ints
+    diagram = parse_pd(BUNDLED_DIAGRAMS["right_trefoil"])
+    wilson_loop(diagram, 2, 3)
+    assert all(type(coeff) is int for _, coeff in homfly(diagram)._terms)
+    # augmentation systems and their elimination ideals
+    for name in bundled_names():
+        algebra = load_bundled(name)
+        variety = eliminate_augmentation_ideal(algebra)
+        assert not mis_narrowed([variety, augmentation_system(algebra).equations])
+    # graph sums, matrix model and trace series
+    q = QuadraticForm([[Fraction(5, 2), 1], [1, 3]])
+    c = CubicForm.from_array([[[1, 0], [0, 2]], [[0, 2], [2, Fraction(-1, 2)]]])
+    spectrum = HolonomySpectrum([2, Fraction(1, 2), Scalar(1, -1)])
+    assert not mis_narrowed(
+        [scalar_model_series(q, c, 2), matrix_model_series(2), symmetric_trace_series(spectrum, 6)]
+    )
