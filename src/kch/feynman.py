@@ -410,8 +410,8 @@ def connected_scalar_series(q: QuadraticForm, c: CubicForm, order: int) -> Forma
 # -- moment oracle ------------------------------------------------------------
 
 
-def _cubic_polynomial(c: CubicForm) -> dict[tuple[int, ...], Scalar]:
-    """V as a polynomial: exponent vector of length n -> coefficient."""
+def _cubic_polynomial(c: CubicForm) -> dict[tuple[int, ...], object]:
+    """V as a polynomial: exponent vector of length n -> narrow coefficient."""
     n = c.dimension
     out: dict[tuple[int, ...], Scalar] = {}
     for triple in product(range(n), repeat=3):
@@ -423,65 +423,67 @@ def _cubic_polynomial(c: CubicForm) -> dict[tuple[int, ...], Scalar]:
             exps[t] += 1
         key = tuple(exps)
         out[key] = out.get(key, ZERO) + value
-    return out
+    return {key: _narrow(value) for key, value in out.items()}
 
 
 def _poly_multiply(
-    a: dict[tuple[int, ...], Scalar], b: dict[tuple[int, ...], Scalar]
-) -> dict[tuple[int, ...], Scalar]:
-    out: dict[tuple[int, ...], Scalar] = {}
+    a: dict[tuple[int, ...], object], b: dict[tuple[int, ...], object]
+) -> dict[tuple[int, ...], object]:
+    out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = tuple(x + y for x, y in zip(e1, e2))
-            total = out.get(key, ZERO) + c1 * c2
-            if total.is_zero():
-                out.pop(key, None)
-            else:
+            total = out.get(key, 0) + c1 * c2
+            if total:
                 out[key] = total
-    return out
+            else:
+                out.pop(key, None)
+    return {key: _narrow(value) for key, value in out.items()}
 
 
 def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
     """Moment-recursion evaluation of the same expansion; no graphs involved.
 
     Gaussian moments follow <x_i x^alpha> = sum_j Q^{ij} alpha_j <x^{alpha - e_j}>,
-    the integration-by-parts identity, memoized over exponent vectors.
+    the integration-by-parts identity, memoized over exponent vectors.  The
+    values are exact, held as int or Fraction, and as a ``Scalar`` only with
+    an imaginary part.
     """
     _check_model(q, c, order)
     n = q.dimension
-    propagator = q.propagator
-    moments: dict[tuple[int, ...], Scalar] = {(0,) * n: ONE}
+    propagator = [[_narrow(value) for value in row] for row in q.propagator]
+    moments: dict[tuple[int, ...], object] = {(0,) * n: 1}
 
-    def moment(exps: tuple[int, ...]) -> Scalar:
+    def moment(exps: tuple[int, ...]):
         known = moments.get(exps)
         if known is not None:
             return known
         if sum(exps) % 2:
-            moments[exps] = ZERO
-            return ZERO
+            moments[exps] = 0
+            return 0
         i = next(k for k, e in enumerate(exps) if e > 0)
         reduced = list(exps)
         reduced[i] -= 1
-        total = ZERO
+        total = 0
         for j in range(n):
-            if reduced[j] == 0 or propagator[i][j].is_zero():
+            if reduced[j] == 0 or not propagator[i][j]:
                 continue
             lower = list(reduced)
             lower[j] -= 1
             total = total + propagator[i][j] * reduced[j] * moment(tuple(lower))
-        moments[exps] = total
+        moments[exps] = total = _narrow(total)
         return total
 
     cubic_poly = _cubic_polynomial(c)
-    power: dict[tuple[int, ...], Scalar] = {(0,) * n: ONE}
+    power = {(0,) * n: 1}
     values = []
     for m in range(order + 1):
         if m > 0:
             power = _poly_multiply(power, cubic_poly)
-        expectation = ZERO
+        expectation = 0
         for exps, coeff in sorted(power.items()):
             value = moment(exps)
-            if not value.is_zero():
+            if value:
                 expectation = expectation + coeff * value
         values.append(expectation * Fraction(1, factorial(m)))
     return FormalSeries.from_scalars("hbar", values)

@@ -204,12 +204,7 @@ class LaurentPolynomial:
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check_ring(other)
-        acc = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                exps = tuple(map(add, e1, e2))
-                acc[exps] = acc.get(exps, 0) + c1 * c2
-        return _make(self.variables, acc)
+        return _dot(self.variables, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -450,6 +445,24 @@ def _make(variables: tuple[str, ...], acc: Mapping, poly=None) -> LaurentPolynom
     nonzero.sort(key=lambda kv: _term_key(kv[0]))
     object.__setattr__(poly, "_terms", tuple(nonzero))
     return poly
+
+
+def _dot(variables: tuple[str, ...], pairs: Iterable, scale=1) -> LaurentPolynomial:
+    """scale * sum of a * b over the (a, b) pairs of polynomials over
+    ``variables``: every product lands in one exponent -> coefficient map,
+    the rational ``scale`` multiplies each sum once, and ``_make`` runs once.
+    The library's one product loop; checks no ring."""
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        b_terms = b._terms
+        for e1, c1 in a._terms:
+            for e2, c2 in b_terms:
+                exps = tuple(map(add, e1, e2))
+                acc[exps] = get(exps, 0) + c1 * c2
+    if scale != 1:
+        acc = {e: c * scale for e, c in acc.items()}
+    return _make(variables, acc)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -11,8 +11,10 @@ and the X-coefficients of each power P^b are kept and grown by one order per
 step.  At order k the unknown c_k enters P^b only as b P0^(b-1) c_k, so the
 residual r_k is read off the powers with c_k = 0, c_k = -r_k / d is solved,
 and the powers are corrected.  Nothing is substituted twice; the cost is one
-convolution per power and order.  ``verify_on_curve`` checks the result by
-its own full substitution of P0 exp(p) into the curve.
+convolution per power and order, each summed into one coefficient map by
+``laurent._dot``, so order k of a curve of P-degree d makes about d k^2 / 2
+polynomial products.  ``verify_on_curve`` checks the result by its own full
+substitution of P0 exp(p) into the curve.
 
 The logarithm p(X) = log(P(X)/P0) is the momentum series; integrating it
 coefficientwise (divide X^k by k) gives the disk potential W with
@@ -26,19 +28,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ResourceLimitError
-from .laurent import LaurentPolynomial, _make
+from .laurent import LaurentPolynomial, _dot, _make
 from .scalars import Scalar
 from .series import FormalSeries
 
 # the online solve makes O(order^2) coefficient products per power of P, but
 # the coefficients themselves grow with the order: order 150 of
-# 1 - X - P + Q*X*P takes about 0.03 s on a shared 2-vCPU VM, while order 60
-# of P - 1 + Q*X*P^2 - 3*X*P^2, whose coefficients are dense in Q, takes 10 s
+# 1 - X - P + Q*X*P takes about 0.01 s on a shared 2-vCPU VM, while order 60
+# of P - 1 + Q*X*P^2 - 3*X*P^2, whose coefficients are dense in Q, takes 0.5 s
 MAX_BRANCH_ORDER = 200
 # the solve keeps one coefficient list per power of P and extends each at
-# every order: order 2 of 1 - P + X*P^d takes about 0.25 ms per unit of d on
-# a shared 2-vCPU VM (0.5 s at d = 2000)
+# every order: order 2 of 1 - P + X*P^d takes about 0.15 ms per unit of d on
+# a shared 2-vCPU VM (0.3 s at d = 2000)
 MAX_BRANCH_P_DEGREE = 2000
+# each cap above bounds one input, but the solve makes one convolution per
+# power of P and order, so their product is capped too.  At a product of
+# 4000, 1 - P + X*P^d takes 0.1-0.6 s on a shared 2-vCPU VM (order 200 the
+# costliest), while order 20 of 1 - P + X*P^2000 takes about 1 s.  Curves
+# dense in Q cost more than the product counts: their coefficients lengthen
+# with the order.
+MAX_BRANCH_WORK = 4000
 
 
 @dataclass(frozen=True)
@@ -158,9 +167,10 @@ def branch_series(
     vanish.  Each coefficient is obtained by exact division against that
     derivative value, which must divide exactly in the parameter ring; base
     points making it a nonconstant polynomial may therefore be rejected even
-    off a branch point, reported as such.  Orders above ``MAX_BRANCH_ORDER``
-    and curves of P-degree above ``MAX_BRANCH_P_DEGREE`` raise
-    ``ResourceLimitError`` before any work.
+    off a branch point, reported as such.  Orders above ``MAX_BRANCH_ORDER``,
+    curves of P-degree above ``MAX_BRANCH_P_DEGREE``, and an order times
+    P-degree above ``MAX_BRANCH_WORK`` raise ``ResourceLimitError`` before any
+    work.
     """
     if order < 0:
         raise DomainError("order must be nonnegative")
@@ -175,6 +185,11 @@ def branch_series(
     if p_degree > MAX_BRANCH_P_DEGREE:
         raise ResourceLimitError(
             f"curve has {p_variable}-degree {p_degree}, above the cap {MAX_BRANCH_P_DEGREE}"
+        )
+    if order * p_degree > MAX_BRANCH_WORK:
+        raise ResourceLimitError(
+            f"order {order} times {p_variable}-degree {p_degree} exceeds the branch "
+            f"work cap {MAX_BRANCH_WORK}"
         )
 
     at_origin = stripped.substitute(x_variable, 0).substitute(p_variable, base)
@@ -207,16 +222,9 @@ def branch_series(
         coefficients.append(zero)
         for e in range(2, top + 1):
             lower = powers[e - 1]
-            acc = zero
-            for j in range(k):
-                if not coefficients[j].is_zero() and not lower[k - j].is_zero():
-                    acc = acc + coefficients[j] * lower[k - j]
-            powers[e].append(acc)
+            powers[e].append(_dot(parameters, [(coefficients[j], lower[k - j]) for j in range(k)]))
         # the X^k coefficient of A(X, P0 + ... + c_(k-1) X^(k-1))
-        r_k = zero
-        for e_x, e_p, coeff in terms:
-            if e_x <= k and not powers[e_p][k - e_x].is_zero():
-                r_k = r_k + coeff * powers[e_p][k - e_x]
+        r_k = _dot(parameters, [(c, powers[e_p][k - e_x]) for e_x, e_p, c in terms if e_x <= k])
         if r_k.is_zero():
             continue
         try:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RingMismatchError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, _dot
 from .scalars import Scalar
 
 
@@ -124,16 +124,8 @@ class FormalSeries:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        zero = LaurentPolynomial.zero(self.ring)
-        out = [zero] * (order + 1)
-        for j, a in enumerate(self.coefficients[: order + 1]):
-            if a.is_zero():
-                continue
-            for k in range(order + 1 - j):
-                b = other.coefficients[k]
-                if b.is_zero():
-                    continue
-                out[j + k] = out[j + k] + a * b
+        a, b = self.coefficients, other.coefficients
+        out = [_dot(self.ring, [(a[j], b[k - j]) for j in range(k + 1)]) for k in range(order + 1)]
         return FormalSeries(self.variable, order, out)
 
     __rmul__ = __mul__
@@ -174,16 +166,11 @@ class FormalSeries:
         c0 = self.coefficients[0]
         if c0.is_zero():
             raise DomainError("series with zero constant coefficient has no inverse")
-        c0_inv = c0.monomial_inverse()
-        zero = LaurentPolynomial.zero(self.ring)
-        out = [zero] * (self.order + 1)
-        out[0] = c0_inv
+        out = [c0.monomial_inverse()]
+        # out_k = -out_0 * sum_{j=1}^{k} S_j out_(k-j), with -out_0 S_j formed once
+        s = [-(out[0] * c) for c in self.coefficients]
         for k in range(1, self.order + 1):
-            acc = zero
-            for j in range(1, k + 1):
-                if not self.coefficients[j].is_zero():
-                    acc = acc + self.coefficients[j] * out[k - j]
-            out[k] = -(c0_inv * acc)
+            out.append(_dot(self.ring, [(s[j], out[k - j]) for j in range(1, k + 1)]))
         return FormalSeries(self.variable, self.order, out)
 
     def log(self) -> "FormalSeries":
@@ -191,36 +178,37 @@ class FormalSeries:
 
         L = log S satisfies S L' = S', which read coefficientwise is the
         recurrence k L_k = k S_k - sum_{j=1}^{k-1} j L_j S_{k-j} (Brent & Kung
-        1978): one convolution per coefficient and no series inverse.
+        1978): one convolution per coefficient and no series inverse.  The
+        weighted j L_j are kept, so L_k costs one convolution and one 1/k.
         """
-        if not (self.coefficients[0] - LaurentPolynomial.one(self.ring)).is_zero():
+        one = LaurentPolynomial.one(self.ring)
+        if self.coefficients[0] != one:
             raise DomainError("log requires constant coefficient one")
-        zero = LaurentPolynomial.zero(self.ring)
         s = self.coefficients
-        out = [zero]
-        weighted = [zero]  # j * L_j
+        negated = [-c for c in s]
+        out = [LaurentPolynomial.zero(self.ring)]
+        weighted = [out[0]]  # j * L_j
         for k in range(1, self.order + 1):
-            acc = zero
-            for j in range(1, k):
-                if not weighted[j].is_zero() and not s[k - j].is_zero():
-                    acc = acc + weighted[j] * s[k - j]
-            out.append(s[k] - acc.scale(Fraction(1, k)))
-            weighted.append(out[k].scale(k))
+            pairs = [(s[k], one.scale(k))]
+            pairs += [(weighted[j], negated[k - j]) for j in range(1, k)]
+            weighted.append(_dot(self.ring, pairs))
+            out.append(weighted[k].scale(Fraction(1, k)))
         return FormalSeries(self.variable, self.order, out)
 
     def exp(self) -> "FormalSeries":
-        """exp of a series with zero constant coefficient, via E' = S'E."""
+        """exp of a series with zero constant coefficient.
+
+        E = exp S satisfies E' = S'E, which read coefficientwise is the
+        pre-weighted recurrence k E_k = sum_{j=1}^{k} (j S_j) E_{k-j}: each
+        j S_j is formed once, and each E_k is one convolution scaled by 1/k.
+        """
         if not self.coefficients[0].is_zero():
             raise DomainError("exp requires zero constant coefficient")
+        weighted = [c.scale(j) for j, c in enumerate(self.coefficients)]
         out = [LaurentPolynomial.one(self.ring)]
         for k in range(1, self.order + 1):
-            acc = LaurentPolynomial.zero(self.ring)
-            for j in range(1, k + 1):
-                coeff = self.coefficients[j]
-                if coeff.is_zero():
-                    continue
-                acc = acc + (coeff * out[k - j]).scale(Fraction(j, k))
-            out.append(acc)
+            pairs = [(weighted[j], out[k - j]) for j in range(1, k + 1)]
+            out.append(_dot(self.ring, pairs, Fraction(1, k)))
         return FormalSeries(self.variable, self.order, out)
 
     # -- equality / printing -------------------------------------------------

@@ -10,6 +10,7 @@ from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.mirror import (
     MAX_BRANCH_ORDER,
     MAX_BRANCH_P_DEGREE,
+    MAX_BRANCH_WORK,
     _split_curve,
     _substitute_branch,
     branch_series,
@@ -185,6 +186,20 @@ def test_p_degree_cap_raises_before_any_work():
     # the degree counts after the monomial factor P^-3 is stripped
     curve = parse_polynomial(f"P^-3 - P^-2 + X*P^{MAX_BRANCH_P_DEGREE - 3}", ("X", "P"))
     assert str(branch_series(curve, 1, 1).series) == "1 + X + O(X^2)"
+
+
+def test_work_cap_raises_before_any_work():
+    start = time.perf_counter()
+    for order, degree in ((20, MAX_BRANCH_P_DEGREE), (20, MAX_BRANCH_WORK // 20 + 1)):
+        curve = parse_polynomial(f"1 - P + X*P^{degree}", ("X", "P"))
+        with pytest.raises(
+            ResourceLimitError, match=f"order {order} .*{degree} .*{MAX_BRANCH_WORK}"
+        ):
+            branch_series(curve, 1, order)
+    assert time.perf_counter() - start < 1.0
+    # the product at the cap is admitted
+    curve = parse_polynomial(f"1 - P + X*P^{MAX_BRANCH_WORK // 20}", ("X", "P"))
+    assert branch_series(curve, 1, 20).order == 20
 
 
 class NotSeparating(Exception):

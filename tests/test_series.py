@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from kch.errors import DomainError, RingMismatchError
-from kch.laurent import LaurentPolynomial, parse_polynomial
+from kch.laurent import LaurentPolynomial, _dot, parse_polynomial
 from kch.scalars import Scalar
 from kch.series import FormalSeries
 
@@ -163,3 +164,128 @@ def test_log_recurrence_equals_integrated_inverse():
             coefficients.append(LaurentPolynomial(ring, terms))
         s = FormalSeries("t", order, coefficients)
         assert s.log() == integrated_log_derivative(s)
+
+
+# -- the convolution kernel against plain term dicts ---------------------------
+#
+# The reference keeps a series as a list of {exponents: Scalar} dicts and builds
+# everything from one triple loop, ref_multiply, in Scalar arithmetic only.
+
+
+def ref_multiply(a, b):
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = {}
+        for j in range(k + 1):
+            for e1, c1 in a[j].items():
+                for e2, c2 in b[k - j].items():
+                    exps = tuple(x + y for x, y in zip(e1, e2))
+                    acc[exps] = acc.get(exps, Scalar(0)) + c1 * c2
+        out.append({e: c for e, c in acc.items() if c})
+    return out
+
+
+def ref_power_sum(u, weights, width):
+    """sum_n weights[n] u^n, for u with zero constant coefficient."""
+    power = [{(0,) * width: Scalar(1)}] + [{} for _ in u[1:]]
+    total = [{} for _ in u]
+    for weight in weights:
+        for k, coeff in enumerate(power):
+            for e, c in coeff.items():
+                total[k][e] = total[k].get(e, Scalar(0)) + c * weight
+        power = ref_multiply(power, u)
+    return [{e: c for e, c in coeff.items() if c} for coeff in total]
+
+
+def as_dicts(series):
+    return [coeff.term_map() for coeff in series.coefficients]
+
+
+def random_polynomial(rng, ring, zero_share=0.3):
+    if rng.random() < zero_share:
+        return LaurentPolynomial.zero(ring)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(-2, 2) for _ in ring)
+        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms[exps] = Scalar(re, rng.choice([0, 0, 1, -2, Fraction(1, 2)]))
+    return LaurentPolynomial(ring, terms)
+
+
+def random_series(rng, ring, constant, order=None):
+    """Random coefficients after the given constant, zero ones among them."""
+    if order is None:
+        order = rng.randint(0, 5)
+    body = [random_polynomial(rng, ring) for _ in range(order)]
+    return FormalSeries("t", order, [constant] + body)
+
+
+RINGS = [("Q", "R"), ("a", "b", "c")]
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_product_equals_term_dict_triple_loop(ring):
+    rng = random.Random(41)
+    for _ in range(30):
+        a = random_series(rng, ring, random_polynomial(rng, ring))
+        b = random_series(rng, ring, random_polynomial(rng, ring))
+        assert as_dicts(a * b) == ref_multiply(as_dicts(a), as_dicts(b))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_inverse_equals_geometric_series(ring):
+    """1/S = c^-1 sum_n (-u)^n where S = c (1 + u) and c is a unit monomial."""
+    rng = random.Random(42)
+    for _ in range(30):
+        exps = tuple(rng.randint(-2, 2) for _ in ring)
+        c = LaurentPolynomial.monomial(ring, exps, Scalar(rng.choice([1, -3]), rng.randint(0, 2)))
+        s = random_series(rng, ring, c)
+        c_inv = [c.monomial_inverse().term_map()] + [{}] * s.order
+        u = [{}] + ref_multiply(c_inv, as_dicts(s))[1:]
+        minus_u = [{e: -v for e, v in coeff.items()} for coeff in u]
+        expected = ref_multiply(c_inv, ref_power_sum(minus_u, [Scalar(1)] * (s.order + 1), len(ring)))
+        assert as_dicts(s.inverse()) == expected
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_log_equals_mercator_series(ring):
+    """log(1 + u) = sum_{n>=1} (-1)^(n+1) u^n / n."""
+    rng = random.Random(43)
+    for _ in range(30):
+        s = random_series(rng, ring, LaurentPolynomial.one(ring))
+        u = [{}] + as_dicts(s)[1:]
+        weights = [Scalar(0)] + [Scalar(Fraction((-1) ** (n + 1), n)) for n in range(1, s.order + 1)]
+        assert as_dicts(s.log()) == ref_power_sum(u, weights, len(ring))
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_exp_equals_sum_of_powers_over_factorials(ring):
+    rng = random.Random(44)
+    for _ in range(30):
+        p = random_series(rng, ring, LaurentPolynomial.zero(ring))
+        weights = [Scalar(Fraction(1, factorial(n))) for n in range(p.order + 1)]
+        assert as_dicts(p.exp()) == ref_power_sum(as_dicts(p), weights, len(ring))
+
+
+def test_dot_of_no_pairs_is_zero_in_its_ring():
+    ring = ("Q", "R")
+    zero = _dot(ring, [])
+    assert zero == LaurentPolynomial.zero(ring) and zero.variables == ring
+    assert _dot(ring, [], Fraction(3, 4)) == LaurentPolynomial.zero(ring)
+
+
+def test_dot_scales_the_sum_of_products_once():
+    rng = random.Random(45)
+    ring = ("a", "b", "c")
+    for _ in range(30):
+        pairs = [
+            (random_polynomial(rng, ring), random_polynomial(rng, ring))
+            for _ in range(rng.randint(1, 4))
+        ]
+        scale = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        expected = {}
+        for a, b in pairs:
+            for e, c in ref_multiply([a.term_map()], [b.term_map()])[0].items():
+                expected[e] = expected.get(e, Scalar(0)) + c
+        expected = {e: c * scale for e, c in expected.items() if c * scale}
+        assert _dot(ring, pairs, scale).term_map() == expected
