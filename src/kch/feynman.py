@@ -630,39 +630,35 @@ def matrix_wick_oracle_series(size: int, order: int) -> FormalSeries:
         raise DomainError("expansion order must be nonnegative")
     values = []
     for m in range(order + 1):
-        if (3 * m) % 2:
-            values.append(ZERO)
-            continue
-        total = 0
-        # index variable s of vertex v: factor s is M_{index(v,s), index(v,s+1 mod 3)}
-        count_vars = 3 * m
-        for pairing in enumerate_pairings(m):
-            parent = list(range(count_vars))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            def union(x, y):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-
-            for f, g in pairing.matching:
-                fv, fs = divmod(f, 3)
-                gv, gs = divmod(g, 3)
-                row_f = 3 * fv + fs
-                col_f = 3 * fv + (fs + 1) % 3
-                row_g = 3 * gv + gs
-                col_g = 3 * gv + (gs + 1) % 3
-                union(row_f, col_g)
-                union(col_f, row_g)
-            classes = len({find(x) for x in range(count_vars)})
-            total += size**classes
+        total = sum(count * size**classes for classes, count in _wick_class_counts(m))
         values.append(Fraction(total, factorial(m)))
     return FormalSeries.from_scalars("g", values)
+
+
+@lru_cache(maxsize=None)
+def _wick_class_counts(m: int) -> tuple[tuple[int, int], ...]:
+    """(index classes, pairings) pairs of <(tr M^3)^m>, found by union-find.
+
+    Index variable x = 3v + s is the row of factor s of vertex v, whose
+    column is 3v + (s+1 mod 3).  The count does not depend on the matrix
+    size, so each order is enumerated once.
+    """
+    census: Counter = Counter()
+    for pairing in enumerate_pairings(m):
+        parent = list(range(3 * m))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for f, g in pairing.matching:
+            # <M_{f col(f)} M_{g col(g)}> identifies f with col(g), col(f) with g
+            parent[find(f)] = find(g - g % 3 + (g + 1) % 3)
+            parent[find(f - f % 3 + (f + 1) % 3)] = find(g)
+        census[len({find(x) for x in range(3 * m)})] += 1
+    return tuple(sorted(census.items()))
 
 
 def evaluate_matrix_series(series: FormalSeries, size: int) -> FormalSeries:

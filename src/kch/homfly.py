@@ -5,33 +5,36 @@ Convention: a * P(+) - a^{-1} * P(-) = z * P(0) with P(unknot) = 1, so
     P(+) = a^{-1} z P(0) + a^{-2} P(-)
     P(-) = a^2 P(+) - a z P(0).
 
-The recursion walks the diagram component by component from fixed base
-points; the first crossing whose first passage runs under is resolved by the
-matching rule above.  Switching that crossing leaves the strand cycles and
-every earlier first-passage untouched while making the pivot descending, and
-smoothing drops a crossing, so the recursion terminates.  A fully descending
-diagram is an unlink and contributes delta^(components-1) with
-delta = (a - a^{-1}) z^{-1}.
+The recursion walks each diagram it is called on once, component by
+component from fixed base points, for both its memo key and its wrong
+crossings: those whose first passage runs under.  Switching one leaves the
+strand cycles and every other first-passage untouched, so the wrong
+crossings are resolved along one switch chain in walking order: each adds
+its smoothing times the rule's monomial times a^shift, then is switched,
+and shift steps by -2 (positive) or +2 (negative).  The chain ends
+descending, an unlink worth a^shift * delta^(components-1) with
+delta = (a - a^{-1}) z^{-1}.  Switched intermediates are neither walked nor
+memoised.  Smoothing drops a crossing, so the recursion terminates.
 
-``resolution`` rotates each component's base point, reordering the pivots;
+``resolution`` rotates each component's base point, reordering the chain;
 the result must not change, which the test suite exercises.
 
 The recursion runs on integer coefficients: a polynomial is a dict
 {(e_a, e_z): int}, each rule term is an exponent shift with a signed integer
 add, and the result becomes a ``LaurentPolynomial`` once, at the end, which
-stores the integers as they are.  Every node walks its strands once, for both
-its memo key and its pivot.  The finished polynomial is stored on the
-(immutable) diagram per resolution, so the Wilson evaluations of a diagram
-that already has it make no skein step; the crossing cap is still checked on
-every call.  Distinct diagram objects share nothing, even when they are
-equal.
+stores the integers as they are.  A skein step, capped by ``KCH_MAX_STEPS``,
+is one diagram recursed on or one switch followed.  The finished polynomial
+is stored on the (immutable) diagram per resolution, so the Wilson
+evaluations of a diagram that already has it make no skein step; the
+crossing cap is still checked on every call.  Distinct diagram objects share
+nothing, even when they are equal.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .errors import ResourceLimitError, max_steps_limit
+from .errors import DomainError, ResourceLimitError, max_steps_limit
 from .laurent import LaurentPolynomial, _make
 from .pd import LinkDiagram, _cycles, smooth_crossing, switch_crossing
 
@@ -98,19 +101,6 @@ def _canonical_key(diagram: LinkDiagram, order: list[int]):
     return records, diagram.circles
 
 
-def _first_wrong_crossing(successor: dict, order: list[int]) -> int | None:
-    """Index of the first crossing met underneath on its first passage."""
-    visited: set[int] = set()
-    for arc in order:
-        _, crossing, under = successor[arc]
-        if crossing in visited:
-            continue
-        visited.add(crossing)
-        if under:
-            return crossing
-    return None
-
-
 def homfly(
     diagram: LinkDiagram,
     *,
@@ -122,6 +112,8 @@ def homfly(
     The finished polynomial is kept on the diagram per resolution, so asking
     again for the same diagram object makes no skein step.
     """
+    if type(resolution) is not int or type(max_crossings) is not int:
+        raise DomainError("resolution and max_crossings must be integers")
     if diagram.crossing_count > max_crossings:
         raise ResourceLimitError(
             f"diagram has {diagram.crossing_count} crossings; limit is {max_crossings}"
@@ -133,13 +125,18 @@ def homfly(
     memo: dict = {}
     steps = 0
 
-    def compute(d: LinkDiagram) -> dict[tuple[int, int], int]:
+    def step() -> None:
         nonlocal steps
         steps += 1
         if steps > budget:
             raise ResourceLimitError(
-                f"skein recursion exceeded {budget} steps (set KCH_MAX_STEPS to raise)"
+                f"skein recursion reached {steps} steps on a diagram of "
+                f"{diagram.crossing_count} crossings; limit is {budget} "
+                "(set KCH_MAX_STEPS to raise)"
             )
+
+    def compute(d: LinkDiagram) -> dict[tuple[int, int], int]:
+        step()
         if d.crossing_count == 0:
             return _unlink(d.circles)
         successor, strands, order = _walk(d, resolution)
@@ -147,20 +144,24 @@ def homfly(
         known = memo.get(key)
         if known is not None:
             return known
-        pivot = _first_wrong_crossing(successor, order)
-        if pivot is None:
-            value = _unlink(strands + d.circles)
-        else:
-            value = {}
-            if d.signs[pivot] > 0:
-                # P(+) = a^-1 z P(0) + a^-2 P(-)
-                _add_shifted(value, compute(smooth_crossing(d, pivot)), -1, 1, 1)
-                _add_shifted(value, compute(switch_crossing(d, pivot)), -2, 0, 1)
-            else:
-                # P(-) = a^2 P(+) - a z P(0)
-                _add_shifted(value, compute(switch_crossing(d, pivot)), 2, 0, 1)
-                _add_shifted(value, compute(smooth_crossing(d, pivot)), 1, 1, -1)
-            value = {exps: c for exps, c in value.items() if c}
+        value: dict[tuple[int, int], int] = {}
+        shift = 0
+        visited: set[int] = set()
+        for arc in order:
+            _, crossing, under = successor[arc]
+            if crossing in visited:
+                continue
+            visited.add(crossing)
+            if not under:
+                continue
+            # P(+) = a^-1 z P(0) + a^-2 P(-) and P(-) = a^2 P(+) - a z P(0)
+            sign = d.signs[crossing]
+            _add_shifted(value, compute(smooth_crossing(d, crossing)), shift - sign, 1, sign)
+            shift -= 2 * sign
+            step()
+            d = switch_crossing(d, crossing)
+        _add_shifted(value, _unlink(strands + d.circles), shift, 0, 1)
+        value = {exps: c for exps, c in value.items() if c}
         memo[key] = value
         return value
 

@@ -234,14 +234,20 @@ def _infer_signs(crossings: list[Crossing]) -> tuple[int, ...]:
     return tuple(over_dir[k] for k in range(len(crossings)))
 
 
+def _check_index(diagram: LinkDiagram, index: int) -> None:
+    if type(index) is not int:
+        raise DomainError(f"crossing index must be an integer, got {index!r}")
+    if not (0 <= index < diagram.crossing_count):
+        raise DomainError(f"no crossing {index}")
+
+
 def switch_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
     """Exchange over- and under-strand at one crossing, flipping its sign.
 
     The record is rotated so the new under-strand arrival sits in slot 0;
     all other crossings and the inferred orientations are untouched.
     """
-    if not (0 <= index < diagram.crossing_count):
-        raise DomainError(f"no crossing {index}")
+    _check_index(diagram, index)
     a, b, c, d = diagram.crossings[index]
     sign = diagram.signs[index]
     if sign > 0:
@@ -260,37 +266,29 @@ def smooth_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
 
     Entering and leaving arcs are joined respecting orientation (positive:
     slot 0 to slot 1 and slot 3 to slot 2; negative: slot 0 to slot 3 and
-    slot 1 to slot 2).  A join whose two ends already belong to the same arc
-    chain closes a free circle.
+    slot 1 to slot 2).  Each join renames the higher of its two labels to the
+    lower, after the earlier join's rename; a join whose two ends already
+    carry one label closes a free circle.  The at most two renames are then
+    applied in one pass over the other crossings.
     """
-    if not (0 <= index < diagram.crossing_count):
-        raise DomainError(f"no crossing {index}")
+    _check_index(diagram, index)
     a, b, c, d = diagram.crossings[index]
-    sign = diagram.signs[index]
-    joins = ((a, b), (d, c)) if sign > 0 else ((a, d), (b, c))
-
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joins = ((a, b), (d, c)) if diagram.signs[index] > 0 else ((a, d), (b, c))
+    rename: dict[int, int] = {}
     circles = diagram.circles
     for x, y in joins:
-        rx, ry = find(x), find(y)
-        if rx == ry:
+        low, high = sorted((rename.get(x, x), rename.get(y, y)))
+        if low == high:
             circles += 1
-        else:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    crossings = []
-    signs = []
-    for k, (record, s) in enumerate(zip(diagram.crossings, diagram.signs)):
-        if k == index:
             continue
-        crossings.append(tuple(find(label) for label in record))
-        signs.append(s)
-    return _make(tuple(crossings), tuple(signs), circles)
+        for label, target in rename.items():
+            if target == high:
+                rename[label] = low
+        rename[high] = low
+    crossings = tuple(
+        tuple(rename.get(label, label) for label in record)
+        for k, record in enumerate(diagram.crossings)
+        if k != index
+    )
+    signs = diagram.signs[:index] + diagram.signs[index + 1 :]
+    return _make(crossings, signs, circles)

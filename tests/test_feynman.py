@@ -29,6 +29,7 @@ from kch.feynman import (
     stein_oracle_series,
     trace_faces,
     _class_census,
+    _wick_class_counts,
     _connected,
     _contract_multigraph,
     _graph_coefficient,
@@ -237,6 +238,14 @@ def test_matrix_model_matches_entrywise_oracle():
         oracle = matrix_wick_oracle_series(size, 4)
         evaluated = evaluate_matrix_series(series, size)
         assert evaluated == oracle, f"N={size}"
+
+
+def test_matrix_oracle_counts_each_order_once_for_every_size():
+    series = matrix_model_series(4)
+    for size in range(1, 6):
+        assert matrix_wick_oracle_series(size, 4) == evaluate_matrix_series(series, size), size
+    # (3m - 1)!! pairings at even 3m: 1, 15 and 10395 at m = 0, 2, 4
+    assert [sum(n for _, n in _wick_class_counts(m)) for m in range(5)] == [1, 0, 15, 0, 10395]
 
 
 def test_matrix_oracle_frozen_values():

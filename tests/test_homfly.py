@@ -1,6 +1,6 @@
 import pytest
 
-from kch.errors import ResourceLimitError
+from kch.errors import DomainError, ResourceLimitError
 from kch.homfly import BUNDLED_DIAGRAMS, DEFAULT_MAX_CROSSINGS, delta, homfly
 from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.pd import LinkDiagram, parse_pd, smooth_crossing, switch_crossing
@@ -110,6 +110,58 @@ def test_skein_step_budget(monkeypatch):
     monkeypatch.setenv("KCH_MAX_STEPS", "1")
     with pytest.raises(ResourceLimitError):
         homfly(bundled("right_trefoil"))
+
+
+# The least KCH_MAX_STEPS that let BRAID_CLOSURES[3] finish when every switch
+# was a recursive call of its own: the root plus 268 smoothings and 268
+# switches, each one call.
+ONE_CALL_PER_SWITCH_STEPS = 537
+
+
+def test_skein_budget_bounds_the_same_work(monkeypatch, skein_edits):
+    reference = homfly(parse_pd(BRAID_CLOSURES[3]))
+    # a step per diagram recursed on (the root and each smoothing) and per
+    # switch followed; 282 + 282 edits, 14 smoothings more than with one call
+    # per switch, because switched intermediates are not memoised: 5.2% more
+    needed = 1 + skein_edits.counts["smooth_crossing"] + skein_edits.counts["switch_crossing"]
+    assert needed == 565
+    assert needed - ONE_CALL_PER_SWITCH_STEPS == 2 * (282 - 268)
+    monkeypatch.setenv("KCH_MAX_STEPS", str(needed))
+    assert homfly(parse_pd(BRAID_CLOSURES[3])) == reference
+    monkeypatch.setenv("KCH_MAX_STEPS", str(needed - 1))
+    message = "reached 565 steps on a diagram of 12 crossings; limit is 564 .*KCH_MAX_STEPS"
+    with pytest.raises(ResourceLimitError, match=message):
+        homfly(parse_pd(BRAID_CLOSURES[3]))
+
+
+# switches and smoothings one homfly call makes on each BRAID_CLOSURES
+# diagram (268, not 282, for the last when every switch was its own call);
+# the first is descending as drawn and needs none
+BRAID_CLOSURE_EDITS = [0, 18, 36, 282]
+
+
+def test_every_skein_edit_goes_through_the_pd_names(skein_edits):
+    for text, edits in zip(BRAID_CLOSURES, BRAID_CLOSURE_EDITS):
+        skein_edits.clear()
+        homfly(parse_pd(text))
+        assert skein_edits.counts["switch_crossing"] == edits, text
+        assert skein_edits.counts["smooth_crossing"] == edits, text
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"resolution": 1.5},
+        {"resolution": "x"},
+        {"resolution": True},
+        {"max_crossings": None},
+        {"max_crossings": "3"},
+        {"max_crossings": False},
+    ],
+)
+def test_non_integer_options_are_domain_errors(options):
+    with pytest.raises(DomainError):
+        homfly(bundled("right_trefoil"), **options)
 
 
 def test_connected_sum_multiplies():

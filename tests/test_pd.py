@@ -171,3 +171,11 @@ def test_writhe_of_twisted_unlink():
     assert d.component_count == 2
     assert sorted(d.signs) == [-1, 1]
     assert d.writhe() == 0
+
+
+@pytest.mark.parametrize("index", [1.0, "1", True, None])
+def test_non_integer_crossing_index_is_a_domain_error(index):
+    d = parse_pd("X[1,5,2,4];X[5,3,6,2];X[3,1,4,6]")
+    for edit in (switch_crossing, smooth_crossing):
+        with pytest.raises(DomainError, match="integer"):
+            edit(d, index)
