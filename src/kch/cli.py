@@ -417,7 +417,7 @@ def _cmd_mirror_branch(args) -> int:
     branch = branch_series(curve, base, args.order)
     p = p_series(branch)
     potential = potential_series(p)
-    report = verify_on_curve(curve, branch)
+    report = verify_on_curve(curve, branch, p=p)
     derivative_ok = potential_x_derivative(potential) == p
     if args.json:
         _print_json(

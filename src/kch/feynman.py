@@ -36,7 +36,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .laurent import LaurentPolynomial, _narrow
+from .laurent import LaurentPolynomial, _denominator, _narrow
 from .scalars import ONE, ZERO, Scalar
 from .series import FormalSeries
 
@@ -361,16 +361,27 @@ def _contract_multigraph(edges: Sequence[Edge], m: int, propagator, cubic: Cubic
 def _graph_coefficient(
     m: int, propagator, cubic: CubicForm, *, connected_only: bool
 ) -> Scalar:
+    """(1/m!) times the sum over pairing classes of count * contraction.
+
+    The contraction runs on integers: the propagator is scaled by the lcm D
+    of its denominators and the cubic entries by theirs, Dc, so that every
+    weight is an integer (a ``Scalar`` with integral parts where an entry is
+    imaginary), and the sum is divided once by D^edges * Dc^m * m!.
+    """
     if (3 * m) % 2:
         return ZERO
-    total = ZERO
+    d = _denominator(_narrow(value) for row in propagator for value in row)
+    d_cubic = _denominator(_narrow(value) for value in cubic._entries.values())
+    scaled_propagator = [[value * d for value in row] for row in propagator]
+    scaled_cubic = CubicForm(
+        cubic.dimension, {key: value * d_cubic for key, value in cubic._entries.items()}
+    )
+    total = 0
     for edges, count in _class_census(m):
         if connected_only and not _connected(m, edges):
             continue
-        weight = _contract_multigraph(edges, m, propagator, cubic)
-        if weight:
-            total = total + weight * count
-    return total * Fraction(1, factorial(m))
+        total += _contract_multigraph(edges, m, scaled_propagator, scaled_cubic) * count
+    return Scalar.of(total) * Fraction(1, d ** (3 * m // 2) * d_cubic**m * factorial(m))
 
 
 def _check_model(q: QuadraticForm, c: CubicForm, order: int) -> None:

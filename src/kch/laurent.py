@@ -20,8 +20,9 @@ public accessors (``terms``, ``term_map``, ``constant_term``,
 ``leading_term``, ``evaluate``) hand out ``Scalar`` values, while the
 library's own loops read the stored ``_terms``.  Invariant: ``_terms`` holds
 no zero or over-wide coefficient, is sorted by the term order, and is built
-only by the canonicaliser ``_make``.  The public constructor is the only path
-that validates; arithmetic results go straight to ``_make``.
+only by the canonicaliser ``_make``, or by ``_adopt`` from terms that are
+already in that form.  The public constructor is the only path that
+validates; arithmetic results go straight to ``_make``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,18 @@ def _narrow(c):
             return c
         c = c.re
     return c.numerator if c.denominator == 1 else c
+
+
+def _denominator(values: Iterable) -> int:
+    """The least common denominator of narrow coefficients (both parts of an
+    imaginary one)."""
+    d = 1
+    for c in values:
+        if type(c) is Scalar:
+            d = lcm(d, c.re.denominator, c.im.denominator)
+        elif type(c) is not int:
+            d = lcm(d, c.denominator)
+    return d
 
 
 def _scalar(c) -> Scalar:
@@ -148,13 +161,6 @@ class LaurentPolynomial:
         exps, coeff = self._terms[-1]
         return exps, _scalar(coeff)
 
-    def exponent_range(self, name: str) -> tuple[int, int]:
-        idx = self._index(name)
-        exps = [t[0][idx] for t in self._terms]
-        if not exps:
-            return (0, 0)
-        return (min(exps), max(exps))
-
     def _index(self, name: str) -> int:
         try:
             return self.variables.index(name)
@@ -210,6 +216,8 @@ class LaurentPolynomial:
 
     def scale(self, value: Scalar | int | Fraction) -> "LaurentPolynomial":
         value = _narrow(Scalar.of(value))
+        if value == 1:
+            return self
         if not value:
             return _make(self.variables, {})
         return _make(self.variables, {e: c * value for e, c in self._terms})
@@ -308,13 +316,6 @@ class LaurentPolynomial:
         return _make(variables, acc)
 
     # -- calculus ----------------------------------------------------------
-
-    def x_log_derivative(self, name: str) -> "LaurentPolynomial":
-        """d/dx where the variable is e^x: the monomial X^k picks up a factor k."""
-        idx = self._index(name)
-        return _make(
-            self.variables, {e: c * e[idx] for e, c in self._terms if e[idx] != 0}
-        )
 
     def derivative(self, name: str) -> "LaurentPolynomial":
         idx = self._index(name)
@@ -444,6 +445,15 @@ def _make(variables: tuple[str, ...], acc: Mapping, poly=None) -> LaurentPolynom
     nonzero = [(e, c if type(c) is int else _narrow(c)) for e, c in acc.items() if c]
     nonzero.sort(key=lambda kv: _term_key(kv[0]))
     object.__setattr__(poly, "_terms", tuple(nonzero))
+    return poly
+
+
+def _adopt(variables: tuple[str, ...], terms: list) -> LaurentPolynomial:
+    """A polynomial from (exponents, coefficient) terms that are already
+    canonical: nonzero, narrow and sorted by the term order; checks nothing."""
+    poly = object.__new__(LaurentPolynomial)
+    object.__setattr__(poly, "variables", variables)
+    object.__setattr__(poly, "_terms", tuple(terms))
     return poly
 
 

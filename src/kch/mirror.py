@@ -11,10 +11,16 @@ and the X-coefficients of each power P^b are kept and grown by one order per
 step.  At order k the unknown c_k enters P^b only as b P0^(b-1) c_k, so the
 residual r_k is read off the powers with c_k = 0, c_k = -r_k / d is solved,
 and the powers are corrected.  Nothing is substituted twice; the cost is one
-convolution per power and order, each summed into one coefficient map by
-``laurent._dot``, so order k of a curve of P-degree d makes about d k^2 / 2
-polynomial products.  ``verify_on_curve`` checks the result by its own full
-substitution of P0 exp(p) into the curve.
+convolution per power and order, so order k of a curve of P-degree d makes
+about d k^2 / 2 polynomial products.
+
+The whole solve is one run of the packed kernel (``kch._packed``): every
+coefficient is a Kronecker-packed integer and each product one int product.
+To keep every value integral, the curve is scaled by its common denominator,
+P by the denominator of P0 and X by a square of the content of d, which
+Hensel lifting shows to clear every denominator of the c_k (see
+``branch_series``).  ``verify_on_curve`` checks the result by its own full
+substitution of P0 exp(p) into the curve, another packed run.
 
 The logarithm p(X) = log(P(X)/P0) is the momentum series; integrating it
 coefficientwise (divide X^k by k) gives the disk potential W with
@@ -26,27 +32,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 from .errors import DomainError, ResourceLimitError
-from .laurent import LaurentPolynomial, _dot, _make
+from .laurent import LaurentPolynomial, _denominator, _make, _narrow
 from .scalars import Scalar
-from .series import FormalSeries
+from .series import FormalSeries, _kernel, _Overflow, _parts, _series_denominator
 
 # the online solve makes O(order^2) coefficient products per power of P, but
 # the coefficients themselves grow with the order: order 150 of
-# 1 - X - P + Q*X*P takes about 0.01 s on a shared 2-vCPU VM, while order 60
-# of P - 1 + Q*X*P^2 - 3*X*P^2, whose coefficients are dense in Q, takes 0.5 s
+# 1 - X - P + Q*X*P takes about 0.005 s on a shared 2-vCPU VM, while order 60
+# of P - 1 + Q*X*P^2 - 3*X*P^2, whose coefficients are dense in Q, takes 0.08 s
 MAX_BRANCH_ORDER = 200
 # the solve keeps one coefficient list per power of P and extends each at
-# every order: order 2 of 1 - P + X*P^d takes about 0.15 ms per unit of d on
-# a shared 2-vCPU VM (0.3 s at d = 2000)
+# every order: order 2 of 1 - P + X*P^d takes about 0.25 ms per unit of d on
+# a shared 2-vCPU VM (0.5 s at d = 2000)
 MAX_BRANCH_P_DEGREE = 2000
 # each cap above bounds one input, but the solve makes one convolution per
 # power of P and order, so their product is capped too.  At a product of
-# 4000, 1 - P + X*P^d takes 0.1-0.6 s on a shared 2-vCPU VM (order 200 the
-# costliest), while order 20 of 1 - P + X*P^2000 takes about 1 s.  Curves
+# 4000, 1 - P + X*P^d takes 0.1-0.7 s on a shared 2-vCPU VM (order 200 the
+# costliest), while order 20 of 1 - P + X*P^2000 takes about 1.5 s.  Curves
 # dense in Q cost more than the product counts: their coefficients lengthen
-# with the order.
+# with the order (1 - P + Q*X*P^40 - 3*X*P^40 + X*P takes 0.06 s at order 20
+# and 1.2 s at order 40), which no cap here bounds.
 MAX_BRANCH_WORK = 4000
 
 
@@ -107,27 +116,44 @@ def _substitute_branch(
     parameters: tuple[str, ...],
     branch: FormalSeries,
 ) -> FormalSeries:
-    """A(X, branch(X)) as a series; exponents were normalized nonnegative."""
+    """A(X, branch(X)) as a series; exponents were normalized nonnegative.
+
+    One packed evaluation: the branch times its common denominator D, its
+    powers up to the curve's P-degree d, and each X^k coefficient of the sum,
+    with the curve's coefficients scaled so that everything is over
+    D^d times the curve's own denominator.
+    """
     order = branch.order
     x_index = curve.variables.index(x_variable)
     p_index = curve.variables.index(p_variable)
-    param_positions = [curve.variables.index(v) for v in parameters]
-    # powers[e] = branch^e, extended by one product per new power on demand
-    powers = [FormalSeries.one("X", order, parameters)]
-    total = FormalSeries.zero("X", order, parameters)
-    for exps, coeff in curve._terms:
-        e_x = exps[x_index]
-        e_p = exps[p_index]
-        if e_x < 0 or e_p < 0:
-            raise DomainError("curve exponents must be normalized nonnegative")
-        if e_x > order:
-            continue
-        param_exps = tuple(exps[pos] for pos in param_positions)
-        scale = _make(parameters, {param_exps: coeff})
-        while len(powers) <= e_p:
-            powers.append(powers[-1] * branch)
-        total = total + (powers[e_p] * scale).shifted(e_x)
-    return total
+    if any(exps[x_index] < 0 or exps[p_index] < 0 for exps, _ in curve._terms):
+        raise DomainError("curve exponents must be normalized nonnegative")
+    terms = _terms_by_power(curve, x_variable, p_variable, parameters, order)
+    top = max((e_p for _, e_p, _ in terms), default=0)
+    d_curve = _series_denominator(c for _, _, c in terms)
+    d_branch = _series_denominator(branch.coefficients)
+    kernel = _kernel(parameters)
+    zero = kernel.input(LaurentPolynomial.zero(parameters))
+    powers = [[kernel.input(LaurentPolynomial.one(parameters))] + [zero] * order]
+    if top:
+        powers.append([kernel.input(c, d_branch) for c in branch.coefficients])
+    for _ in range(2, top + 1):
+        lower = powers[-1]
+        powers.append([kernel.dot(powers[1][: k + 1], lower[k::-1]) for k in range(order + 1)])
+    scaled = [
+        (e_x, e_p, kernel.input(c, d_curve * d_branch ** (top - e_p))) for e_x, e_p, c in terms
+    ]
+    total = [_residual(kernel, scaled, powers, k) for k in range(order + 1)]
+    kernel.run(total)
+    denominator = d_curve * d_branch**top
+    return FormalSeries("X", order, kernel.unpack(total, [denominator] * len(total)))
+
+
+def _residual(kernel, scaled, powers, k: int) -> int:
+    """The node of the X^k coefficient of sum c X^e_x P^e_p over the scaled
+    curve terms (e_x, e_p, node of c), from the nodes of the powers of P."""
+    used = [(node, powers[e_p][k - e_x]) for e_x, e_p, node in scaled if e_x <= k]
+    return kernel.dot([x for x, _ in used], [y for _, y in used])
 
 
 def _terms_by_power(
@@ -207,39 +233,88 @@ def branch_series(
             f"base {base} is a branch point: dA/d{p_variable} vanishes at {x_variable} = 0"
         )
 
-    zero = LaurentPolynomial.zero(parameters)
     terms = _terms_by_power(stripped, x_variable, p_variable, parameters, order)
     top = max(e_p for _, e_p, _ in terms)
-    coefficients = [LaurentPolynomial.constant(parameters, base)]
-    # powers[e][j] is the X^j coefficient of P(X)^e; powers[1] is the branch
-    powers = [[LaurentPolynomial.one(parameters)], coefficients]
-    powers += [[LaurentPolynomial.constant(parameters, base**e)] for e in range(2, top + 1)]
-    # c_k enters the X^k coefficient of P^e only as e * P0^(e-1) * c_k
-    lift = {e: e * base ** (e - 1) for e in range(2, top + 1)}
+    # the solve runs on integers: the curve times its common denominator
+    # d_curve, P = P'/q for the base p/q, and the X^k coefficient scaled by
+    # lam^k.  Then A becomes G(X, P') = d_curve q^top A(X, P'/q) with
+    # integral coefficients and dG/dP' = eps at P' = p, and the unknowns are
+    # C_k = q lam^k c_k.  Hensel lifting shows that q c_k eps^(2k-1) is
+    # integral, and by Gauss's lemma so is q c_k g^(2k-1) for the content g
+    # of eps.  lam is g^2 for real eps, else the square of the gcd of the
+    # norms of its coefficients, a multiple of |g|^4; either way C_k is
+    # integral.
+    d_curve = _series_denominator(c for _, _, c in terms)
+    q = _denominator((_narrow(base),))
+    eps = derivative.scale(d_curve * q ** (top - 1))
+    parts = [_parts(c) for _, c in eps._terms]
+    if any(im for _, im in parts):
+        lam = gcd(*(re * re + im * im for re, im in parts)) ** 2
+    else:
+        lam = gcd(*(re for re, _ in parts)) ** 2
+
+    def not_separating(k, residual):
+        r_k = residual.scale(Fraction(1, d_curve * q**top * lam**k))
+        return DomainError(
+            f"coefficient of {x_variable}^{k} does not separate: "
+            f"dA/d{p_variable} = {derivative} does not divide {r_k} "
+            "in the parameter ring"
+        )
+
+    scales = [d_curve * q ** (top - e_p) * lam**e_x for e_x, e_p, _ in terms]
+    # a monomial eps divides each slot and cannot grow a coefficient; any
+    # other divisor can, and a quotient that outgrows its bound restarts the
+    # solve with a wider one
+    allowance = 1
+    while True:
+        try:
+            kernel, nodes = _solve_branch(
+                parameters, terms, scales, base * q, eps, order, allowance, not_separating
+            )
+            break
+        except _Overflow as exc:
+            allowance = 2 * max(allowance, exc.args[0])
+    coefficients = kernel.unpack(nodes, [q * lam**k for k in range(order + 1)])
+    series = FormalSeries("X", order, coefficients)
+    return BranchSeries(curve, x_variable, p_variable, base, series)
+
+
+def _solve_branch(parameters, terms, scales, p, eps, order, allowance, not_separating):
+    """The online solve of ``branch_series`` on one packed kernel, in the
+    integral form described there: each curve term scaled to an integer
+    one, the base p integral and dG/dP' = eps.  Returns the run kernel and
+    the nodes of C_0 .. C_order."""
+    kernel = _kernel(parameters)
+    one = kernel.input(LaurentPolynomial.one(parameters))
+    zero = kernel.input(LaurentPolynomial.zero(parameters))
+    scaled = [(e_x, e_p, kernel.input(c, f)) for (e_x, e_p, c), f in zip(terms, scales)]
+    top = max(e_p for _, e_p, _ in terms)
+    origin = (0,) * len(parameters)
+
+    def constant(value):
+        return kernel.input(_make(parameters, {origin: value}))
+
+    coefficients = [constant(p)]
+    # powers[e][j] is the X^j coefficient of P'(X)^e; powers[1] is the branch
+    powers = [[one], coefficients] + [[constant(p**e)] for e in range(2, top + 1)]
+    # C_k enters the X^k coefficient of P'^e only as e * p^(e-1) * C_k
+    lift = {e: constant(e * p ** (e - 1)) for e in range(2, top + 1)}
+    divisor = -eps
     for k in range(1, order + 1):
-        # extend every power by its X^k coefficient with the unknown c_k = 0
+        # extend every power by its X^k coefficient with the unknown C_k = 0
         powers[0].append(zero)
         coefficients.append(zero)
         for e in range(2, top + 1):
             lower = powers[e - 1]
-            powers[e].append(_dot(parameters, [(coefficients[j], lower[k - j]) for j in range(k)]))
-        # the X^k coefficient of A(X, P0 + ... + c_(k-1) X^(k-1))
-        r_k = _dot(parameters, [(c, powers[e_p][k - e_x]) for e_x, e_p, c in terms if e_x <= k])
-        if r_k.is_zero():
-            continue
-        try:
-            correction = r_k.exact_divide(derivative)
-        except DomainError as exc:
-            raise DomainError(
-                f"coefficient of {x_variable}^{k} does not separate: "
-                f"dA/d{p_variable} = {derivative} does not divide {r_k} "
-                "in the parameter ring"
-            ) from exc
-        coefficients[k] = -correction
+            powers[e].append(kernel.dot(coefficients[:k], lower[k:0:-1]))
+        # the X^k coefficient of G(X, p + ... + C_(k-1) X^(k-1)), then C_k
+        residual = _residual(kernel, scaled, powers, k)
+        fail = partial(not_separating, k)
+        coefficients[k] = kernel.divide(residual, divisor, allowance, fail)
         for e in range(2, top + 1):
-            powers[e][k] = powers[e][k] + coefficients[k].scale(lift[e])
-    series = FormalSeries("X", order, coefficients)
-    return BranchSeries(curve, x_variable, p_variable, base, series)
+            powers[e][k] = kernel.dot((powers[e][k], coefficients[k]), (one, lift[e]))
+    kernel.run(coefficients)
+    return kernel, coefficients
 
 
 def p_series(branch: BranchSeries) -> FormalSeries:
@@ -248,8 +323,7 @@ def p_series(branch: BranchSeries) -> FormalSeries:
     The constant log(P0) is not a series coefficient; report it symbolically
     when P0 is not 1.
     """
-    inverse_base = LaurentPolynomial.constant(branch.parameters, branch.base.inverse())
-    return (branch.series * inverse_base).log()
+    return branch.series.scale(branch.base.inverse()).log()
 
 
 def potential_series(p: FormalSeries) -> PotentialSeries:
@@ -273,12 +347,17 @@ def potential_x_derivative(potential: PotentialSeries) -> FormalSeries:
 
 
 def verify_on_curve(
-    curve: LaurentPolynomial, branch: BranchSeries, order: int | None = None
+    curve: LaurentPolynomial,
+    branch: BranchSeries,
+    order: int | None = None,
+    *,
+    p: FormalSeries | None = None,
 ) -> CurveResidualReport:
-    """Substitute P0 * exp(p_series) back into the curve; residual must vanish.
+    """Substitute P0 * exp(p) back into the curve; residual must vanish.
 
-    The branch is recomputed through exp of its own logarithm, so the check
-    exercises the log/exp round trip as well as the root solving.
+    ``p`` is the momentum series to check, by default ``p_series(branch)``;
+    the branch is recomputed through its exp, so the check exercises the
+    log/exp round trip as well as the root solving.
     """
     if order is None:
         order = branch.order
@@ -289,9 +368,11 @@ def verify_on_curve(
     parameters, stripped = _split_curve(curve, branch.x_variable, branch.p_variable)
     if parameters != branch.parameters:
         raise DomainError("branch was built from a curve with different parameters")
-    reconstructed = p_series(branch).truncate(order).exp() * LaurentPolynomial.constant(
-        parameters, branch.base
-    )
+    if p is None:
+        p = p_series(branch)
+    elif p.ring != parameters:
+        raise DomainError(f"p series ring {p.ring!r} differs from the branch's {parameters!r}")
+    reconstructed = p.truncate(order).exp() * LaurentPolynomial.constant(parameters, branch.base)
     residual = _substitute_branch(
         stripped, branch.x_variable, branch.p_variable, parameters, reconstructed
     )

@@ -5,16 +5,36 @@ coefficients of ``t^0 .. t^n`` exactly and discards everything beyond; all
 arithmetic respects the truncation.  Coefficients live in a shared Laurent
 polynomial ring, so series of polynomials (mirror branches, trace expansions)
 and series of constants (graph expansions) use the same machinery.
+
+Products, inverses, log and exp run on Kronecker-packed integers (Kronecker
+1882; Harvey 2009): a coefficient with Gaussian-integer values becomes one
+Python int, its value at each exponent vector held in a fixed-width slot, so
+a product of two coefficients is one C-level int product.  Rational series
+are first made integral: a product scales each factor by its common
+denominator, and inverse, log and exp scale t by it (the coefficient of t^k
+by D^k), which keeps one denominator per series.  log runs on the weighted
+k L_k and exp in divided powers k! E_k (Brent & Kung 1978), so that every
+step is an integer.  Each operation packs its inputs once, runs its whole recurrence
+on ints and unpacks once; ``kch._packed`` holds the packing and how wide a
+slot must be.  Where the packed values would be large and the inputs fill
+few of their slots, the same recurrence runs on sparse integer polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RingMismatchError
-from .laurent import LaurentPolynomial, _dot
+from .laurent import LaurentPolynomial, _denominator, _dot, _make
 from .scalars import Scalar
+
+# a packed value holds (slots) x (slot width) bits.  Every product of two
+# packed values is one int product of about that size, so the cap bounds the
+# cost of a step where a sparse dict would pay per term: 1 + Q^1000000 as
+# a coefficient needs a million slots and is refused before any packing.
+MAX_PACKED_BITS = 1 << 20
 
 
 class FormalSeries:
@@ -124,9 +144,14 @@ class FormalSeries:
             return NotImplemented
         self._check_compatible(other)
         order = min(self.order, other.order)
-        a, b = self.coefficients, other.coefficients
-        out = [_dot(self.ring, [(a[j], b[k - j]) for j in range(k + 1)]) for k in range(order + 1)]
-        return FormalSeries(self.variable, order, out)
+        a, b = self.coefficients[: order + 1], other.coefficients[: order + 1]
+        da, db = _series_denominator(a), _series_denominator(b)
+        kernel = _kernel(self.ring)
+        a = [kernel.input(c, da) for c in a]
+        b = [kernel.input(c, db) for c in b]
+        out = [kernel.dot(a[: k + 1], b[k::-1]) for k in range(order + 1)]
+        kernel.run(out)
+        return FormalSeries(self.variable, order, kernel.unpack(out, [da * db] * len(out)))
 
     __rmul__ = __mul__
 
@@ -162,15 +187,26 @@ class FormalSeries:
         return result
 
     def inverse(self) -> "FormalSeries":
-        """Multiplicative inverse; the constant coefficient must be a unit monomial."""
+        """Multiplicative inverse; the constant coefficient must be a unit monomial.
+
+        With S = c (1 + U) and t scaled by the common denominator D of U, the
+        inverse V of 1 + U(D t) is integral: V_k = -sum_{j=1}^{k} U_j D^j V_(k-j).
+        """
         c0 = self.coefficients[0]
         if c0.is_zero():
             raise DomainError("series with zero constant coefficient has no inverse")
-        out = [c0.monomial_inverse()]
-        # out_k = -out_0 * sum_{j=1}^{k} S_j out_(k-j), with -out_0 S_j formed once
-        s = [-(out[0] * c) for c in self.coefficients]
+        inverse0 = c0.monomial_inverse()
+        ring = self.ring
+        unit = [_dot(ring, ((c, inverse0),)) for c in self.coefficients]
+        d = _series_denominator(unit)
+        kernel = _kernel(ring)
+        u = [kernel.input(c, d**j) for j, c in enumerate(unit)]
+        v = [u[0]]
         for k in range(1, self.order + 1):
-            out.append(_dot(self.ring, [(s[j], out[k - j]) for j in range(1, k + 1)]))
+            v.append(kernel.dot(u[1 : k + 1], v[k - 1 :: -1], [-1] * k))
+        kernel.run(v)
+        unpacked = kernel.unpack(v, [d**k for k in range(len(v))])
+        out = [_dot(ring, ((inverse0, c),)) for c in unpacked]
         return FormalSeries(self.variable, self.order, out)
 
     def log(self) -> "FormalSeries":
@@ -178,38 +214,52 @@ class FormalSeries:
 
         L = log S satisfies S L' = S', which read coefficientwise is the
         recurrence k L_k = k S_k - sum_{j=1}^{k-1} j L_j S_{k-j} (Brent & Kung
-        1978): one convolution per coefficient and no series inverse.  The
-        weighted j L_j are kept, so L_k costs one convolution and one 1/k.
+        1978): one convolution per coefficient and no series inverse.  For
+        the series in D t, with b_j = S_j D^j integral, the weighted
+        y_k = k L_k D^k are integers: y_k = k b_k - sum_j y_j b_(k-j), with no
+        division and, unlike divided powers, no factorial in any value.
         """
-        one = LaurentPolynomial.one(self.ring)
-        if self.coefficients[0] != one:
+        ring = self.ring
+        if self.coefficients[0]._terms != (((0,) * len(ring), 1),):
             raise DomainError("log requires constant coefficient one")
-        s = self.coefficients
-        negated = [-c for c in s]
-        out = [LaurentPolynomial.zero(self.ring)]
-        weighted = [out[0]]  # j * L_j
+        d = _series_denominator(self.coefficients)
+        kernel = _kernel(ring)
+        b = [kernel.input(c, d**j) for j, c in enumerate(self.coefficients)]
+        out = [b[0]]
         for k in range(1, self.order + 1):
-            pairs = [(s[k], one.scale(k))]
-            pairs += [(weighted[j], negated[k - j]) for j in range(1, k)]
-            weighted.append(_dot(self.ring, pairs))
-            out.append(weighted[k].scale(Fraction(1, k)))
-        return FormalSeries(self.variable, self.order, out)
+            factors = [k] + [-1] * (k - 1)
+            out.append(kernel.dot([b[k]] + out[1:k], [b[0]] + b[k - 1 : 0 : -1], factors))
+        kernel.run(out[1:])
+        coefficients = [_make(ring, {})]
+        coefficients += kernel.unpack(out[1:], [k * d**k for k in range(1, self.order + 1)])
+        return FormalSeries(self.variable, self.order, coefficients)
 
     def exp(self) -> "FormalSeries":
         """exp of a series with zero constant coefficient.
 
         E = exp S satisfies E' = S'E, which read coefficientwise is the
-        pre-weighted recurrence k E_k = sum_{j=1}^{k} (j S_j) E_{k-j}: each
-        j S_j is formed once, and each E_k is one convolution scaled by 1/k.
+        recurrence k E_k = sum_{j=1}^{k} j S_j E_{k-j}.  In divided powers
+        e_k = k! E_k of the series in D t, with s_j = j! S_j D^j integral, it
+        reads e_k = sum_{j=1}^{k} C(k-1, j-1) s_j e_(k-j); D is the common
+        denominator of the j! S_j, often 1 where that of the S_j is not.
         """
+        ring = self.ring
         if not self.coefficients[0].is_zero():
             raise DomainError("exp requires zero constant coefficient")
-        weighted = [c.scale(j) for j, c in enumerate(self.coefficients)]
-        out = [LaurentPolynomial.one(self.ring)]
+        fact = [factorial(j) for j in range(self.order + 1)]
+        d = 1
+        for j, c in enumerate(self.coefficients):
+            m = _series_denominator((c,))
+            d = lcm(d, m // gcd(m, fact[j]))
+        kernel = _kernel(ring)
+        s = [kernel.input(c, fact[j] * d**j) for j, c in enumerate(self.coefficients)]
+        out = [kernel.input(_make(ring, {(0,) * len(ring): 1}))]
         for k in range(1, self.order + 1):
-            pairs = [(weighted[j], out[k - j]) for j in range(1, k + 1)]
-            out.append(_dot(self.ring, pairs, Fraction(1, k)))
-        return FormalSeries(self.variable, self.order, out)
+            factors = [comb(k - 1, j) for j in range(k)]
+            out.append(kernel.dot(s[1 : k + 1], out[k - 1 :: -1], factors))
+        kernel.run(out)
+        coefficients = kernel.unpack(out, [fact[k] * d**k for k in range(self.order + 1)])
+        return FormalSeries(self.variable, self.order, coefficients)
 
     # -- equality / printing -------------------------------------------------
 
@@ -249,3 +299,34 @@ class FormalSeries:
 
     def __repr__(self) -> str:
         return f"FormalSeries({self.variable!r}, order={self.order}, {self})"
+
+
+def _series_denominator(coefficients: Iterable[LaurentPolynomial]) -> int:
+    return _denominator(c for poly in coefficients for _, c in poly._terms)
+
+
+def _kernel(variables: tuple[str, ...]):
+    """A new packed kernel (``kch._packed._Kernel``) over ``variables``.
+
+    Its module is imported on first use: importing kch compiles no kernel
+    code for the knot and augmentation paths, which never run one.
+    """
+    from ._packed import _Kernel
+
+    return _Kernel(variables)
+
+
+class _Overflow(Exception):
+    """A quotient outgrew the norm bound its division was given; args[0] is
+    the factor by which it did."""
+
+
+def _parts(c, scale: int = 1) -> tuple[int, int]:
+    """(re, im) of c * scale for a narrow coefficient c whose denominators
+    divide ``scale``, in integer arithmetic."""
+    if type(c) is int:
+        return c * scale, 0
+    if type(c) is Scalar:
+        re, im = c.re, c.im
+        return re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator)
+    return c.numerator * (scale // c.denominator), 0

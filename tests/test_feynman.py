@@ -147,6 +147,26 @@ def test_graph_sum_matches_moment_oracle_random():
         assert graph == oracle, f"trial {trial}"
 
 
+def test_graph_sum_on_integers_matches_moment_oracle_with_rational_and_imaginary_entries():
+    # the contraction scales the propagator and the cubic entries to integers
+    # and divides once per order; imaginary entries stay narrow Scalars
+    rng = random.Random(2025)
+    for trial in range(6):
+        n = rng.randint(1, 2)
+        entries = [Fraction(1, 2), Fraction(-2, 3), Scalar(0, 1), Scalar(1, Fraction(1, 2)), 1]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice([Fraction(5, 2), Scalar(3, 1), 4])
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = rng.choice(entries[:3])
+        cubic = {}
+        for _ in range(rng.randint(1, 3)):
+            key = tuple(sorted(rng.randint(0, n - 1) for _ in range(3)))
+            cubic[key] = rng.choice(entries)
+        q, c = QuadraticForm(rows), CubicForm(n, cubic)
+        assert scalar_model_series(q, c, 4) == stein_oracle_series(q, c, 4), f"trial {trial}"
+
+
 def test_connected_series_is_log_of_full_series():
     q, c = one_dim()
     full = scalar_model_series(q, c, 4)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kch._packed
 from kch.errors import DomainError, ResourceLimitError
 from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.mirror import (
@@ -310,3 +311,90 @@ def test_branch_solving_makes_no_series_product(monkeypatch):
     # the on-curve check keeps its own substitution, which the counters see
     assert verify_on_curve(curve, branch).ok
     assert products and len(substitutions) == 1
+
+
+def test_packed_branch_equals_resubstitution_at_rational_and_imaginary_bases():
+    # the solve scales the curve, P and X to integers; bases with a
+    # denominator or an imaginary part exercise every scale
+    rng = random.Random(99)
+    for trial in range(24):
+        base = (Fraction(1, 2), Scalar(0, 1), Scalar(1, -2), Fraction(-3, 4))[trial % 4]
+        curve = random_curve(rng, base)
+        order = rng.randint(0, 5)
+        branch = branch_series(curve, base, order)
+        assert branch.series == resubstituted_branch(curve, base, order), (trial, str(curve))
+        assert verify_on_curve(curve, branch).ok
+
+
+@pytest.mark.parametrize(
+    "text, base",
+    [
+        ("P^2 + 1 - X", Scalar(0, 1)),
+        ("P^2 + 1 - X*P^3 + Q*X^2", Scalar(0, -1)),
+        ("(1+i)*P^2 - 2*P + (1-i) + Q^-1*X*P", Scalar(1, 0)),
+    ],
+)
+def test_branch_with_an_imaginary_derivative_equals_resubstitution(text, base):
+    # dA/dP at the base is 2i, -2i and 2i: the packed solve divides by it
+    # through its conjugate and its norm
+    curve = parse_polynomial(text, RING)
+    branch = branch_series(curve, base, 6)
+    assert branch.series == resubstituted_branch(curve, base, 6)
+    assert verify_on_curve(curve, branch).ok
+
+
+def test_non_monomial_derivative_with_a_wider_quotient():
+    # dA/dP = 1 + Q divides the first residual -(1 + Q^3) into 1 - Q + Q^2,
+    # whose norm 3 exceeds the residual's 2: the solve widens and restarts
+    curve = parse_polynomial("P - 1 + Q*P - Q - X - Q^3*X", RING)
+    branch = branch_series(curve, 1, 4)
+    assert str(branch.series) == "1 + (1 - Q + Q^2)*X + O(X^5)"
+    assert branch.series == resubstituted_branch(curve, 1, 4)
+    # (1 - Q)(P - 1) = X (1 - Q^40) P^2 has the branch sum_k Catalan(k) g^k X^k
+    # with g = 1 + Q + ... + Q^39, whose norms outgrow every residual's bound
+    curve = parse_polynomial("P - 1 - Q*P + Q - X*P^2 + Q^40*X*P^2", RING)
+    g = qp(" + ".join(f"Q^{j}" for j in range(40)))
+    catalan = [1, 1, 2, 5, 14, 42]
+    branch = branch_series(curve, 1, 5)
+    assert list(branch.series.coefficients) == [g**k * c for k, c in enumerate(catalan)]
+
+
+def test_monomial_aligned_curve_is_solved_on_one_slot_per_value():
+    curve = parse_polynomial("1 - P + Q^500*X*P", RING)
+    start = time.perf_counter()
+    branch = branch_series(curve, 1, 30)
+    assert verify_on_curve(curve, branch).ok
+    assert time.perf_counter() - start < 1.0
+    assert all(c == qp(f"Q^{500 * k}") for k, c in enumerate(branch.series.coefficients))
+
+
+def test_verify_checks_the_p_it_is_given():
+    branch = branch_series(UNKNOT_CURVE, 1, 8)
+    p = p_series(branch)
+    assert verify_on_curve(UNKNOT_CURVE, branch, p=p).ok
+    coefficients = list(p.coefficients)
+    coefficients[3] = coefficients[3] + qp("Q")
+    corrupted = FormalSeries(p.variable, p.order, coefficients)
+    report = verify_on_curve(UNKNOT_CURVE, branch, p=corrupted)
+    assert report.ok is False and report.first_failure == 3
+    with pytest.raises(DomainError):
+        verify_on_curve(UNKNOT_CURVE, branch, p=FormalSeries.zero("X", 8, ("R",)))
+
+
+def test_term_dict_branch_solve_equals_resubstitution(monkeypatch):
+    # the solve forced onto term dicts (as a large, sparse layout would be)
+    # divides, separates and fails exactly as the packed one
+    monkeypatch.setattr(kch._packed, "DENSE_BITS", 0)
+    monkeypatch.setattr(kch._packed, "SPARSE_FILL", 0)
+    rng = random.Random(77)
+    for trial in range(12):
+        base = (1, Fraction(1, 2), Scalar(0, 1), -1)[trial % 4]
+        curve = random_curve(rng, base)
+        branch = branch_series(curve, base, 5)
+        assert branch.series == resubstituted_branch(curve, base, 5), (trial, str(curve))
+        assert verify_on_curve(curve, branch).ok
+    curve = parse_polynomial("P - 1 - Q*P + Q - X*P^2 + Q^40*X*P^2", RING)
+    g = qp(" + ".join(f"Q^{j}" for j in range(40)))
+    assert list(branch_series(curve, 1, 3).series.coefficients) == [g**k * c for k, c in enumerate([1, 1, 2, 5])]
+    with pytest.raises(DomainError, match="coefficient of X\\^2 does not separate"):
+        branch_series(parse_polynomial("P - 1 + Q*P - Q - X*P^2 - Q*X*P^2 - X^2", RING), 1, 4)

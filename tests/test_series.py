@@ -1,12 +1,15 @@
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from kch.errors import DomainError, RingMismatchError
+from kch.errors import DomainError, ResourceLimitError, RingMismatchError
 from kch.laurent import LaurentPolynomial, _dot, parse_polynomial
 from kch.scalars import Scalar
+import kch._packed
+from kch._packed import _Kernel
 from kch.series import FormalSeries
 
 
@@ -289,3 +292,138 @@ def test_dot_scales_the_sum_of_products_once():
                 expected[e] = expected.get(e, Scalar(0)) + c
         expected = {e: c * scale for e, c in expected.items() if c * scale}
         assert _dot(ring, pairs, scale).term_map() == expected
+
+
+# -- the packed kernel ------------------------------------------------------------
+
+
+def packed_dot(ring, pairs, factors=None):
+    """The sum of f * a * b over (a, b) pairs through one packed kernel run,
+    with the kernel (for its layout)."""
+    kernel = _Kernel(ring)
+    xs = [kernel.input(a) for a, _ in pairs]
+    ys = [kernel.input(b) for _, b in pairs]
+    node = kernel.dot(xs, ys, factors)
+    kernel.run([node])
+    return kernel, kernel.unpack([node], [1])[0]
+
+
+def boundary_polynomials(top):
+    """Polynomials whose l1 norm is exactly ``top``: one term at +-top, two
+    adjacent terms of each sign pattern, and an imaginary coefficient."""
+    ring = ("Q",)
+    out = []
+    for sign in (1, -1):
+        out.append(LaurentPolynomial(ring, {(-1,): Scalar(sign * top)}))
+        for other in (1, -1):
+            out.append(
+                LaurentPolynomial(ring, {(2,): Scalar(sign * (top - 1)), (3,): Scalar(other)})
+            )
+        out.append(LaurentPolynomial(ring, {(0,): Scalar(sign * (top - 1), 1)}))
+    return out
+
+
+@pytest.mark.parametrize("width, wider", [(8, 16), (16, 32), (32, 64), (64, 128), (128, 192)])
+def test_slot_width_holds_its_boundary_and_widens_past_it(width, wider):
+    one = LaurentPolynomial.one(("Q",))
+    top = 2 ** (width - 1) - 1
+    for poly in boundary_polynomials(top):
+        kernel, product = packed_dot(("Q",), [(poly, one)])
+        assert kernel.width == width and product == poly, str(poly)
+    # the first norm that no longer fits a signed slot of this width
+    for poly in boundary_polynomials(top + 1):
+        kernel, product = packed_dot(("Q",), [(poly, one)])
+        assert kernel.width == wider and product == poly, str(poly)
+
+
+@pytest.mark.parametrize("ring", [(), ("Q",), ("Q", "R"), ("a", "b", "c")])
+def test_packed_kernel_equals_dot_on_random_rings(ring):
+    """Random Laurent polynomials with rational and imaginary coefficients:
+    a packed sum of f * a * b equals the term-dict kernel, and so does each
+    coefficient of a series product."""
+    rng = random.Random(46)
+    for _ in range(30):
+        pairs = [
+            (random_polynomial(rng, ring), random_polynomial(rng, ring))
+            for _ in range(rng.randint(1, 4))
+        ]
+        factors = [rng.choice([1, -1, 3, -720]) for _ in pairs]
+        d = 1
+        for a, b in pairs:
+            for _, c in a.terms():
+                d = d * c.re.denominator * c.im.denominator
+            for _, c in b.terms():
+                d = d * c.re.denominator * c.im.denominator
+        integral = [(a.scale(d), b.scale(d)) for a, b in pairs]
+        expected = _dot(ring, [(a.scale(f), b) for f, (a, b) in zip(factors, integral)])
+        assert packed_dot(ring, integral, factors)[1] == expected
+        a = random_series(rng, ring, random_polynomial(rng, ring))
+        b = random_series(rng, ring, random_polynomial(rng, ring))
+        order = min(a.order, b.order)
+        assert list((a * b).coefficients) == [
+            _dot(ring, [(a.coefficient(j), b.coefficient(k - j)) for j in range(k + 1)])
+            for k in range(order + 1)
+        ]
+
+
+def test_wide_sparse_span_raises_before_packing():
+    ring = ("Q",)
+    wide = FormalSeries("t", 2, [parse_polynomial("1 + Q^1000000", ring)] * 3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"spans \(2000001,\).* 8-bit slots"):
+        wide * wide
+    unit = FormalSeries("t", 1, [LaurentPolynomial.one(ring), wide.coefficient(0)])
+    with pytest.raises(ResourceLimitError, match=r"spans \(1000001,\).* 8-bit slots"):
+        unit.log()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_monomial_aligned_series_stay_under_the_span_cap():
+    # each coefficient of 1/(1 - Q^5000 t) is one monomial Q^(5000 k): its own
+    # offset keeps one slot per value, where one offset for all of them would
+    # span 150001 exponents, past the cap
+    ring = ("Q",)
+    zero = LaurentPolynomial.zero(ring)
+    s = FormalSeries("t", 30, [LaurentPolynomial.one(ring), parse_polynomial("-Q^5000", ring)] + [zero] * 29)
+    inverse = s.inverse()
+    assert all(c == parse_polynomial(f"Q^{5000 * k}", ring) for k, c in enumerate(inverse.coefficients))
+    assert inverse.log().exp() == inverse
+
+
+@pytest.mark.parametrize("ring", [(), ("Q",), ("Q", "R"), ("a", "b", "c")])
+def test_term_dict_evaluation_equals_packed(ring, monkeypatch):
+    """The same series operations evaluated packed and as term dicts, each
+    forced through the layout's thresholds, give equal results."""
+    rng = random.Random(49)
+    cases = []
+    for _ in range(12):
+        a = random_series(rng, ring, LaurentPolynomial.one(ring), order=rng.randint(1, 5))
+        b = random_series(rng, ring, random_polynomial(rng, ring), order=a.order)
+        zero = FormalSeries("t", a.order, [LaurentPolynomial.zero(ring)] + list(b.coefficients[1:]))
+        cases.append((a, b, zero))
+
+    def evaluate():
+        return [(a * b, a.inverse(), a.log(), zero.exp()) for a, b, zero in cases]
+
+    monkeypatch.setattr(kch._packed, "DENSE_BITS", 10**9)
+    packed = evaluate()
+    monkeypatch.setattr(kch._packed, "DENSE_BITS", 0)
+    monkeypatch.setattr(kch._packed, "SPARSE_FILL", 0)
+    assert evaluate() == packed
+
+
+def test_sparse_high_order_log_and_exp_stay_cheap():
+    # the branch of 1 - X - P + Q*X*P has two terms per coefficient; its log
+    # (Q^k - 1)/k would pack 201 slots of k!-sized values at order 200
+    from kch.mirror import branch_series, p_series
+
+    curve = parse_polynomial("1 - X - P + Q*X*P", ("Q", "X", "P"))
+    start = time.perf_counter()
+    branch = branch_series(curve, 1, 200)
+    p = p_series(branch)
+    assert p.exp() == branch.series
+    assert time.perf_counter() - start < 5.0
+    ring = ("Q",)
+    assert all(
+        p.coefficient(k) == parse_polynomial(f"1/{k}*Q^{k} - 1/{k}", ring) for k in range(1, 201)
+    )
