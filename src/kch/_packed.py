@@ -3,8 +3,8 @@
 A Laurent polynomial with Gaussian-integer coefficients becomes one Python
 int (Kronecker substitution): its coefficient at each exponent vector sits
 in a fixed-width slot, so a product of polynomials is one int product.  See
-``_Kernel`` for the layout and the bounds that size it, and ``DENSE_BITS``
-for when sparse inputs run as term dicts instead.
+``_Kernel`` for the layout and the bounds that size it, and ``PAIR_MICROS``
+for when an operation runs on term dicts instead.
 """
 
 from __future__ import annotations
@@ -17,20 +17,28 @@ from math import inf
 from operator import add, itemgetter, lshift, mul, sub
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .laurent import LaurentPolynomial, _adopt, _dot, _make
 from .scalars import Scalar
-from .series import MAX_PACKED_BITS, _Overflow, _parts
+from .series import MAX_PACKED_BITS, _parts
 
 _INPUT, _DOT, _DIVIDE = range(3)
-# a packed product costs about its size, bits per value, whatever the values'
-# terms; a term-dict product costs per pair of terms.  Once a packed value
-# would pass DENSE_BITS, inputs that fill fewer than 1/SPARSE_FILL of the
-# slots run as term dicts instead: a sparse high-order series (the log of
-# 1 - X - P + Q*X*P, two terms per coefficient over 201 slots at order 200)
-# stays sparse, while its packed width grows with k! and with the norm bound
-DENSE_BITS = 1 << 14
-SPARSE_FILL = 8
+# An operation runs on term dicts where that is estimated cheaper than
+# packed.  Timed with CPython 3.11 on one core of a shared x86-64 VM, one
+# pair of terms in a term-dict product (``laurent._dot``) costs about
+# PAIR_MICROS microseconds (0.5 to 1.2, growing with the coefficients), and
+# one product of two b-bit ints about _product_micros(b): 0.3 us at 2^8
+# bits, 27 us at 2^12, 1.8 ms at 2^16 and 0.14 s at 2^20 (Karatsuba).  Timed
+# both ways, the estimate took the faster evaluation in 32 of 34 operations
+# on seven curves (the two misses are branches in two and three parameters
+# at 40 and 73 ms on term dicts against 25 and 57 ms packed) and in 1,496 of
+# the 1,500 of the first 200 series requests of the benchmark's seeds 1-3
+# (all packed, at most 1,536 bits; the misses are sub-millisecond).  Either
+# side of the crossover: the order-60 branch of P - 1 + Q*X*P^2 - 3*X*P^2
+# (15,616 bits) packs in 64 ms against 610 ms on term dicts, and the
+# order-200 log of the branch of 1 - X - P + Q*X*P (64,320 bits) runs on
+# term dicts in 0.10 s against 0.47 s packed.
+PAIR_MICROS = 0.6
 # array type codes by word width in bits: a slot of one word unpacks as one
 # array item
 _WORD_CODES = {array(code).itemsize * 8: code for code in "BHIQ"}
@@ -94,9 +102,15 @@ class _Kernel:
     node on those ints (on pairs of ints, ``_Gaussian``, where a value is
     imaginary).  ``unpack`` reads a node's slots back in linear time: it
     adds a bias of 2^(w-1) per slot, which makes every slot nonnegative,
-    and cuts the bytes of the sum.  A large layout over sparse inputs is
-    evaluated on the same nodes as polynomials with integer coefficients
-    instead (``DENSE_BITS``).
+    and cuts the bytes of the sum.
+
+    The nodes run as polynomials with Gaussian-integer coefficients instead
+    where a divisor is not a monomial, where a packed value would pass
+    ``MAX_PACKED_BITS``, or where that is estimated cheaper
+    (``_prefers_term_dicts``).  For the estimate each node also carries a
+    bound on its count of terms: an input's own, and for a sum of products
+    the smaller of the count of exponent vectors in its range and the sum
+    over its pairs of the products of their bounds.
     """
 
     def __init__(self, variables: tuple[str, ...]) -> None:
@@ -106,16 +120,28 @@ class _Kernel:
         # per parameter, the lowest and highest exponent of each node; a zero
         # node's range is empty, (inf, -inf), so it drops out of min and max
         self.ranges = [([], []) for _ in variables]
+        self.terms = []
         self.decoded = set()
+        # the sum over the pairs of nonzero sums of products of the products
+        # of their term bounds, and whether a divisor forces term dicts
+        self.pair_terms = 0
+        self.sparse = False
 
-    def _add(self, kind: int, data, norm: int, ranges) -> int:
+    def _add(self, kind: int, data, norm: int, ranges, terms) -> int:
         """Record a node with its norm bound and, read only when the norm is
-        nonzero, its (lowest, highest) exponent per parameter."""
+        nonzero, its (lowest, highest) exponent per parameter; its term
+        bound is ``terms``, and at most the count of exponent vectors in
+        that range."""
         self.nodes.append((kind, data))
         self.norms.append(norm)
-        for (low, high), (lo, hi) in zip(self.ranges, ranges if norm else repeat((inf, -inf))):
+        if not norm:
+            ranges = repeat((inf, -inf))
+        volume = 1
+        for (low, high), (lo, hi) in zip(self.ranges, ranges):
             low.append(lo)
             high.append(hi)
+            volume *= hi - lo + 1
+        self.terms.append(min(terms, volume) if norm else 0)
         return len(self.nodes) - 1
 
     def input(self, poly: LaurentPolynomial, scale: int = 1) -> int:
@@ -124,40 +150,46 @@ class _Kernel:
         if scale != 1 or not all(type(c) is int for _, c in re):
             re, im = _split(re, scale)
         columns = zip(*[e for e, _ in re], *[e for e, _ in im])
-        node = self._add(_INPUT, (re, im), _norm(re, im), [(min(c), max(c)) for c in columns])
+        ranges = [(min(c), max(c)) for c in columns]
+        node = self._add(_INPUT, (re, im), _norm(re, im), ranges, len(re) + len(im))
         self.decoded.add(node)
         return node
 
     def dot(self, xs: Sequence[int], ys: Sequence[int], factors: Sequence[int] | None = None):
         """A node for the sum of factors[t] * xs[t] * ys[t] over earlier nodes
         (every factor 1 when none are given)."""
-        norm_of = self.norms.__getitem__
+        norm_of, terms_of = self.norms.__getitem__, self.terms.__getitem__
         products = map(mul, map(norm_of, xs), map(norm_of, ys))
         if factors is not None:
             products = map(mul, map(abs, factors), products)
+        norm = sum(products)
+        pair_terms = sum(map(mul, map(terms_of, xs), map(terms_of, ys)))
+        if norm:
+            self.pair_terms += pair_terms
         ranges = (
             (min(map(add, map(low.__getitem__, xs), map(low.__getitem__, ys))),
              max(map(add, map(high.__getitem__, xs), map(high.__getitem__, ys))))
             for low, high in self.ranges
         )
-        return self._add(_DOT, (factors, xs, ys), sum(products), ranges)
+        return self._add(_DOT, (factors, xs, ys), norm, ranges, pair_terms)
 
-    def divide(self, x: int, divisor: LaurentPolynomial, allowance: int, fail) -> int:
+    def divide(self, x: int, divisor: LaurentPolynomial, fail) -> int:
         """A node for the exact quotient x / divisor (Gaussian-integer coefficients).
 
         A monomial divisor divides each slot, and the quotient's norm is at
-        most x's.  Any other divisor goes through ``exact_divide`` on the
-        unpacked x; a DomainError there raises ``fail(x unpacked)``, and a
-        quotient whose norm exceeds ``allowance`` times x's bound raises
-        ``_Overflow``.
+        most x's.  Any other divisor can widen a quotient past every bound
+        kept here, so it sends the whole run to term dicts, where the
+        quotient is ``exact_divide``'s; a DomainError there raises
+        ``fail(x)``.
         """
-        if len(divisor._terms) > 1:
-            self.decoded.add(x)
+        monomial = len(divisor._terms) == 1
+        self.sparse = self.sparse or not monomial
         columns = zip(*(e for e, _ in divisor._terms))
         ranges = [
             (low[x] - min(c), high[x] - max(c)) for (low, high), c in zip(self.ranges, columns)
         ]
-        return self._add(_DIVIDE, (x, divisor, allowance, fail), self.norms[x] * allowance, ranges)
+        terms = self.terms[x] if monomial else inf
+        return self._add(_DIVIDE, (x, divisor, fail), self.norms[x], ranges, terms)
 
     def _layout(self) -> None:
         norms = self.norms
@@ -172,12 +204,12 @@ class _Kernel:
         for span in spans:
             strides.append(slots)
             slots *= span
-        if slots * width > MAX_PACKED_BITS:
-            raise ResourceLimitError(
-                f"packed series values would need exponent spans {tuple(spans)} in "
-                f"{self.variables!r} with {width}-bit slots ({slots * width} bits), "
-                f"above the cap of {MAX_PACKED_BITS} bits"
-            )
+        self.width, self.spans, self.strides, self.slots = width, spans, strides, slots
+        self.sparse = (
+            self.sparse or slots * width > MAX_PACKED_BITS or self._prefers_term_dicts()
+        )
+        if self.sparse:
+            return
         # the slot position of each node's offset; a zero node's lies far
         # above every other, so that a term it zeroes shifts left, not right
         positions = [0 if n else None for n in norms]
@@ -185,18 +217,30 @@ class _Kernel:
             positions = [p if p is None else p + lo * stride for p, lo in zip(positions, low)]
         far = 2 * max((abs(p) for p in positions if p is not None), default=0) + 1
         self.positions = [far if p is None else p for p in positions]
-        self.width, self.spans, self.strides, self.slots = width, spans, strides, slots
         self.bytes = width // 8
         self.half = 1 << (width - 1)
         self.empty = self.half.to_bytes(self.bytes, "little")
         self.bias = int.from_bytes(self.empty * slots, "little")
-        inputs = [data for kind, data in self.nodes if kind == _INPUT and any(data)]
-        terms = sum(len(re) + len(im) for re, im in inputs)
-        self.sparse = slots * width > DENSE_BITS and SPARSE_FILL * terms < len(inputs) * slots
+
+    def _prefers_term_dicts(self) -> bool:
+        """Whether term dicts are estimated cheaper than packed ints.
+
+        Term dicts pay ``PAIR_MICROS`` per pair of terms, from the term
+        bounds.  Packed ints pay one int product per pair, its factors
+        taken as half as wide as the extent of the node that sums them.
+        """
+        packed = 0.0
+        for node, (kind, data) in enumerate(self.nodes):
+            if kind == _DOT and self.norms[node]:
+                extent = 1 + sum(
+                    (high[node] - low[node]) * stride
+                    for (low, high), stride in zip(self.ranges, self.strides)
+                )
+                packed += len(data[1]) * _product_micros(self.width * extent // 2)
+        return PAIR_MICROS * self.pair_terms < packed
 
     def run(self, outputs: Iterable[int]) -> None:
-        """Fix the layout, then evaluate every node packed (or as term dicts,
-        see ``DENSE_BITS``)."""
+        """Fix the layout, then evaluate every node packed or as term dicts."""
         self.decoded.update(outputs)
         self._layout()
         if self.sparse:
@@ -218,7 +262,7 @@ class _Kernel:
             elif kind == _INPUT:
                 value = self._pack_parts(*data, node)
             else:
-                value = self._divide(node, values[data[0]], *data)
+                value = _divide(values[data[0]], data[1])
             values.append(value)
 
     def _run_sparse(self) -> None:
@@ -248,31 +292,12 @@ class _Kernel:
                     acc[e] = Scalar(acc.get(e, 0), c)
                 value = _make(variables, acc)
             else:
-                x, divisor, _, fail = data
+                x, divisor, fail = data
                 try:
                     value = values[x].exact_divide(divisor)
                 except DomainError as exc:
                     raise fail(values[x]) from exc
             values.append(value)
-
-    def _divide(self, node, value, x, divisor, allowance, fail):
-        if not value:
-            return value
-        if len(divisor._terms) == 1:
-            re, im = _parts(divisor._terms[0][1])
-            if im:
-                return (value * _Gaussian(re, -im)) // (re * re + im * im)
-            return value // re
-        (dividend,) = self.unpack([x], [1])
-        try:
-            quotient = dividend.exact_divide(divisor)
-        except DomainError as exc:
-            raise fail(dividend) from exc
-        re, im = _split(quotient._terms)
-        norm = _norm(re, im)
-        if norm > self.norms[node]:
-            raise _Overflow(-(-norm // self.norms[x]))
-        return self._pack_parts(re, im, node)
 
     def _pack_parts(self, re, im, node: int):
         """The packed value of real and imaginary (exponents, int) terms: an
@@ -354,6 +379,22 @@ class _Kernel:
                 acc[slot] = Scalar(a, b) if b else a
             out.append(_make(self.variables, dict(_exponents(acc.items(), lo, layout))))
         return out
+
+
+def _product_micros(bits: int) -> float:
+    """The time of one product of two ``bits``-bit ints, in microseconds
+    (see ``PAIR_MICROS``)."""
+    return 0.15 + 2.5 * (bits / 1024) ** 1.585
+
+
+def _divide(value, divisor: LaurentPolynomial):
+    """The packed value divided by a monomial, slot by slot: each slot is a
+    multiple of its Gaussian-integer coefficient c, so dividing the int by a
+    real c (by the norm of c, after a product with its conjugate) is exact."""
+    re, im = _parts(divisor._terms[0][1])
+    if im:
+        return (value * _Gaussian(re, -im)) // (re * re + im * im)
+    return value // re
 
 
 def _split(terms, scale: int = 1) -> tuple[list, list]:

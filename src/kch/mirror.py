@@ -15,8 +15,9 @@ convolution per power and order, so order k of a curve of P-degree d makes
 about d k^2 / 2 polynomial products.
 
 The whole solve is one run of the packed kernel (``kch._packed``): every
-coefficient is a Kronecker-packed integer and each product one int product.
-To keep every value integral, the curve is scaled by its common denominator,
+coefficient is a Kronecker-packed integer and each product one int product
+(or, where d is not a monomial or packing is estimated the costlier, every
+coefficient a polynomial with integer coefficients).  To keep every value integral, the curve is scaled by its common denominator,
 P by the denominator of P0 and X by a square of the content of d, which
 Hensel lifting shows to clear every denominator of the c_k (see
 ``branch_series``).  ``verify_on_curve`` checks the result by its own full
@@ -38,7 +39,7 @@ from math import gcd
 from .errors import DomainError, ResourceLimitError
 from .laurent import LaurentPolynomial, _denominator, _make, _narrow
 from .scalars import Scalar
-from .series import FormalSeries, _kernel, _Overflow, _parts, _series_denominator
+from .series import FormalSeries, _kernel, _parts, _series_denominator
 
 # the online solve makes O(order^2) coefficient products per power of P, but
 # the coefficients themselves grow with the order: order 150 of
@@ -262,28 +263,19 @@ def branch_series(
         )
 
     scales = [d_curve * q ** (top - e_p) * lam**e_x for e_x, e_p, _ in terms]
-    # a monomial eps divides each slot and cannot grow a coefficient; any
-    # other divisor can, and a quotient that outgrows its bound restarts the
-    # solve with a wider one
-    allowance = 1
-    while True:
-        try:
-            kernel, nodes = _solve_branch(
-                parameters, terms, scales, base * q, eps, order, allowance, not_separating
-            )
-            break
-        except _Overflow as exc:
-            allowance = 2 * max(allowance, exc.args[0])
+    kernel, nodes = _solve_branch(parameters, terms, scales, base * q, eps, order, not_separating)
     coefficients = kernel.unpack(nodes, [q * lam**k for k in range(order + 1)])
     series = FormalSeries("X", order, coefficients)
     return BranchSeries(curve, x_variable, p_variable, base, series)
 
 
-def _solve_branch(parameters, terms, scales, p, eps, order, allowance, not_separating):
+def _solve_branch(parameters, terms, scales, p, eps, order, not_separating):
     """The online solve of ``branch_series`` on one packed kernel, in the
     integral form described there: each curve term scaled to an integer
-    one, the base p integral and dG/dP' = eps.  Returns the run kernel and
-    the nodes of C_0 .. C_order."""
+    one, the base p integral and dG/dP' = eps.  A monomial eps divides each
+    slot; any other divisor runs the solve on term dicts (see
+    ``_Kernel.divide``).  Returns the run kernel and the nodes of
+    C_0 .. C_order."""
     kernel = _kernel(parameters)
     one = kernel.input(LaurentPolynomial.one(parameters))
     zero = kernel.input(LaurentPolynomial.zero(parameters))
@@ -310,7 +302,7 @@ def _solve_branch(parameters, terms, scales, p, eps, order, allowance, not_separ
         # the X^k coefficient of G(X, p + ... + C_(k-1) X^(k-1)), then C_k
         residual = _residual(kernel, scaled, powers, k)
         fail = partial(not_separating, k)
-        coefficients[k] = kernel.divide(residual, divisor, allowance, fail)
+        coefficients[k] = kernel.divide(residual, divisor, fail)
         for e in range(2, top + 1):
             powers[e][k] = kernel.dot((powers[e][k], coefficients[k]), (one, lift[e]))
     kernel.run(coefficients)

@@ -16,8 +16,9 @@ by D^k), which keeps one denominator per series.  log runs on the weighted
 k L_k and exp in divided powers k! E_k (Brent & Kung 1978), so that every
 step is an integer.  Each operation packs its inputs once, runs its whole recurrence
 on ints and unpacks once; ``kch._packed`` holds the packing and how wide a
-slot must be.  Where the packed values would be large and the inputs fill
-few of their slots, the same recurrence runs on sparse integer polynomials.
+slot must be.  Where packing is estimated the costlier, or a packed value
+would pass ``MAX_PACKED_BITS``, the same recurrence runs on polynomials
+with integer coefficients.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .errors import DomainError, RingMismatchError
 from .laurent import LaurentPolynomial, _denominator, _dot, _make
 from .scalars import Scalar
 
-# a packed value holds (slots) x (slot width) bits.  Every product of two
-# packed values is one int product of about that size, so the cap bounds the
-# cost of a step where a sparse dict would pay per term: 1 + Q^1000000 as
-# a coefficient needs a million slots and is refused before any packing.
+# a packed value holds (slots) x (slot width) bits, and a product of two
+# such values costs about 0.14 s at the cap.  A layout past it runs on term
+# dicts, which pay per pair of terms: a coefficient 1 + Q^1000000 would need
+# a million slots, and as two terms it costs almost nothing.
 MAX_PACKED_BITS = 1 << 20
 
 
@@ -316,17 +317,19 @@ def _kernel(variables: tuple[str, ...]):
     return _Kernel(variables)
 
 
-class _Overflow(Exception):
-    """A quotient outgrew the norm bound its division was given; args[0] is
-    the factor by which it did."""
-
-
 def _parts(c, scale: int = 1) -> tuple[int, int]:
     """(re, im) of c * scale for a narrow coefficient c whose denominators
-    divide ``scale``, in integer arithmetic."""
+    divide ``scale``, in integer arithmetic; ArithmeticError where one does
+    not, rather than a truncated value."""
     if type(c) is int:
         return c * scale, 0
     if type(c) is Scalar:
-        re, im = c.re, c.im
-        return re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator)
-    return c.numerator * (scale // c.denominator), 0
+        return _integral(c.re, scale), _integral(c.im, scale)
+    return _integral(c, scale), 0
+
+
+def _integral(c: Fraction, scale: int) -> int:
+    multiple, rest = divmod(scale, c.denominator)
+    if rest:
+        raise ArithmeticError(f"{c} times {scale} is not an integer")
+    return c.numerator * multiple

@@ -343,9 +343,15 @@ def test_branch_with_an_imaginary_derivative_equals_resubstitution(text, base):
     assert verify_on_curve(curve, branch).ok
 
 
-def test_non_monomial_derivative_with_a_wider_quotient():
+def test_non_monomial_derivative_with_a_wider_quotient(monkeypatch):
     # dA/dP = 1 + Q divides the first residual -(1 + Q^3) into 1 - Q + Q^2,
-    # whose norm 3 exceeds the residual's 2: the solve widens and restarts
+    # whose norm 3 exceeds the residual's 2: a divisor that is not a
+    # monomial runs the solve on term dicts
+    runs = []
+    run_sparse = kch._packed._Kernel._run_sparse
+    monkeypatch.setattr(
+        kch._packed._Kernel, "_run_sparse", lambda self: runs.append(self) or run_sparse(self)
+    )
     curve = parse_polynomial("P - 1 + Q*P - Q - X - Q^3*X", RING)
     branch = branch_series(curve, 1, 4)
     assert str(branch.series) == "1 + (1 - Q + Q^2)*X + O(X^5)"
@@ -357,6 +363,7 @@ def test_non_monomial_derivative_with_a_wider_quotient():
     catalan = [1, 1, 2, 5, 14, 42]
     branch = branch_series(curve, 1, 5)
     assert list(branch.series.coefficients) == [g**k * c for k, c in enumerate(catalan)]
+    assert len(runs) == 2
 
 
 def test_monomial_aligned_curve_is_solved_on_one_slot_per_value():
@@ -382,10 +389,9 @@ def test_verify_checks_the_p_it_is_given():
 
 
 def test_term_dict_branch_solve_equals_resubstitution(monkeypatch):
-    # the solve forced onto term dicts (as a large, sparse layout would be)
-    # divides, separates and fails exactly as the packed one
-    monkeypatch.setattr(kch._packed, "DENSE_BITS", 0)
-    monkeypatch.setattr(kch._packed, "SPARSE_FILL", 0)
+    # the solve forced onto term dicts (as a layout where they are estimated
+    # cheaper would be) divides, separates and fails exactly as the packed one
+    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
     rng = random.Random(77)
     for trial in range(12):
         base = (1, Fraction(1, 2), Scalar(0, 1), -1)[trial % 4]
@@ -398,3 +404,46 @@ def test_term_dict_branch_solve_equals_resubstitution(monkeypatch):
     assert list(branch_series(curve, 1, 3).series.coefficients) == [g**k * c for k, c in enumerate([1, 1, 2, 5])]
     with pytest.raises(DomainError, match="coefficient of X\\^2 does not separate"):
         branch_series(parse_polynomial("P - 1 + Q*P - Q - X*P^2 - Q*X*P^2 - X^2", RING), 1, 4)
+
+
+@pytest.mark.parametrize(
+    "text, ring, order",
+    [
+        ("1 - P + Q*X*P + R*X*P", ("Q", "R"), 100),
+        ("1 - P + a*X*P + b*X*P + c*X*P", ("a", "b", "c"), 30),
+    ],
+)
+def test_multi_parameter_branch_runs_on_term_dicts_past_the_packed_cap(text, ring, order):
+    # the branch is sum_k s^k X^k for the sum s of the parameters: packed, its
+    # values would span 101^2 slots of 128 bits or 31^3 of 64, past the cap,
+    # while as term dicts each coefficient has at most 496 terms
+    curve = parse_polynomial(text, ring + ("X", "P"))
+    s = parse_polynomial(" + ".join(ring), ring)
+    start = time.perf_counter()
+    branch = branch_series(curve, 1, order)
+    assert time.perf_counter() - start < 2.0
+    power = LaurentPolynomial.one(ring)
+    for k, coefficient in enumerate(branch.series.coefficients):
+        assert coefficient == power, k
+        power = power * s
+    assert verify_on_curve(curve, branch_series(curve, 1, 8)).ok
+
+
+def test_evaluation_is_chosen_by_estimated_cost(monkeypatch):
+    # both layouts are under the packed cap: the dense-Q branch fills its
+    # slots and packs; the order-200 log of the unknot branch has two terms
+    # per coefficient over up to 201 slots of k!-sized values, and runs on
+    # term dicts (about 0.1 s there against 0.5 s packed)
+    layouts = []
+    run = kch._packed._Kernel.run
+
+    def recorded(self, outputs):
+        run(self, outputs)
+        layouts.append((self.sparse, self.width * self.slots))
+
+    monkeypatch.setattr(kch._packed._Kernel, "run", recorded)
+    branch_series(parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2", RING), 1, 30)
+    p_series(branch_series(UNKNOT_CURVE, 1, 200))
+    (dense_sparse, dense_bits), _, (log_sparse, log_bits) = layouts
+    assert not dense_sparse and log_sparse
+    assert max(dense_bits, log_bits) <= kch._packed.MAX_PACKED_BITS

@@ -5,12 +5,12 @@ from math import factorial
 
 import pytest
 
-from kch.errors import DomainError, ResourceLimitError, RingMismatchError
+from kch.errors import DomainError, RingMismatchError
 from kch.laurent import LaurentPolynomial, _dot, parse_polynomial
 from kch.scalars import Scalar
 import kch._packed
 from kch._packed import _Kernel
-from kch.series import FormalSeries
+from kch.series import FormalSeries, _parts
 
 
 def scal(*values):
@@ -366,16 +366,37 @@ def test_packed_kernel_equals_dot_on_random_rings(ring):
         ]
 
 
-def test_wide_sparse_span_raises_before_packing():
+def test_wide_sparse_span_runs_on_term_dicts_before_packing(monkeypatch):
+    # 1 + Q^1000000 would pack a million slots, past the cap: the product
+    # and the log run on term dicts without building a packed value
+    built = []
+    pack = _Kernel._pack
+    monkeypatch.setattr(_Kernel, "_pack", lambda self, *args: built.append(args) or pack(self, *args))
     ring = ("Q",)
-    wide = FormalSeries("t", 2, [parse_polynomial("1 + Q^1000000", ring)] * 3)
+    c = parse_polynomial("1 + Q^1000000", ring)
+    wide = FormalSeries("t", 2, [c] * 3)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"spans \(2000001,\).* 8-bit slots"):
-        wide * wide
-    unit = FormalSeries("t", 1, [LaurentPolynomial.one(ring), wide.coefficient(0)])
-    with pytest.raises(ResourceLimitError, match=r"spans \(1000001,\).* 8-bit slots"):
-        unit.log()
+    product = wide * wide
+    unit = FormalSeries("t", 1, [LaurentPolynomial.one(ring), c])
+    log = unit.log()
     assert time.perf_counter() - start < 1.0
+    assert built == []
+    assert list(product.coefficients) == [c * c, (c * c).scale(2), (c * c).scale(3)]
+    assert log.coefficient(1) == c
+
+
+def test_layout_past_the_packed_cap_runs_on_term_dicts(monkeypatch):
+    # a dense product that packing would win, with the cap lowered under it
+    ring = ("Q",)
+    dense = parse_polynomial(" + ".join(f"{k + 1}*Q^{k}" for k in range(40)), ring)
+    s = FormalSeries("t", 3, [LaurentPolynomial.one(ring)] + [dense] * 3)
+    packed = (s * s, s.inverse())
+    built = []
+    pack = _Kernel._pack
+    monkeypatch.setattr(_Kernel, "_pack", lambda self, *args: built.append(args) or pack(self, *args))
+    monkeypatch.setattr(kch._packed, "MAX_PACKED_BITS", 1 << 9)
+    assert (s * s, s.inverse()) == packed
+    assert built == []
 
 
 def test_monomial_aligned_series_stay_under_the_span_cap():
@@ -390,10 +411,19 @@ def test_monomial_aligned_series_stay_under_the_span_cap():
     assert inverse.log().exp() == inverse
 
 
+def test_integral_parts_refuse_a_scale_that_leaves_a_fraction():
+    assert _parts(Scalar(Fraction(1, 2), Fraction(-3, 4)), 8) == (4, -6)
+    assert _parts(Fraction(5, 6), 12) == (10, 0)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        _parts(Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        _parts(Scalar(1, Fraction(1, 3)), 2)
+
+
 @pytest.mark.parametrize("ring", [(), ("Q",), ("Q", "R"), ("a", "b", "c")])
 def test_term_dict_evaluation_equals_packed(ring, monkeypatch):
     """The same series operations evaluated packed and as term dicts, each
-    forced through the layout's thresholds, give equal results."""
+    forced through the cost of a term pair, give equal results."""
     rng = random.Random(49)
     cases = []
     for _ in range(12):
@@ -405,10 +435,9 @@ def test_term_dict_evaluation_equals_packed(ring, monkeypatch):
     def evaluate():
         return [(a * b, a.inverse(), a.log(), zero.exp()) for a, b, zero in cases]
 
-    monkeypatch.setattr(kch._packed, "DENSE_BITS", 10**9)
+    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 10**9)
     packed = evaluate()
-    monkeypatch.setattr(kch._packed, "DENSE_BITS", 0)
-    monkeypatch.setattr(kch._packed, "SPARSE_FILL", 0)
+    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
     assert evaluate() == packed
 
 
