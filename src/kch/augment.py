@@ -194,14 +194,11 @@ def eliminate_augmentation_ideal(
         f"unknowns: {', '.join(system.unknowns) if system.unknowns else '(none)'}",
         f"equations from degree-one generators: {len(system.equations)}",
     ]
-    generators = []
-    for _, eq in system.equations:
-        poly = _clear_torus_negatives(eq.with_variables(elim_ring), lead_width)
-        if not poly.is_zero():
-            generators.append(poly)
-    saturation_exps = tuple(
-        0 if k < len(system.unknowns) else 1 for k in range(len(elim_ring))
-    )
+    generators = [
+        _clear_torus_negatives(eq.with_variables(elim_ring), lead_width)
+        for _, eq in system.equations
+    ]
+    saturation_exps = (0,) * len(system.unknowns) + (1,) * (1 + len(system.torus_variables))
     saturation = LaurentPolynomial.one(elim_ring) - LaurentPolynomial.monomial(
         elim_ring, saturation_exps
     )

@@ -1,4 +1,4 @@
-"""Buchberger's algorithm over the Gaussian rationals.
+"""Buchberger's algorithm, fraction-free over the Gaussian integers.
 
 Polynomials are ``LaurentPolynomial`` values restricted to nonnegative
 exponents; the monomial order is plain lexicographic on the exponent tuple in
@@ -12,16 +12,17 @@ The public functions read their inputs' stored terms once into
 the polynomial canonicaliser.  The pair loop forms and reduces each
 S-polynomial through the public ``s_polynomial`` and ``normal_form``, which
 take kernel values as well, so a wrapper around those two names sees every
-reduction the algorithm makes.  Coefficients stay exact Gaussian rationals in
-the polynomials' narrow stored types: an ``int`` or ``Fraction`` when real, a
-``Scalar`` only with an imaginary part; they mix through ``Scalar``'s
-reflected operators.  Basis members are monic and keep their leading
-monomial.  Pairs are taken by the normal strategy (smallest lcm of leading
-monomials first) and filtered by the Gebauer-Moller update (Gebauer & Moller
-1988, "On an installation of Buchberger's algorithm"): the product
-criterion, the chain criterion on old pairs, and the M and F rules on new
-ones.  A nonzero constant remainder ends the loop at
-once, since the reduced basis of the unit ideal is ``[1]``.
+reduction the algorithm makes.  The kernel is fraction-free, as in Bareiss
+(1968): a basis member is primitive (denominators cleared once, the gcd of
+every real and imaginary part divided out, a real lead made positive), and
+S-polynomials and reductions scale by leading coefficients over their gcd, so
+coefficients stay ``int`` (``Scalar`` with integral parts when imaginary).
+Members are made monic once, on leaving the kernel; by monic divisors the
+same reduction is field division.  Pairs are taken by the normal strategy
+(smallest lcm of leading monomials first) and filtered by the Gebauer-Moller
+update (Gebauer & Moller 1988): the product criterion, the chain criterion on
+old pairs, and the M and F rules on new ones.  A nonzero constant remainder
+ends the loop at once, since the reduced basis of the unit ideal is ``[1]``.
 
 The pair loop is capped by the ``KCH_MAX_STEPS`` environment variable
 (default 20000) and raises ``ResourceLimitError`` beyond the cap, so
@@ -32,16 +33,17 @@ S-pairs actually reduced, after the criteria have dropped the rest.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import add, le, sub
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError, max_steps_limit
-from .laurent import ExponentVector, LaurentPolynomial, _make
+from .errors import DomainError, ResourceLimitError, RingMismatchError, max_steps_limit
+from .laurent import ExponentVector, LaurentPolynomial, _denominator, _make, _narrow
 from .scalars import Scalar
 
 DEFAULT_MAX_STEPS = 20000
 
-# a basis member is the pair (leading monomial, monic terms)
+# a basis member is the pair (leading monomial, primitive terms)
 Member = tuple
 
 
@@ -54,16 +56,54 @@ class Terms(dict):
         return not self
 
 
-def _terms(poly: LaurentPolynomial) -> Terms:
-    return Terms(poly._terms)
+def _checked(polys: Sequence[LaurentPolynomial], ring: tuple, laurent=False) -> list[Terms]:
+    # kernel terms of public inputs, all in ``ring``; negative exponents only if ``laurent``
+    for poly in polys:
+        if poly.variables != ring:
+            raise RingMismatchError("Groebner inputs live in different rings")
+        if not laurent and any(e < 0 for exps, _ in poly._terms for e in exps):
+            raise DomainError("Groebner computations need nonnegative exponents")
+    return [Terms(poly._terms) for poly in polys]
 
 
 def _member(terms: Terms) -> Member:
     if not terms:
         raise DomainError("zero polynomial has no leading term")
     lead = max(terms)
-    inverse = Fraction(1) / terms[lead]
-    return lead, {exps: c * inverse for exps, c in terms.items()}
+    if not all(type(c) is int for c in terms.values()):
+        d = _denominator(terms.values())
+        terms = {e: c * d if type(c) is int else _narrow(c * d) for e, c in terms.items()}
+    content = 0  # one gcd per term: gcd(*terms) grew the heap over a long run
+    for c in terms.values():
+        content = gcd(content, c) if type(c) is int else gcd(content, int(c.re), int(c.im))
+    if type(terms[lead]) is int and terms[lead] < 0:
+        content = -content
+    if content != 1:
+        scale = Fraction(1, content)
+        terms = {e: c // content if type(c) is int else c * scale for e, c in terms.items()}
+    return lead, terms
+
+
+def _monic(member: Member) -> Member:
+    lead, terms = member
+    a = terms[lead]
+    if a == 1:
+        return member
+    if all(type(c) is int for c in terms.values()):
+        terms = {exps: Fraction(c, a) for exps, c in terms.items()}
+    else:
+        inverse = Fraction(1) / a
+        terms = {exps: c * inverse for exps, c in terms.items()}
+    terms[lead] = 1
+    return lead, terms
+
+
+def _cofactors(a, b):
+    # (a', b') with a' * b == b' * a: a and b over their gcd when both are ints
+    if type(a) is int and type(b) is int:
+        g = gcd(a, b)
+        return a // g, b // g
+    return a, b
 
 
 def _divides(a: ExponentVector, b: ExponentVector) -> bool:
@@ -91,14 +131,19 @@ def _subtract(work: Terms, terms: Terms, lead: ExponentVector, shift: ExponentVe
 
 
 def _reduce(work: Terms, divisors: Sequence[Member]) -> Terms:
-    """Full remainder of ``work`` (consumed) by monic members, the first
-    divisor in order taken at each step."""
+    """Full remainder of ``work`` (consumed) by the members, the first divisor
+    in order taken at each step; work and remainder first scale by its cofactor."""
     remainder = Terms()
     while work:
         exps = max(work)
         coeff = work.pop(exps)
         for lead, g in divisors:
             if _divides(lead, exps):
+                scale, coeff = _cofactors(g[lead], coeff)
+                if scale != 1:
+                    for part in (work, remainder):
+                        for key in part:
+                            part[key] *= scale
                 _subtract(work, g, lead, tuple(map(sub, exps, lead)), coeff)
                 break
         else:
@@ -107,12 +152,14 @@ def _reduce(work: Terms, divisors: Sequence[Member]) -> Terms:
 
 
 def _spoly(f: Member, g: Member) -> Terms:
+    # b' * x^f_shift * f - a' * x^g_shift * g for leading coefficients a, b
     (f_lead, f_terms), (g_lead, g_terms) = f, g
+    a, b = _cofactors(f_terms[f_lead], g_terms[g_lead])
     lcm = _lcm(f_lead, g_lead)
     f_shift = tuple(map(sub, lcm, f_lead))
     g_shift = tuple(map(sub, lcm, g_lead))
-    work = Terms((tuple(map(add, e, f_shift)), c) for e, c in f_terms.items() if e != f_lead)
-    _subtract(work, g_terms, g_lead, g_shift, 1)
+    work = Terms((tuple(map(add, e, f_shift)), b * c) for e, c in f_terms.items() if e != f_lead)
+    _subtract(work, g_terms, g_lead, g_shift, a)
     return work
 
 
@@ -143,7 +190,7 @@ def _update(members: list[Member], active: list[int], pairs: list, new: int):
 
 
 def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
-    """Monic reduced lex basis, sorted by leading monomial."""
+    """Primitive reduced lex basis, sorted by leading monomial."""
     members = sorted((_member(p) for p in polys if p), key=lambda m: m[0])
     if not members:
         return []
@@ -156,13 +203,14 @@ def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
         active, pairs = _update(members, active, pairs, new)
     steps = 0
     while pairs:
-        pair = min(pairs)
-        pairs.remove(pair)
         steps += 1
         if steps > limit:
             raise ResourceLimitError(
-                f"Groebner basis exceeded {limit} reduction steps (set KCH_MAX_STEPS to raise)"
+                f"Groebner basis exceeded {limit} reduction steps with {len(active)} basis"
+                f" members and {len(pairs)} pairs pending (set KCH_MAX_STEPS to raise)"
             )
+        pair = min(pairs)
+        pairs.remove(pair)
         _, i, j = pair
         spoly = s_polynomial(members[i], members[j])
         remainder = normal_form(spoly, [members[g] for g in active])
@@ -176,7 +224,7 @@ def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
     basis = sorted((members[g] for g in active), key=lambda m: m[0])
     basis = [m for m in basis if not any(o is not m and _divides(o[0], m[0]) for o in basis)]
     return [
-        (lead, normal_form(Terms(terms), [o for o in basis if o[0] != lead]))
+        _member(normal_form(Terms(terms), [o for o in basis if o[0] != lead]))
         for lead, terms in basis
     ]
 
@@ -190,21 +238,24 @@ def leading_term(poly: LaurentPolynomial) -> tuple[ExponentVector, Scalar]:
 
 def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> LaurentPolynomial:
     """Full remainder of multivariate division by the basis (deterministic);
-    the pair loop passes kernel ``Terms`` (consumed) and members instead."""
+    a Laurent ``poly`` keeps its terms with a negative exponent.  The pair loop
+    passes kernel ``Terms`` (consumed) and members instead."""
     if not isinstance(poly, LaurentPolynomial):
         return _reduce(poly, basis)
-    if poly.is_zero() or not basis:
+    divisors = _checked(basis, poly.variables)
+    if poly.is_zero() or not divisors:
         return poly
-    divisors = [_member(_terms(g)) for g in basis]
-    return _make(poly.variables, _reduce(_terms(poly), divisors))
+    divisors = [_monic(_member(g)) for g in divisors]
+    return _make(poly.variables, _reduce(Terms(poly._terms), divisors))
 
 
 def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    """S-polynomial of the monic multiples of ``f`` and ``g``; the pair loop
-    passes two basis members instead and gets ``Terms`` back."""
+    """S-polynomial of the monic multiples of ``f`` and ``g`` (Laurent or not);
+    the pair loop passes two basis members instead and gets ``Terms`` back."""
     if not isinstance(f, LaurentPolynomial):
         return _spoly(f, g)
-    return _make(f.variables, _spoly(_member(_terms(f)), _member(_terms(g))))
+    f_terms, g_terms = _checked([f, g], f.variables, laurent=True)
+    return _make(f.variables, _spoly(_monic(_member(f_terms)), _monic(_member(g_terms))))
 
 
 def reduced_groebner_basis(
@@ -212,18 +263,10 @@ def reduced_groebner_basis(
     *,
     max_steps: int | None = None,
 ) -> list[LaurentPolynomial]:
-    """Unique reduced lex Groebner basis of the ideal the inputs generate."""
-    inputs = []
-    ring = None
-    for poly in polys:
-        if ring is None:
-            ring = poly.variables
-        elif poly.variables != ring:
-            raise DomainError("generators live in different rings")
-        if any(e < 0 for exps, _ in poly._terms for e in exps):
-            raise DomainError("Groebner computations need nonnegative exponents")
-        inputs.append(_terms(poly))
-    return [_make(ring, terms) for _, terms in _groebner(inputs, max_steps)]
+    """Unique reduced lex Groebner basis, members monic, of the ideal the inputs generate."""
+    polys = list(polys)
+    ring = polys[0].variables if polys else ()
+    return [_make(ring, _monic(m)[1]) for m in _groebner(_checked(polys, ring), max_steps)]
 
 
 def ideal_contains_one(

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from kch import groebner
-from kch.errors import DomainError, ResourceLimitError, max_steps_limit
+from kch.errors import DomainError, ResourceLimitError, RingMismatchError, max_steps_limit
 from kch.groebner import (
     ideal_contains_one,
     leading_term,
@@ -333,3 +334,118 @@ def test_pair_loop_reduces_through_the_public_names(monkeypatch):
     assert len(formed) == 4
     assert all(poly is spoly for (poly, _), spoly in zip(reduced, formed))
     assert len(reduced) == 4 + len(basis)
+
+
+# -- public inputs are checked; the kernel stays fraction-free --------------------
+
+
+def test_public_names_reject_mixed_rings():
+    f = lp("x*y + 1", ("x", "y"))
+    with pytest.raises(RingMismatchError):
+        normal_form(f, [lp("z - 2", ("z",))])
+    with pytest.raises(RingMismatchError):
+        s_polynomial(f, lp("z - 2", ("z",)))
+    with pytest.raises(RingMismatchError):
+        reduced_groebner_basis([f, lp("z - 2", ("z",))])
+
+
+def test_normal_form_rejects_laurent_divisors():
+    ring = ("x", "y")
+    with pytest.raises(DomainError, match="nonnegative exponents"):
+        normal_form(lp("x*y + 1", ring), [lp("x - y^-1", ring)])
+    # a Laurent dividend keeps the terms no divisor can reach
+    assert normal_form(lp("x^2 + x^-1*y", ring), [lp("x - 2", ring)]) == lp("4 + x^-1*y", ring)
+
+
+def test_step_cap_quotes_the_basis_and_pending_pairs():
+    ring = ("x", "y", "z")
+    gens = [lp("x^2 - y*z", ring), lp("y^2 - x*z", ring), lp("z^2 - x*y", ring)]
+    with pytest.raises(ResourceLimitError) as raised:
+        reduced_groebner_basis(gens, max_steps=1)
+    assert str(raised.value) == (
+        "Groebner basis exceeded 1 reduction steps with 4 basis members and 3 pairs"
+        " pending (set KCH_MAX_STEPS to raise)"
+    )
+
+
+def _integral_parts(coeff):
+    """The parts of a kernel coefficient, which must hold no fraction."""
+    if type(coeff) is int:
+        return [coeff]
+    assert type(coeff) is Scalar and coeff.re.denominator == coeff.im.denominator == 1, coeff
+    return [coeff.re.numerator, coeff.im.numerator]
+
+
+def test_kernel_members_are_primitive_integer_polynomials(monkeypatch):
+    members, values = [], []
+
+    def record(name, into):
+        original = getattr(groebner, name)
+        monkeypatch.setattr(groebner, name, lambda *args: into.append(original(*args)) or into[-1])
+
+    record("_member", members)
+    record("s_polynomial", values)
+    record("normal_form", values)
+    imaginary = 0
+    for gens in seeded_ideals() + [gens for gens, _ in sympy_cases(10)]:
+        reduced_groebner_basis(gens)
+    for lead, terms in members:
+        parts = [p for c in terms.values() for p in _integral_parts(c)]
+        assert lead == max(terms) and gcd(*parts) == 1
+        # members store a real coefficient as an int
+        assert all(type(c) is int or c.im for c in terms.values())
+        if type(terms[lead]) is int:
+            assert terms[lead] > 0
+        imaginary += type(terms[lead]) is Scalar
+    # S-polynomials and remainders in the pair loop never hold a fraction
+    for value in values:
+        assert all(_integral_parts(c) for c in value.values())
+    assert len(members) > 500 and imaginary >= 20 and len(values) > 500
+
+
+# -- a second oracle: sympy's lex Groebner basis over QQ --------------------------
+
+
+def sympy_cases(count=40):
+    """Ideals in 3 or 4 variables whose coefficients have multi-digit numerators
+    and denominators, with their rings."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(count):
+        ring = ("w", "x", "y", "z")[: rng.choice((3, 4))]
+        gens = []
+        for _ in range(rng.randint(2, 3)):
+            terms = {}
+            for _ in range(rng.randint(2, 3)):
+                exps = [0] * len(ring)
+                for _ in range(rng.randint(0, 2)):
+                    exps[rng.randrange(len(ring))] += 1
+                numerator = rng.choice((-1, 1)) * rng.randint(10, 999)
+                terms[tuple(exps)] = Scalar(Fraction(numerator, rng.randint(10, 999)))
+            gens.append(LaurentPolynomial(ring, terms))
+        cases.append((gens, ring))
+    return cases
+
+
+def test_basis_matches_sympy_lex():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(poly, symbols):
+        terms = {exps: sympy.Rational(c.re.numerator, c.re.denominator)
+                 for exps, c in poly.terms()}
+        return sympy.Poly.from_dict(terms, *symbols, domain="QQ")
+
+    def from_sympy(poly, ring):
+        terms = {exps: Scalar(Fraction(int(c.numerator), int(c.denominator)))
+                 for exps, c in poly.terms()}
+        return LaurentPolynomial(ring, terms)
+
+    sizes = []
+    for gens, ring in sympy_cases():
+        symbols = sympy.symbols(ring)
+        expected = sympy.groebner([to_sympy(g, symbols) for g in gens], *symbols, order="lex")
+        expected = [from_sympy(g, ring) for g in expected.polys]
+        expected.sort(key=lambda g: leading_term(g)[0])
+        assert reduced_groebner_basis(gens) == expected
+        sizes.append(len(expected))
+    assert sum(size > 1 for size in sizes) >= 25
