@@ -5,38 +5,41 @@ Convention: a * P(+) - a^{-1} * P(-) = z * P(0) with P(unknot) = 1, so
     P(+) = a^{-1} z P(0) + a^{-2} P(-)
     P(-) = a^2 P(+) - a z P(0).
 
-The recursion walks each diagram it is called on once, component by
-component from fixed base points, for both its memo key and its wrong
-crossings: those whose first passage runs under.  Switching one leaves the
-strand cycles and every other first-passage untouched, so the wrong
-crossings are resolved along one switch chain in walking order: each adds
-its smoothing times the rule's monomial times a^shift, then is switched,
-and shift steps by -2 (positive) or +2 (negative).  The chain ends
-descending, an unlink worth a^shift * delta^(components-1) with
-delta = (a - a^{-1}) z^{-1}.  Switched intermediates are neither walked nor
-memoised.  Smoothing drops a crossing, so the recursion terminates.
+The recursion runs on raw parts (crossings, signs, circles) and builds no
+``LinkDiagram`` past the one it is given.  It walks each diagram once,
+component by component from base points rotated by ``resolution`` (the
+result does not depend on it), for its memo key and its wrong crossings
+(first passage under).  Switching one leaves the strand cycles and every
+other first passage untouched, so they are resolved along one chain in
+walking order: each adds its smoothing times the rule's monomial times
+a^shift, shift steps by -2 (positive) or +2 (negative), and all but the last
+(nothing reads it) are switched in place on the chain's own lists.  The
+chain ends descending, an unlink worth a^shift * delta^(components-1),
+delta = (a - a^{-1}) z^{-1}.  Strands come from ``kch.pd._strands`` and edits
+from its kernels ``_smoothed`` and ``_switch``, the rules of its public edits.
 
-``resolution`` rotates each component's base point, reordering the chain;
-the result must not change, which the test suite exercises.
-
-The recursion runs on integer coefficients: a polynomial is a dict
-{(e_a, e_z): int}, each rule term is an exponent shift with a signed integer
-add, and the result becomes a ``LaurentPolynomial`` once, at the end, which
-stores the integers as they are.  A skein step, capped by ``KCH_MAX_STEPS``,
-is one diagram recursed on or one switch followed.  The finished polynomial
-is stored on the (immutable) diagram per resolution, so the Wilson
-evaluations of a diagram that already has it make no skein step; the
-crossing cap is still checked on every call.  Distinct diagram objects share
-nothing, even when they are equal.
+Coefficients are integers: a polynomial is a dict {(e_a, e_z): int} until it
+becomes a ``LaurentPolynomial``.  A skein step, capped by ``KCH_MAX_STEPS``,
+is one diagram recursed on or one wrong crossing followed.  The result is
+kept on the diagram per resolution (the crossing cap is checked on every
+call); distinct diagram objects share nothing.  ``SKEIN_COUNTERS`` sums the
+work of every call, added once per call from locals.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
+from functools import lru_cache
+from itertools import chain
 from math import comb
+from types import MappingProxyType
 
 from .errors import DomainError, ResourceLimitError, max_steps_limit
 from .laurent import LaurentPolynomial, _make
-from .pd import LinkDiagram, _cycles, smooth_crossing, switch_crossing
+from .pd import LinkDiagram, _cycles, _smoothed, _strands, _switch
+# unused: perfbench's tracer wraps and restores these two names in this module
+from .pd import smooth_crossing, switch_crossing  # noqa: F401
 
 HOMFLY_VARIABLES = ("a", "z")
 
@@ -56,49 +59,29 @@ BUNDLED_DIAGRAMS: dict[str, str] = {
 }
 
 
+# skein work summed over all ``homfly`` calls: "nodes" (diagrams walked),
+# "memo_hits" among them, "smoothings" and "switches"
+SKEIN_COUNTERS: Counter = Counter()
+
+
 def delta() -> LaurentPolynomial:
     """Value of one extra unlinked circle: (a - a^{-1}) z^{-1}."""
-    return _to_laurent(_unlink(2))
+    return _make(HOMFLY_VARIABLES, _unlink(2))
 
 
-def _to_laurent(poly: dict[tuple[int, int], int]) -> LaurentPolynomial:
-    return _make(HOMFLY_VARIABLES, poly)
-
-
-def _unlink(components: int) -> dict[tuple[int, int], int]:
-    """delta^(components-1) = z^-n sum_j C(n, j) (-1)^j a^(n-2j), n = components-1."""
+@lru_cache(maxsize=64)
+def _unlink(components: int) -> MappingProxyType:
+    """delta^(components-1) = z^-n sum_j C(n, j) (-1)^j a^(n-2j), n = components-1;
+    one shared read-only view per count."""
     n = components - 1
-    return {(n - 2 * j, -n): (-1) ** j * comb(n, j) for j in range(n + 1)}
+    return MappingProxyType({(n - 2 * j, -n): (-1) ** j * comb(n, j) for j in range(n + 1)})
 
 
-def _add_shifted(acc: dict, poly: dict, d_a: int, d_z: int, sign: int) -> None:
+def _add_shifted(acc: dict, poly: Mapping, d_a: int, d_z: int, sign: int) -> None:
     """acc += sign * a^d_a z^d_z * poly, on integer coefficients."""
     for (e_a, e_z), c in poly.items():
         key = (e_a + d_a, e_z + d_z)
         acc[key] = acc.get(key, 0) + sign * c
-
-
-def _walk(diagram: LinkDiagram, rotation: int):
-    """Successor map, strand count, and arcs in walking order: components
-    sorted by least arc, each base rotated by ``rotation``."""
-    successor = diagram.successor_map()
-    cycles = _cycles(successor)
-    order = []
-    for cycle in cycles:
-        offset = rotation % len(cycle)
-        order.extend(cycle[offset:] + cycle[:offset])
-    return successor, len(cycles), order
-
-
-def _canonical_key(diagram: LinkDiagram, order: list[int]):
-    relabel = {arc: idx + 1 for idx, arc in enumerate(order)}
-    records = tuple(
-        sorted(
-            (tuple(relabel[label] for label in record), sign)
-            for record, sign in zip(diagram.crossings, diagram.signs)
-        )
-    )
-    return records, diagram.circles
 
 
 def homfly(
@@ -112,6 +95,8 @@ def homfly(
     The finished polynomial is kept on the diagram per resolution, so asking
     again for the same diagram object makes no skein step.
     """
+    if not isinstance(diagram, LinkDiagram):
+        raise DomainError(f"expected a LinkDiagram, got {type(diagram).__name__}")
     if type(resolution) is not int or type(max_crossings) is not int:
         raise DomainError("resolution and max_crossings must be integers")
     if diagram.crossing_count > max_crossings:
@@ -123,7 +108,7 @@ def homfly(
         return known
     budget = max_steps_limit(DEFAULT_SKEIN_STEPS)
     memo: dict = {}
-    steps = 0
+    steps = nodes = hits = smoothings = switches = 0
 
     def step() -> None:
         nonlocal steps
@@ -135,36 +120,57 @@ def homfly(
                 "(set KCH_MAX_STEPS to raise)"
             )
 
-    def compute(d: LinkDiagram) -> dict[tuple[int, int], int]:
+    def compute(crossings, signs, circles: int) -> Mapping[tuple[int, int], int]:
+        nonlocal nodes, hits, smoothings, switches
         step()
-        if d.crossing_count == 0:
-            return _unlink(d.circles)
-        successor, strands, order = _walk(d, resolution)
-        key = _canonical_key(d, order)
+        if not crossings:
+            return _unlink(circles)
+        nodes += 1
+        # the walk: components sorted by least arc, each base rotated by
+        # ``resolution``; ``position`` numbers the arcs in walking order
+        successor, over_in = _strands(crossings, signs)
+        cycles = _cycles(successor, resolution)
+        position = {arc: i for i, arc in enumerate(chain.from_iterable(cycles), 1)}
+        records = sorted(
+            [((position[a], position[b], position[c], position[d]), sign)
+             for (a, b, c, d), sign in zip(crossings, signs)]
+        )
+        key = tuple(records), circles
         known = memo.get(key)
         if known is not None:
+            hits += 1
             return known
-        value: dict[tuple[int, int], int] = {}
-        shift = 0
-        visited: set[int] = set()
-        for arc in order:
-            _, crossing, under = successor[arc]
-            if crossing in visited:
-                continue
-            visited.add(crossing)
-            if not under:
-                continue
+        # wrong crossings, in walking order: under-strand arrival first
+        wrong = sorted(
+            [(position[record[0]], k)
+             for k, (record, arrive) in enumerate(zip(crossings, over_in))
+             if position[record[0]] < position[arrive]]
+        )
+        value, shift = {}, 0
+        if wrong:
+            crossings, signs = list(crossings), list(signs)
+            last = wrong[-1][1]
+        for _, k in wrong:
             # P(+) = a^-1 z P(0) + a^-2 P(-) and P(-) = a^2 P(+) - a z P(0)
-            sign = d.signs[crossing]
-            _add_shifted(value, compute(smooth_crossing(d, crossing)), shift - sign, 1, sign)
+            sign = signs[k]
+            smoothings += 1
+            smoothed = compute(*_smoothed(crossings, signs, circles, k))
+            _add_shifted(value, smoothed, shift - sign, 1, sign)
             shift -= 2 * sign
             step()
-            d = switch_crossing(d, crossing)
-        _add_shifted(value, _unlink(strands + d.circles), shift, 0, 1)
+            if k != last:
+                switches += 1
+                _switch(crossings, signs, k)
+        _add_shifted(value, _unlink(len(cycles) + circles), shift, 0, 1)
         value = {exps: c for exps, c in value.items() if c}
         memo[key] = value
         return value
 
-    result = _to_laurent(compute(diagram))
-    diagram._homfly[resolution] = result
+    try:
+        value = compute(diagram.crossings, diagram.signs, diagram.circles)
+    finally:
+        SKEIN_COUNTERS.update(
+            nodes=nodes, memo_hits=hits, smoothings=smoothings, switches=switches
+        )
+    result = diagram._homfly[resolution] = _make(HOMFLY_VARIABLES, value)
     return result

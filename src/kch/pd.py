@@ -17,8 +17,12 @@ parsing is deterministic.
 A ``LinkDiagram`` is immutable.  The public constructor checks every arc;
 ``switch_crossing`` and ``smooth_crossing`` check only the crossing index and
 build their result through ``_make``, because an edit of a valid diagram is
-valid by construction.  Each diagram carries a private slot in which
-``kch.homfly`` keeps the polynomials it has finished for it.
+valid by construction.  Each edit rule lives in one private kernel on raw
+parts, ``_switch`` (in place on lists) and ``_smoothed`` (crossings, signs,
+circles), which the skein recursion of ``kch.homfly`` calls as well, and the
+slot rule of the strands lives in ``_strands``, which it reads too.  Each
+diagram carries a private slot in which ``kch.homfly`` keeps the polynomials
+it has finished for it.
 """
 
 from __future__ import annotations
@@ -47,30 +51,26 @@ class LinkDiagram:
     _homfly: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if type(self.crossings) is not tuple or type(self.signs) is not tuple:
+            raise DomainError("crossings and signs must be tuples")
         if len(self.signs) != len(self.crossings):
             raise DomainError("need exactly one sign per crossing")
-        if any(s not in (-1, 1) for s in self.signs):
+        if any(type(s) is not int or s not in (-1, 1) for s in self.signs):
             raise DomainError("crossing signs must be +1 or -1")
-        if self.circles < 0:
-            raise DomainError("circle count cannot be negative")
+        if type(self.circles) is not int or self.circles < 0:
+            raise DomainError("circle count must be a non-negative integer")
         if self.circles == 0 and not self.crossings:
             raise DomainError("a diagram needs at least one component")
-        entries: Counter = Counter()
-        exits: Counter = Counter()
-        for record, sign in zip(self.crossings, self.signs):
-            if any(label <= 0 for label in record):
-                raise DomainError("arc labels must be positive integers")
-            a, b, c, d = record
-            entries[a] += 1
-            exits[c] += 1
-            if sign > 0:
-                entries[d] += 1
-                exits[b] += 1
-            else:
-                entries[b] += 1
-                exits[d] += 1
-        if set(entries) != set(exits) or any(v != 1 for v in entries.values()) or any(
-            v != 1 for v in exits.values()
+        for record in self.crossings:
+            if type(record) is not tuple or len(record) != 4 or any(
+                type(label) is not int or label <= 0 for label in record
+            ):
+                raise DomainError("a crossing is a tuple of four positive integer arc labels")
+        # each crossing has two arrivals; a repeated one loses a key, and a
+        # repeated departure leaves a key that no arc leads to
+        successor = _strands(self.crossings, self.signs)[0]
+        if len(successor) != 2 * len(self.crossings) or successor.keys() != set(
+            successor.values()
         ):
             raise DomainError("every arc must enter one crossing and leave one crossing")
 
@@ -78,53 +78,49 @@ class LinkDiagram:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def arc_labels(self) -> tuple[int, ...]:
-        labels = set()
-        for record in self.crossings:
-            labels.update(record)
-        return tuple(sorted(labels))
-
     def writhe(self) -> int:
         return sum(self.signs)
 
-    def successor_map(self) -> dict[int, tuple[int, int, bool]]:
-        """arc -> (next arc, crossing index, True when the passage is under)."""
-        out: dict[int, tuple[int, int, bool]] = {}
-        for k, (record, sign) in enumerate(zip(self.crossings, self.signs)):
-            a, b, c, d = record
-            out[a] = (c, k, True)
-            if sign > 0:
-                out[d] = (b, k, False)
-            else:
-                out[b] = (d, k, False)
-        return out
-
     def component_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Arc cycles of the strands, each starting at its smallest label."""
-        return _cycles(self.successor_map())
+        return tuple(map(tuple, _cycles(_strands(self.crossings, self.signs)[0])))
 
     @property
     def component_count(self) -> int:
         return len(self.component_cycles()) + self.circles
 
 
-def _cycles(successor: dict[int, tuple[int, int, bool]]) -> tuple[tuple[int, ...], ...]:
-    """Arc cycles of a successor map, each starting at its smallest label."""
+def _strands(crossings, signs) -> tuple[dict[int, int], list[int]]:
+    """The strands of raw parts: arc -> next arc, and the arc on which each
+    crossing's over-strand arrives.  The under-strand runs slot 0 -> 2, the
+    over-strand 3 -> 1 when the crossing is positive, 1 -> 3 when negative."""
+    successor: dict[int, int] = {}
+    over_in = []
+    for (a, b, c, d), sign in zip(crossings, signs):
+        arrive, leave = (d, b) if sign > 0 else (b, d)
+        successor[a] = c
+        successor[arrive] = leave
+        over_in.append(arrive)
+    return successor, over_in
+
+
+def _cycles(successor: dict[int, int], rotation: int = 0) -> list[list[int]]:
+    """Arc cycles of a successor map, sorted by their smallest label, each
+    starting there and then rotated by ``rotation`` arcs."""
     seen: set[int] = set()
     cycles = []
     for start in sorted(successor):
         if start in seen:
             continue
-        cycle = []
-        arc = start
-        while True:
+        cycle = [start]
+        arc = successor[start]
+        while arc != start:
             cycle.append(arc)
-            seen.add(arc)
-            arc = successor[arc][0]
-            if arc == start:
-                break
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+            arc = successor[arc]
+        seen.update(cycle)
+        offset = rotation % len(cycle)
+        cycles.append(cycle[offset:] + cycle[:offset])
+    return cycles
 
 
 def _make(crossings: tuple[Crossing, ...], signs: tuple[int, ...], circles: int) -> LinkDiagram:
@@ -241,54 +237,58 @@ def _check_index(diagram: LinkDiagram, index: int) -> None:
         raise DomainError(f"no crossing {index}")
 
 
+def _switch(crossings: list, signs: list, index: int) -> None:
+    """Switch one crossing in place: its record is rotated so the new
+    under-strand arrival sits in slot 0, and its sign flips."""
+    a, b, c, d = crossings[index]
+    crossings[index] = (d, a, b, c) if signs[index] > 0 else (b, c, d, a)
+    signs[index] = -signs[index]
+
+
 def switch_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
     """Exchange over- and under-strand at one crossing, flipping its sign.
 
-    The record is rotated so the new under-strand arrival sits in slot 0;
-    all other crossings and the inferred orientations are untouched.
+    All other crossings and the inferred orientations are untouched.
     """
     _check_index(diagram, index)
-    a, b, c, d = diagram.crossings[index]
-    sign = diagram.signs[index]
-    if sign > 0:
-        record = (d, a, b, c)
-    else:
-        record = (b, c, d, a)
-    crossings = list(diagram.crossings)
-    signs = list(diagram.signs)
-    crossings[index] = record
-    signs[index] = -sign
+    crossings, signs = list(diagram.crossings), list(diagram.signs)
+    _switch(crossings, signs, index)
     return _make(tuple(crossings), tuple(signs), diagram.circles)
 
 
 def smooth_crossing(diagram: LinkDiagram, index: int) -> LinkDiagram:
-    """Replace one crossing by the oriented smoothing.
+    """Replace one crossing by the oriented smoothing (see ``_smoothed``)."""
+    _check_index(diagram, index)
+    return _make(*_smoothed(diagram.crossings, diagram.signs, diagram.circles, index))
+
+
+def _smoothed(crossings, signs, circles: int, index: int):
+    """Parts (crossings, signs, circles) of the oriented smoothing at ``index``;
+    ``crossings`` and ``signs`` may be tuples or lists, tuples come back.
 
     Entering and leaving arcs are joined respecting orientation (positive:
     slot 0 to slot 1 and slot 3 to slot 2; negative: slot 0 to slot 3 and
     slot 1 to slot 2).  Each join renames the higher of its two labels to the
     lower, after the earlier join's rename; a join whose two ends already
     carry one label closes a free circle.  The at most two renames are then
-    applied in one pass over the other crossings.
+    applied to the other crossings that carry a renamed label.
     """
-    _check_index(diagram, index)
-    a, b, c, d = diagram.crossings[index]
-    joins = ((a, b), (d, c)) if diagram.signs[index] > 0 else ((a, d), (b, c))
+    a, b, c, d = crossings[index]
+    joins = ((a, b), (d, c)) if signs[index] > 0 else ((a, d), (b, c))
     rename: dict[int, int] = {}
-    circles = diagram.circles
     for x, y in joins:
-        low, high = sorted((rename.get(x, x), rename.get(y, y)))
-        if low == high:
+        x, y = rename.get(x, x), rename.get(y, y)
+        if x == y:
             circles += 1
             continue
+        low, high = (x, y) if x < y else (y, x)
         for label, target in rename.items():
             if target == high:
                 rename[label] = low
         rename[high] = low
-    crossings = tuple(
-        tuple(rename.get(label, label) for label in record)
-        for k, record in enumerate(diagram.crossings)
-        if k != index
-    )
-    signs = diagram.signs[:index] + diagram.signs[index + 1 :]
-    return _make(crossings, signs, circles)
+    renamed, get = rename.keys(), rename.get
+    kept = [
+        record if renamed.isdisjoint(record) else tuple(map(get, record, record))
+        for record in (*crossings[:index], *crossings[index + 1 :])
+    ]
+    return tuple(kept), (*signs[:index], *signs[index + 1 :]), circles

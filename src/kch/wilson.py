@@ -52,6 +52,8 @@ _field = lru_cache(maxsize=None)(CyclotomicField)
 
 
 def _check_levels(N: int, k: int) -> None:
+    if type(N) is not int or type(k) is not int:
+        raise DomainError("rank N and level k must be integers")
     if N < 1:
         raise DomainError("rank N must be at least 1")
     if k + N == 0:

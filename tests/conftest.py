@@ -3,36 +3,37 @@ from collections import Counter
 
 import pytest
 
+# ``kch.homfly`` and friends come from ``sys.modules``: the package exports the
+# function ``homfly`` under the module's name.
 
-class SkeinEdits(list):
-    """Edited diagrams in order, with ``counts`` per edit name."""
 
-    def __init__(self):
-        super().__init__()
-        self.counts = Counter()
-
-    def clear(self):
-        super().clear()
-        self.counts.clear()
+@pytest.fixture
+def skein_counters(monkeypatch):
+    """The library's skein counters, zeroed for one test."""
+    counters = Counter()
+    monkeypatch.setattr(sys.modules["kch.homfly"], "SKEIN_COUNTERS", counters)
+    return counters
 
 
 @pytest.fixture
 def skein_edits(monkeypatch):
-    """Every diagram the skein recursion builds from here on, in order;
-    ``counts`` tallies the ``switch_crossing`` and ``smooth_crossing`` calls.
+    """Every diagram the skein recursion smooths and every smoothing it
+    builds from here on, in order, as diagrams of the raw parts (unchecked).
 
-    ``kch.homfly`` looks up ``switch_crossing`` and ``smooth_crossing`` in its
-    own namespace; the package exports the function ``homfly`` under the
-    module's name, so the module comes from ``sys.modules``.
+    The recursion smooths through ``kch.pd._smoothed``, which ``kch.homfly``
+    imports; the recorder replaces it there.  A diagram smoothed along a
+    switch chain carries the chain's switches so far, so the recorded parts
+    include every switched intermediate that the recursion reads.
     """
-    module = sys.modules["kch.homfly"]
-    edits = SkeinEdits()
-    for name in ("switch_crossing", "smooth_crossing"):
-        def recorded(diagram, index, original=getattr(module, name), name=name):
-            edited = original(diagram, index)
-            edits.append(edited)
-            edits.counts[name] += 1
-            return edited
+    module, pd = sys.modules["kch.homfly"], sys.modules["kch.pd"]
+    assert module._smoothed is pd._smoothed
+    edits = []
 
-        monkeypatch.setattr(module, name, recorded)
+    def recorded(crossings, signs, circles, index):
+        parts = pd._smoothed(crossings, signs, circles, index)
+        edits.append(pd._make(tuple(crossings), tuple(signs), circles))
+        edits.append(pd._make(*parts))
+        return parts
+
+    monkeypatch.setattr(module, "_smoothed", recorded)
     return edits

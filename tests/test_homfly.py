@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from kch.errors import DomainError, ResourceLimitError
@@ -118,12 +120,14 @@ def test_skein_step_budget(monkeypatch):
 ONE_CALL_PER_SWITCH_STEPS = 537
 
 
-def test_skein_budget_bounds_the_same_work(monkeypatch, skein_edits):
+def test_skein_budget_bounds_the_same_work(monkeypatch, skein_counters):
     reference = homfly(parse_pd(BRAID_CLOSURES[3]))
     # a step per diagram recursed on (the root and each smoothing) and per
-    # switch followed; 282 + 282 edits, 14 smoothings more than with one call
-    # per switch, because switched intermediates are not memoised: 5.2% more
-    needed = 1 + skein_edits.counts["smooth_crossing"] + skein_edits.counts["switch_crossing"]
+    # wrong crossing followed, switched or not (the last of a chain is not):
+    # 282 + 282, 14 smoothings more than with one call per switch, because
+    # switched intermediates are not memoised: 5.2% more
+    assert skein_counters["nodes"] == 1 + skein_counters["smoothings"]
+    needed = skein_counters["nodes"] + skein_counters["smoothings"]
     assert needed == 565
     assert needed - ONE_CALL_PER_SWITCH_STEPS == 2 * (282 - 268)
     monkeypatch.setenv("KCH_MAX_STEPS", str(needed))
@@ -134,18 +138,44 @@ def test_skein_budget_bounds_the_same_work(monkeypatch, skein_edits):
         homfly(parse_pd(BRAID_CLOSURES[3]))
 
 
-# switches and smoothings one homfly call makes on each BRAID_CLOSURES
-# diagram (268, not 282, for the last when every switch was its own call);
-# the first is descending as drawn and needs none
-BRAID_CLOSURE_EDITS = [0, 18, 36, 282]
+# smoothings one homfly call makes on each BRAID_CLOSURES diagram (268, not
+# 282, for the last when every switch was its own call), and switches: one
+# per wrong crossing but the last of each chain, whose result nothing reads
+# (0/18/36/282 while it was made); the first is descending as drawn
+BRAID_CLOSURE_SMOOTHINGS = [0, 18, 36, 282]
+BRAID_CLOSURE_SWITCHES = [0, 9, 19, 147]
 
 
-def test_every_skein_edit_goes_through_the_pd_names(skein_edits):
-    for text, edits in zip(BRAID_CLOSURES, BRAID_CLOSURE_EDITS):
-        skein_edits.clear()
+def test_every_skein_edit_goes_through_the_pd_names(skein_counters, skein_edits):
+    # every smoothing runs through the pd kernel, and the library counts it
+    for text, smoothings, switches in zip(
+        BRAID_CLOSURES, BRAID_CLOSURE_SMOOTHINGS, BRAID_CLOSURE_SWITCHES
+    ):
+        before = skein_counters["smoothings"], skein_counters["switches"], len(skein_edits)
         homfly(parse_pd(text))
-        assert skein_edits.counts["switch_crossing"] == edits, text
-        assert skein_edits.counts["smooth_crossing"] == edits, text
+        assert skein_counters["smoothings"] - before[0] == smoothings, text
+        assert skein_counters["switches"] - before[1] == switches, text
+        assert len(skein_edits) - before[2] == 2 * smoothings, text
+
+
+def test_homfly_leaves_the_shared_unlink_values_unchanged():
+    unlink = sys.modules["kch.homfly"]._unlink
+    before = {n: dict(unlink(n)) for n in (1, 2, 3)}
+    for _ in range(2):
+        for name in ("unknot", "two_unlink", "positive_kink", "negative_kink"):
+            homfly(bundled(name))
+    assert {n: dict(unlink(n)) for n in (1, 2, 3)} == before
+    with pytest.raises(TypeError):
+        unlink(2)[(0, 0)] = 1
+
+
+def test_skein_counters_keep_the_work_a_stopped_recursion_did(monkeypatch, skein_counters):
+    monkeypatch.setenv("KCH_MAX_STEPS", "564")
+    with pytest.raises(ResourceLimitError, match="reached 565 steps"):
+        homfly(parse_pd(BRAID_CLOSURES[3]))
+    # the step that stops it is the last wrong crossing of the root's chain
+    assert (skein_counters["nodes"], skein_counters["smoothings"]) == (283, 282)
+    assert (skein_counters["memo_hits"], skein_counters["switches"]) == (78, 147)
 
 
 @pytest.mark.parametrize(
@@ -183,16 +213,16 @@ def test_memoization_returns_fresh_equal_objects():
     assert first == second
 
 
-def test_memo_keeps_each_resolution_its_own_recursion(skein_edits):
+def test_memo_keeps_each_resolution_its_own_recursion(skein_counters):
     d = parse_pd(BRAID_CLOSURES[1])
     reference = homfly(d)
-    skein_edits.clear()
+    walked = skein_counters["nodes"]
     assert homfly(d) == reference
-    assert skein_edits == []
+    assert skein_counters["nodes"] == walked
     for resolution in (1, 2, 3, 5):
-        before = len(skein_edits)
+        before = skein_counters["smoothings"]
         assert homfly(d, resolution=resolution) == reference
-        assert len(skein_edits) > before, resolution
+        assert skein_counters["smoothings"] > before, resolution
 
 
 def test_crossing_cap_holds_after_a_memo_hit():
@@ -202,17 +232,18 @@ def test_crossing_cap_holds_after_a_memo_hit():
         homfly(d, max_crossings=2)
 
 
-def test_equal_diagrams_do_not_share_the_memo(skein_edits):
+def test_equal_diagrams_do_not_share_the_memo(skein_counters):
     homfly(parse_pd(BRAID_CLOSURES[1]))
-    skein_edits.clear()
+    first = skein_counters["smoothings"]
+    assert first
     homfly(parse_pd(BRAID_CLOSURES[1]))
-    assert skein_edits
+    assert skein_counters["smoothings"] == 2 * first
 
 
-def test_edits_equal_a_validated_rebuild(skein_edits):
+def test_edits_equal_a_validated_rebuild(skein_edits, skein_counters):
     for d in all_diagrams():
         homfly(d)
-    assert len(skein_edits) > 100
+    assert len(skein_edits) == 2 * skein_counters["smoothings"] > 100
     for edited in skein_edits:
         rebuilt = LinkDiagram(edited.crossings, edited.signs, edited.circles)
         assert rebuilt == edited

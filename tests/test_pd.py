@@ -2,7 +2,7 @@ import pytest
 
 from kch.errors import DomainError, ParseError
 from kch.homfly import BUNDLED_DIAGRAMS
-from kch.pd import LinkDiagram, parse_pd, smooth_crossing, switch_crossing
+from kch.pd import LinkDiagram, _strands, parse_pd, smooth_crossing, switch_crossing
 
 RIGHT_TREFOIL = BUNDLED_DIAGRAMS["right_trefoil"]
 LEFT_TREFOIL = BUNDLED_DIAGRAMS["left_trefoil"]
@@ -57,17 +57,17 @@ def test_whitespace_and_separators():
 def test_successor_map_is_a_permutation():
     for text in BUNDLED_DIAGRAMS.values():
         d = parse_pd(text)
-        succ = d.successor_map()
-        arcs = d.arc_labels()
+        succ = _strands(d.crossings, d.signs)[0]
+        arcs = {label for record in d.crossings for label in record}
         assert sorted(succ) == sorted(arcs)
-        assert sorted(nxt for nxt, _, _ in succ.values()) == sorted(arcs)
+        assert sorted(succ.values()) == sorted(arcs)
 
 
 def test_component_cycles_partition_arcs():
     d = parse_pd(RIGHT_TREFOIL)
     cycles = d.component_cycles()
     assert len(cycles) == 1
-    assert sorted(cycles[0]) == sorted(d.arc_labels())
+    assert sorted(cycles[0]) == sorted({label for record in d.crossings for label in record})
     hopf = parse_pd(POSITIVE_HOPF)
     assert len(hopf.component_cycles()) == 2
 
@@ -164,6 +164,30 @@ def test_diagram_validation():
         LinkDiagram(crossings=(), signs=(), circles=0)  # no components at all
     with pytest.raises(DomainError):
         LinkDiagram(crossings=(), signs=(1,), circles=1)  # sign count mismatch
+
+
+@pytest.mark.parametrize(
+    "crossings",
+    [((1, 2, 3),), ((1, 2, "a", 4),), ((1, 2, 3, 4.0),), ([2, 1, 2, 1],), ((1, True, 1, True),)],
+)
+def test_malformed_crossing_records_are_domain_errors(crossings):
+    with pytest.raises(DomainError):
+        LinkDiagram(crossings, (1,))
+
+
+@pytest.mark.parametrize(
+    "crossings, signs",
+    [(((1, 1, 2, 2),), (True,)), (((1, 1, 2, 2),), (1.0,)), ([(1, 1, 2, 2)], (1,)), (((1, 1, 2, 2),), [1])],
+)
+def test_non_integer_signs_and_untupled_parts_are_domain_errors(crossings, signs):
+    with pytest.raises(DomainError):
+        LinkDiagram(crossings, signs)
+
+
+@pytest.mark.parametrize("circles", [1.0, "1", None])
+def test_non_integer_circle_count_is_a_domain_error(circles):
+    with pytest.raises(DomainError):
+        LinkDiagram((), (), circles)
 
 
 def test_writhe_of_twisted_unlink():

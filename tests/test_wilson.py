@@ -216,22 +216,36 @@ def test_domain_guards():
         wilson_loop(unknot, 2, -3)  # k + N = -1
 
 
+@pytest.mark.parametrize("evaluate", [wilson_loop, wilson_exact, wilson_loop_float])
+@pytest.mark.parametrize("levels", [(2.0, 1), (True, 1), (2, 1.0), (2, False), ("2", 1)])
+def test_non_integer_levels_are_domain_errors(evaluate, levels):
+    with pytest.raises(DomainError):
+        evaluate(bundled("unknot"), *levels)
+
+
+@pytest.mark.parametrize("evaluate", [homfly, wilson_loop, wilson_exact, wilson_loop_float])
+@pytest.mark.parametrize("diagram", ["UNKNOT", None, ((1, 1, 2, 2),)])
+def test_non_diagrams_are_domain_errors(evaluate, diagram):
+    levels = () if evaluate is homfly else (2, 1)
+    with pytest.raises(DomainError):
+        evaluate(diagram, *levels)
+
+
 def test_hopf_wilson_loop_finite():
     hopf = bundled("positive_hopf")
     value = wilson_loop(hopf, 2, 3)
     assert abs(value) > 0
 
 
-def test_levels_reuse_the_diagrams_skein_polynomial(skein_edits):
+def test_levels_reuse_the_diagrams_skein_polynomial(skein_counters):
     homfly(parse_pd(BRAID_CLOSURE))
-    one_call = len(skein_edits)
-    assert one_call > 0
-    skein_edits.clear()
+    one_call = skein_counters["nodes"], skein_counters["smoothings"]
+    assert one_call[1] > 0
     d = parse_pd(BRAID_CLOSURE)
     homfly(d)
     for N, k in [(2, 1), (3, -10), (4, 8)]:
         wilson_loop(d, N, k)
-    assert len(skein_edits) == one_call
+    assert (skein_counters["nodes"], skein_counters["smoothings"]) == (2 * one_call[0], 2 * one_call[1])
 
 
 def test_level_cap():
