@@ -21,7 +21,6 @@ from .errors import KchError, ParseError
 from .feynman import (
     CubicForm,
     QuadraticForm,
-    enumerate_pairings,
     evaluate_matrix_series,
     matrix_model_series,
     matrix_wick_oracle_series,
@@ -327,7 +326,7 @@ def _cmd_feynman_matrix(args) -> int:
 
 def _cmd_feynman_ribbon(args) -> int:
     census, disconnected = ribbon_census(args.order)
-    total = len(enumerate_pairings(args.order))
+    total = sum(census.values()) + disconnected
     if args.json:
         _print_json(
             {

@@ -151,11 +151,6 @@ class CyclotomicField:
             tuple(Fraction(1) if k == power else Fraction(0) for k in range(power + 1))
         )
 
-    def imaginary_unit(self) -> "CyclotomicElement":
-        if self.n % 4:
-            raise DomainError(f"Q(zeta_{self.n}) does not contain i (need 4 | n)")
-        return self.zeta(self.n // 4)
-
 
 class CyclotomicElement:
     __slots__ = ("field", "coeffs")

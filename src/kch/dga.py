@@ -70,15 +70,6 @@ class AlgebraElement:
     def zero(cls, ring: Iterable[str]) -> "AlgebraElement":
         return cls(ring, {})
 
-    @classmethod
-    def from_polynomial(cls, poly: LaurentPolynomial) -> "AlgebraElement":
-        return cls(poly.variables, {(): poly})
-
-    @classmethod
-    def generator(cls, ring: Iterable[str], name: str) -> "AlgebraElement":
-        ring = tuple(ring)
-        return cls(ring, {(name,): LaurentPolynomial.one(ring)})
-
     def terms(self):
         return iter(self._terms)
 
@@ -231,10 +222,6 @@ class DGA:
             return self._by_name[name]
         except KeyError:
             raise DomainError(f"unknown generator {name!r}") from None
-
-    def generator_element(self, name: str) -> AlgebraElement:
-        self.generator(name)
-        return AlgebraElement.generator(self.torus_variables, name)
 
     def word_degree(self, word: Word) -> int:
         return sum(self.generator(g).degree for g in word)

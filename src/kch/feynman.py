@@ -23,6 +23,10 @@ The Hermitian one-matrix analogue replaces the vertex by tr M^3 and the
 propagator by <M_ab M_cd> = delta_ad delta_bc; each matching then closes index
 loops, contributing N per loop.  Matchings are fattened into ribbon graphs
 whose face count h, loop count r and genus g satisfy 2 - 2g - h = 1 - r.
+
+Both models read one cached walk over the matchings per order, counted by
+(isomorphism class, face count of the standard-rotation ribbon); the class,
+face and ribbon censuses are views of it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, ResourceLimitError
 from .laurent import LaurentPolynomial, _denominator, _narrow
@@ -96,12 +100,12 @@ class CubicForm:
     __slots__ = ("dimension", "_entries")
 
     def __init__(self, dimension: int, entries: Mapping[tuple[int, int, int], Scalar]) -> None:
+        _check_int(dimension, "cubic form dimension")
         if dimension <= 0:
             raise DomainError("cubic form needs a positive dimension")
         canonical: dict[tuple[int, int, int], Scalar] = {}
         for key, value in entries.items():
-            i, j, k = key
-            if not all(0 <= t < dimension for t in (i, j, k)):
+            if not _is_int_tuple(key, 3) or not all(0 <= t < dimension for t in key):
                 raise DomainError(f"cubic index {key!r} out of range for dimension {dimension}")
             value = Scalar.of(value)
             sorted_key = tuple(sorted(key))
@@ -146,6 +150,28 @@ class CubicForm:
 # -- pairings of half-edges ---------------------------------------------------
 
 
+def _check_int(value, what: str) -> None:
+    # ``type(...) is int`` also refuses ``bool`` and integral floats
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _is_int_tuple(value, length: int) -> bool:
+    return type(value) is tuple and len(value) == length and all(type(t) is int for t in value)
+
+
+def _check_order(order: int, what: str = "expansion order") -> None:
+    _check_int(order, what)
+    if order < 0:
+        raise DomainError(f"{what} must be nonnegative")
+
+
+def _check_size(size: int) -> None:
+    _check_int(size, "matrix size")
+    if size < 1:
+        raise DomainError("matrix size must be at least 1")
+
+
 @dataclass(frozen=True)
 class Pairing:
     """Perfect matching on the 3m half-edges; vertex v owns 3v, 3v+1, 3v+2."""
@@ -154,11 +180,15 @@ class Pairing:
     matching: tuple[Edge, ...]
 
     def __post_init__(self):
+        _check_int(self.m, "vertex count")
         total = 3 * self.m
         if total % 2:
             raise DomainError("a perfect matching needs an even number of half-edges")
         seen = set()
-        for a, b in self.matching:
+        for record in self.matching:
+            if not _is_int_tuple(record, 2):
+                raise DomainError(f"half-edge pair {record!r} is not two integers")
+            a, b = record
             if not (0 <= a < b < total):
                 raise DomainError(f"half-edge pair ({a},{b}) out of range or unordered")
             seen.add(a)
@@ -179,16 +209,34 @@ class Pairing:
         return tuple(sorted((min(a // 3, b // 3), max(a // 3, b // 3)) for a, b in self.matching))
 
 
-# every route that sums over pairings builds all (3m-1)!! of them at order m:
-# 10,395 at order 4 take about 0.1 s, order 6 would need 34,459,425
+# the census walks all (3m-1)!! matchings of order m once: the 10,395 at order 4
+# take about 0.1 s on a shared 2-vCPU VM, order 6 would walk 34,459,425
 MAX_FEYNMAN_ORDER = 4
 
 
-def _check_pairing_order(order: int) -> None:
+def _check_pairing_order(order: int, what: str = "expansion order") -> None:
+    _check_order(order, what)
     if order > MAX_FEYNMAN_ORDER:
         raise ResourceLimitError(
             f"order {order} exceeds the Feynman order cap {MAX_FEYNMAN_ORDER}"
         )
+
+
+def _matchings(m: int) -> Iterator[tuple[Edge, ...]]:
+    """Perfect matchings of the 3m half-edges as sorted (a, b) pairs with
+    a < b, smallest-first; none when 3m is odd.  Callers check the order."""
+
+    def extend(unmatched: tuple[int, ...], pairs: tuple[Edge, ...]):
+        if not unmatched:
+            yield pairs
+            return
+        a = unmatched[0]
+        for idx in range(1, len(unmatched)):
+            rest = unmatched[1:idx] + unmatched[idx + 1 :]
+            yield from extend(rest, pairs + ((a, unmatched[idx]),))
+
+    if (3 * m) % 2 == 0:
+        yield from extend(tuple(range(3 * m)), ())
 
 
 def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
@@ -196,35 +244,8 @@ def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
 
     Orders above ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError``.
     """
-    if m < 0:
-        raise DomainError("vertex count must be nonnegative")
-    _check_pairing_order(m)
-    total = 3 * m
-    if total % 2:
-        return ()
-    if total == 0:
-        return (Pairing(0, ()),)
-    out: list[Pairing] = []
-    pairs: list[Edge] = []
-    unmatched = list(range(total))
-
-    def extend():
-        if not unmatched:
-            out.append(Pairing(m, tuple(pairs)))
-            return
-        a = unmatched[0]
-        for idx in range(1, len(unmatched)):
-            b = unmatched[idx]
-            rest = unmatched[1:idx] + unmatched[idx + 1 :]
-            pairs.append((a, b))
-            saved = unmatched[:]
-            unmatched[:] = rest
-            extend()
-            unmatched[:] = saved
-            pairs.pop()
-
-    extend()
-    return tuple(out)
+    _check_pairing_order(m, "vertex count")
+    return tuple(Pairing(m, pairs) for pairs in _matchings(m))
 
 
 def double_factorial(k: int) -> int:
@@ -272,21 +293,36 @@ def canonical_graph_class(m: int, edges: Sequence[Edge]) -> tuple[Edge, ...]:
     return best if best is not None else ()
 
 
-def _multigraph_census(m: int) -> tuple[tuple[tuple[Edge, ...], int], ...]:
-    """How many pairings realize each labeled multigraph."""
-    census = Counter(p.vertex_edges() for p in enumerate_pairings(m))
+@lru_cache(maxsize=None)
+def _pairing_census(m: int) -> tuple[tuple[tuple[tuple[Edge, ...], int], int], ...]:
+    """The one walk over the matchings of order m: how many pairings realize
+    each (isomorphism-class label, face count of the standard-rotation
+    ribbon).  The label is the ``canonical_graph_class`` of the pairing's
+    labeled multigraph, worked out once per distinct multigraph."""
+    sigma = [h - h % 3 + (h + 1) % 3 for h in range(3 * m)]
+    partner = [0] * (3 * m)
+    labeled: Counter = Counter()
+    for pairs in _matchings(m):
+        for a, b in pairs:
+            partner[a] = b
+            partner[b] = a
+        edges = tuple(sorted((a // 3, b // 3) for a, b in pairs))
+        labeled[edges, _count_faces(sigma, partner)] += 1
+    labels = {edges: canonical_graph_class(m, edges) for edges, _ in labeled}
+    census: Counter = Counter()
+    for (edges, faces), count in labeled.items():
+        census[labels[edges], faces] += count
     return tuple(sorted(census.items()))
 
 
-@lru_cache(maxsize=None)
 def _class_census(m: int) -> tuple[tuple[tuple[Edge, ...], int], ...]:
     """How many pairings realize each isomorphism class, keyed by its
     ``canonical_graph_class`` label.  The label is itself a labeled multigraph
     of the class, and the contraction weight depends only on the class, so it
     stands for every pairing counted with it."""
     census: Counter = Counter()
-    for edges, count in _multigraph_census(m):
-        census[canonical_graph_class(m, edges)] += count
+    for (label, _), count in _pairing_census(m):
+        census[label] += count
     return tuple(sorted(census.items()))
 
 
@@ -389,8 +425,7 @@ def _check_model(q: QuadraticForm, c: CubicForm, order: int) -> None:
         raise DomainError(
             f"quadratic dimension {q.dimension} differs from cubic dimension {c.dimension}"
         )
-    if order < 0:
-        raise DomainError("expansion order must be nonnegative")
+    _check_order(order)
 
 
 def scalar_model_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
@@ -550,45 +585,50 @@ class RibbonGraph:
         return len(self.pairing.matching)
 
 
-def trace_faces(graph: RibbonGraph) -> int:
-    """Number of cycles of (rotation o edge involution): the boundary faces."""
-    sigma = {}
-    for a, b, c in graph.rotation:
-        sigma[a] = b
-        sigma[b] = c
-        sigma[c] = a
-    alpha = graph.pairing.partner()
-    remaining = set(sigma)
+def _count_faces(sigma: Sequence[int], partner: Sequence[int]) -> int:
+    """Cycles of h -> sigma(partner(h)) on the half-edges: the boundary faces."""
+    seen = [False] * len(sigma)
     faces = 0
-    while remaining:
-        start = min(remaining)
-        h = start
-        while True:
-            remaining.discard(h)
-            h = sigma[alpha[h]]
-            if h == start:
-                break
+    for start in range(len(sigma)):
+        if seen[start]:
+            continue
         faces += 1
+        h = start
+        while not seen[h]:
+            seen[h] = True
+            h = sigma[partner[h]]
     return faces
 
 
-def ribbon_faces(graph: RibbonGraph) -> tuple[int, int, int]:
-    """(h, g, r) for a connected ribbon graph: faces, genus, loops.
+def trace_faces(graph: RibbonGraph) -> int:
+    """Number of cycles of (rotation o edge involution): the boundary faces."""
+    sigma = [0] * (3 * graph.pairing.m)
+    for a, b, c in graph.rotation:
+        sigma[a], sigma[b], sigma[c] = b, c, a
+    return _count_faces(sigma, graph.pairing.partner())
+
+
+def _euler_genus(h: int, v: int, e: int) -> tuple[int, int]:
+    """(g, r) of a connected ribbon graph with h faces, v vertices and e edges.
 
     Euler count: 2 - 2g - h = chi(surface) = chi(graph) = 1 - r with
     r = e - v + 1.
     """
-    m = graph.pairing.m
-    if not _connected(m, graph.pairing.vertex_edges()):
-        raise DomainError("ribbon graph is disconnected; split components first")
-    h = trace_faces(graph)
-    v = graph.vertex_count()
-    e = graph.edge_count()
     r = e - v + 1
     genus2 = 1 + r - h
     if genus2 % 2 or genus2 < 0:
         raise DomainError(f"inconsistent face count h={h} for loop count r={r}")
-    return h, genus2 // 2, r
+    return genus2 // 2, r
+
+
+def ribbon_faces(graph: RibbonGraph) -> tuple[int, int, int]:
+    """(h, g, r) for a connected ribbon graph: faces, genus, loops."""
+    m = graph.pairing.m
+    if not _connected(m, graph.pairing.vertex_edges()):
+        raise DomainError("ribbon graph is disconnected; split components first")
+    h = trace_faces(graph)
+    genus, r = _euler_genus(h, graph.vertex_count(), graph.edge_count())
+    return h, genus, r
 
 
 # -- matrix model -------------------------------------------------------------
@@ -596,10 +636,11 @@ def ribbon_faces(graph: RibbonGraph) -> tuple[int, int, int]:
 MATRIX_VARIABLE = "N"
 
 
-@lru_cache(maxsize=None)
 def _face_census(m: int) -> tuple[tuple[int, int], ...]:
     """(face count, pairings) pairs at order m with the standard rotations."""
-    census = Counter(trace_faces(RibbonGraph.standard(p)) for p in enumerate_pairings(m))
+    census: Counter = Counter()
+    for (_, faces), count in _pairing_census(m):
+        census[faces] += count
     return tuple(sorted(census.items()))
 
 
@@ -614,8 +655,6 @@ def matrix_model_series(
     ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError`` before any pairing is
     built.
     """
-    if order < 0:
-        raise DomainError("expansion order must be nonnegative")
     _check_pairing_order(order)
     ring = (matrix_variable,)
     coefficients = []
@@ -635,10 +674,8 @@ def matrix_wick_oracle_series(size: int, order: int) -> FormalSeries:
     resulting identification class ranges freely over the size, contributing
     one factor of size per class.  No ribbon structure is consulted.
     """
-    if size < 1:
-        raise DomainError("matrix size must be at least 1")
-    if order < 0:
-        raise DomainError("expansion order must be nonnegative")
+    _check_size(size)
+    _check_order(order)
     values = []
     for m in range(order + 1):
         total = sum(count * size**classes for classes, count in _wick_class_counts(m))
@@ -674,8 +711,7 @@ def _wick_class_counts(m: int) -> tuple[tuple[int, int], ...]:
 
 def evaluate_matrix_series(series: FormalSeries, size: int) -> FormalSeries:
     """Substitute a concrete matrix size into a symbolic matrix-model series."""
-    if size < 1:
-        raise DomainError("matrix size must be at least 1")
+    _check_size(size)
     ring = series.ring
     if len(ring) != 1:
         raise DomainError("expected a series with one symbolic matrix-size variable")
@@ -690,16 +726,15 @@ def ribbon_census(order: int) -> tuple[dict[tuple[int, int], int], int]:
 
     Returns the counter and the number of disconnected pairings, which carry
     no single (g,h) and are tallied separately.  Orders above
-    ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError``.
+    ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError`` before any pairing is
+    built.
     """
-    if order < 0:
-        raise DomainError("expansion order must be nonnegative")
+    _check_pairing_order(order)
     census: Counter = Counter()
-    skipped = 0
-    for pairing in enumerate_pairings(order):
-        if not _connected(pairing.m, pairing.vertex_edges()):
-            skipped += 1
-            continue
-        h, genus, _ = ribbon_faces(RibbonGraph.standard(pairing))
-        census[(genus, h)] += 1
-    return dict(sorted(census.items())), skipped
+    disconnected = 0
+    for (label, faces), count in _pairing_census(order):
+        if _connected(order, label):
+            census[_euler_genus(faces, order, 3 * order // 2)[0], faces] += count
+        else:
+            disconnected += count
+    return dict(sorted(census.items())), disconnected

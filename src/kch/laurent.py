@@ -256,18 +256,7 @@ class LaurentPolynomial:
         for name in self.variables:
             if name not in point:
                 raise DomainError(f"no value supplied for variable {name!r}")
-        values = [Scalar.of(point[name]) for name in self.variables]
-        total = ZERO
-        for exps, coeff in self._terms:
-            factor = coeff
-            for value, e in zip(values, exps):
-                if e == 0:
-                    continue
-                if value.is_zero() and e < 0:
-                    raise DomainError("zero assigned to a variable with a negative exponent")
-                factor = factor * value**e
-            total = total + factor
-        return total
+        return self.specialize({name: point[name] for name in self.variables}).constant_term()
 
     def substitute(self, name: str, value: Scalar | int | Fraction) -> "LaurentPolynomial":
         """Evaluate one variable, returning a polynomial over the remaining ring."""

@@ -44,12 +44,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 

@@ -182,6 +182,68 @@ def test_feynman_ribbon(capsys):
     ]
 
 
+RIBBON_ORDER_4_TEXT = """\
+order 4: 10395 pairings, 9720 connected
+  (g=0, h=4): 5184
+  (g=1, h=2): 4536
+  disconnected pairings: 675
+"""
+
+ORDER_4_CENSUS = [
+    {"g": 0, "h": 4, "count": 5184},
+    {"g": 1, "h": 2, "count": 4536},
+]
+
+MATRIX_ORDER_4_TEXT = """\
+order  graph-sum                at N=2       oracle  match
+0      1                        1            1       yes
+1      0                        0            0       yes
+2      3/2*N + 6*N^3            51           51      yes
+3      0                        0            0       yes
+4      1521/8*N^2 + 225*N^4 + 18*N^6 11025/2      11025/2 yes
+
+ribbon census (connected pairings, standard rotations):
+  order 2: (g=0,h=3) x 12, (g=1,h=1) x 3
+  order 4: (g=0,h=4) x 5184, (g=1,h=2) x 4536, disconnected pairings: 675
+"""
+
+
+def test_feynman_ribbon_order_four_is_frozen(capsys):
+    assert run(capsys, "feynman", "ribbon", "--order", "4") == (0, RIBBON_ORDER_4_TEXT, "")
+    expected = {
+        "order": 4,
+        "pairings": 10395,
+        "classes": ORDER_4_CENSUS,
+        "disconnected_pairings": 675,
+    }
+    code, out, _ = run(capsys, "feynman", "ribbon", "--order", "4", "--json")
+    assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_feynman_matrix_order_four_is_frozen(capsys):
+    argv = ("feynman", "matrix", "--N", "2", "--order", "4")
+    assert run(capsys, *argv) == (0, MATRIX_ORDER_4_TEXT, "")
+    polynomials = ["1", "0", "3/2*N + 6*N^3", "0", "1521/8*N^2 + 225*N^4 + 18*N^6"]
+    values = ["1", "0", "51", "0", "11025/2"]
+    expected = {
+        "N": 2,
+        "orders": [
+            {"order": m, "polynomial": poly, "evaluated": value, "oracle": value, "match": True}
+            for m, (poly, value) in enumerate(zip(polynomials, values))
+        ],
+        "census": [
+            {
+                "order": 2,
+                "classes": [{"g": 0, "h": 3, "count": 12}, {"g": 1, "h": 1, "count": 3}],
+                "disconnected_pairings": 0,
+            },
+            {"order": 4, "classes": ORDER_4_CENSUS, "disconnected_pairings": 675},
+        ],
+    }
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_homfly_bundled_and_file(tmp_path, capsys):
     code, out, _ = run(capsys, "homfly", "--pd", "right_trefoil")
     assert code == 0
@@ -318,14 +380,30 @@ def test_repeated_runs_are_identical(capsys):
     assert first == second
 
 
-def run_process(*argv):
-    # run as a process so an escaping exception would show as a traceback
+def python_process(*args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(kch.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "kch.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
+
+
+def run_process(*argv):
+    # run as a process so an escaping exception would show as a traceback
+    return python_process("-m", "kch.cli", *argv)
+
+
+def test_import_builds_no_census_and_loads_no_lazy_module():
+    # set-up cost of every stream: ``import kch`` must stay cheap
+    script = (
+        "import sys, kch; "
+        "print(sorted(m for m in ('kch._packed', 'kch.cli') if m in sys.modules), "
+        "sys.modules['kch.feynman']._pairing_census.cache_info().currsize)"
+    )
+    proc = python_process("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
 
 
 def test_zero_denominator_exits_two_without_traceback():

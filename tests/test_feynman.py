@@ -1,6 +1,7 @@
 import importlib
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -29,11 +30,11 @@ from kch.feynman import (
     stein_oracle_series,
     trace_faces,
     _class_census,
+    _face_census,
     _wick_class_counts,
     _connected,
     _contract_multigraph,
     _graph_coefficient,
-    _multigraph_census,
 )
 from kch.scalars import ZERO, Scalar
 
@@ -307,7 +308,7 @@ def test_class_census_counts_every_pairing_once():
 
 def test_class_sum_equals_labeled_sum():
     rng = random.Random(47)
-    labeled = {m: _multigraph_census(m) for m in (2, 4)}
+    labeled = {m: Counter(p.vertex_edges() for p in enumerate_pairings(m)).items() for m in (2, 4)}
     for _ in range(4):
         q, c = random_model(rng, rng.randint(1, 3))
         for m in (2, 4):
@@ -329,8 +330,8 @@ def test_order_cap_raises_before_any_pairing(monkeypatch):
     feynman = importlib.import_module("kch.feynman")
     built = []
     monkeypatch.setattr(feynman, "Pairing", lambda *args: built.append(args))
-    feynman._class_census.cache_clear()
-    feynman._face_census.cache_clear()
+    monkeypatch.setattr(feynman, "_matchings", lambda m: built.append(m) or iter(()))
+    feynman._pairing_census.cache_clear()
     q, c = one_dim()
     entries = [
         lambda order: scalar_model_series(q, c, order),
@@ -346,3 +347,67 @@ def test_order_cap_raises_before_any_pairing(monkeypatch):
                 entry(order)
     assert built == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_census_views_equal_their_per_pairing_definitions():
+    for m in range(5):
+        pairings = enumerate_pairings(m)
+        classes = Counter(canonical_graph_class(m, p.vertex_edges()) for p in pairings)
+        faces = Counter(trace_faces(RibbonGraph.standard(p)) for p in pairings)
+        ribbons, disconnected = Counter(), 0
+        for p in pairings:
+            if _connected(m, p.vertex_edges()):
+                h, g, _ = ribbon_faces(RibbonGraph.standard(p))
+                ribbons[g, h] += 1
+            else:
+                disconnected += 1
+        assert _class_census(m) == tuple(sorted(classes.items())), m
+        assert _face_census(m) == tuple(sorted(faces.items())), m
+        assert ribbon_census(m) == (dict(sorted(ribbons.items())), disconnected), m
+
+
+def test_the_matchings_are_walked_once_per_order(monkeypatch):
+    feynman = importlib.import_module("kch.feynman")
+    walked = []
+    raw = feynman._matchings
+    monkeypatch.setattr(feynman, "_matchings", lambda m: walked.append(m) or raw(m))
+    feynman._pairing_census.cache_clear()
+    q, c = one_dim()
+    scalar_model_series(q, c, 4)
+    connected_scalar_series(q, c, 4)
+    matrix_model_series(4)
+    for order in range(5):
+        ribbon_census(order)
+    connected_isomorphism_classes(4)
+    assert sorted(walked) == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_pairings(2.0),
+        lambda: enumerate_pairings(True),
+        lambda: scalar_model_series(*one_dim(), 2.0),
+        lambda: connected_scalar_series(*one_dim(), 2.0),
+        lambda: stein_oracle_series(*one_dim(), 2.0),
+        lambda: matrix_model_series(2.0),
+        lambda: ribbon_census("4"),
+        lambda: matrix_wick_oracle_series(2.5, 2),
+        lambda: matrix_wick_oracle_series(2, 2.0),
+        lambda: evaluate_matrix_series(matrix_model_series(2), True),
+        lambda: evaluate_matrix_series(matrix_model_series(2), 2.0),
+        lambda: CubicForm(2, {(0, 1): 1}),
+        lambda: CubicForm(2, {(0, 0, "a"): 1}),
+        lambda: CubicForm(2, {(0.5, 0, 0): 1}),
+        lambda: CubicForm(2, {(0, 0, True): 1}),
+        lambda: CubicForm("2", {}),
+        lambda: CubicForm(2.0, {}),
+        lambda: Pairing("2", ((0, 3), (1, 4), (2, 5))),
+        lambda: Pairing(2, ((0, 3, 1), (1, 4), (2, 5))),
+        lambda: Pairing(2, ((0.0, 3), (1, 4), (2, 5))),
+        lambda: Pairing(2, ((0, 3), (1, 4), (2, "5"))),
+    ],
+)
+def test_malformed_feynman_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

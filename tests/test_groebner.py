@@ -267,7 +267,7 @@ def test_basis_matches_textbook_oracle():
             repr(tuple(g.terms())) for g in expected
         ]
         assert_scalar_coefficients(basis)
-        imaginary += any(not c.is_real() for g in gens for _, c in g.terms())
+        imaginary += any(c.im for g in gens for _, c in g.terms())
     assert imaginary >= 20
 
 

@@ -180,6 +180,13 @@ def test_specialize_agrees_with_evaluate():
         part = p.specialize({name: point[name] for name in fixed})
         assert part.variables == tuple(name for name in RING if name not in fixed)
         assert part.evaluate({name: point[name] for name in part.variables}) == p.evaluate(point)
+        # reference: the term-by-term Scalar sum, independent of ``specialize``
+        expected = Scalar(0)
+        for exps, coeff in p.terms():
+            for name, e in zip(RING, exps):
+                coeff = coeff * point[name] ** e
+            expected = expected + coeff
+        assert p.evaluate(point) == expected
 
 
 def test_specialize_at_zero():

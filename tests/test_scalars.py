@@ -58,9 +58,8 @@ def test_mixed_int_fraction_arithmetic():
     assert 1 - Scalar(Fraction(1, 2)) == Scalar(Fraction(1, 2))
 
 
-def test_conjugate_and_to_complex():
+def test_to_complex():
     s = Scalar(Fraction(3, 2), Fraction(-1, 4))
-    assert s.conjugate() == Scalar(Fraction(3, 2), Fraction(1, 4))
     assert s.to_complex() == 1.5 - 0.25j
 
 

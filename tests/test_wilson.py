@@ -121,14 +121,6 @@ def test_field_inverse_random():
         assert elem * elem.inverse() == field.one()
 
 
-def test_imaginary_unit():
-    field = CyclotomicField(8)
-    i = field.imaginary_unit()
-    assert i * i == field.rational(-1)
-    with pytest.raises(DomainError):
-        CyclotomicField(6).imaginary_unit()
-
-
 def test_to_complex_agrees_with_root_of_unity():
     field = CyclotomicField(7)
     for k in range(7):
