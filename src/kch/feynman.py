@@ -160,10 +160,10 @@ def _is_int_tuple(value, length: int) -> bool:
     return type(value) is tuple and len(value) == length and all(type(t) is int for t in value)
 
 
-def _check_order(order: int, what: str = "expansion order") -> None:
-    _check_int(order, what)
+def _check_order(order: int) -> None:
+    _check_int(order, "expansion order")
     if order < 0:
-        raise DomainError(f"{what} must be nonnegative")
+        raise DomainError("expansion order must be nonnegative")
 
 
 def _check_size(size: int) -> None:
@@ -214,8 +214,8 @@ class Pairing:
 MAX_FEYNMAN_ORDER = 4
 
 
-def _check_pairing_order(order: int, what: str = "expansion order") -> None:
-    _check_order(order, what)
+def _check_pairing_order(order: int) -> None:
+    _check_order(order)
     if order > MAX_FEYNMAN_ORDER:
         raise ResourceLimitError(
             f"order {order} exceeds the Feynman order cap {MAX_FEYNMAN_ORDER}"
@@ -244,7 +244,7 @@ def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
 
     Orders above ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError``.
     """
-    _check_pairing_order(m, "vertex count")
+    _check_pairing_order(m)
     return tuple(Pairing(m, pairs) for pairs in _matchings(m))
 
 
@@ -296,9 +296,10 @@ def canonical_graph_class(m: int, edges: Sequence[Edge]) -> tuple[Edge, ...]:
 @lru_cache(maxsize=None)
 def _pairing_census(m: int) -> tuple[tuple[tuple[tuple[Edge, ...], int], int], ...]:
     """The one walk over the matchings of order m: how many pairings realize
-    each (isomorphism-class label, face count of the standard-rotation
-    ribbon).  The label is the ``canonical_graph_class`` of the pairing's
-    labeled multigraph, worked out once per distinct multigraph."""
+    each (``canonical_graph_class`` label, face count of the standard-rotation
+    ribbon), with each distinct labeled multigraph canonicalised once.  The
+    order is checked here, so that every view of the census is guarded."""
+    _check_pairing_order(m)
     sigma = [h - h % 3 + (h + 1) % 3 for h in range(3 * m)]
     partner = [0] * (3 * m)
     labeled: Counter = Counter()
@@ -420,12 +421,11 @@ def _graph_coefficient(
     return Scalar.of(total) * Fraction(1, d ** (3 * m // 2) * d_cubic**m * factorial(m))
 
 
-def _check_model(q: QuadraticForm, c: CubicForm, order: int) -> None:
+def _check_model(q: QuadraticForm, c: CubicForm) -> None:
     if q.dimension != c.dimension:
         raise DomainError(
             f"quadratic dimension {q.dimension} differs from cubic dimension {c.dimension}"
         )
-    _check_order(order)
 
 
 def scalar_model_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
@@ -434,7 +434,7 @@ def scalar_model_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
     Orders above ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError`` before
     any pairing is built.
     """
-    _check_model(q, c, order)
+    _check_model(q, c)
     _check_pairing_order(order)
     values = [
         _graph_coefficient(m, q.propagator, c, connected_only=False)
@@ -445,7 +445,7 @@ def scalar_model_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
 
 def connected_scalar_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
     """Same weights as scalar_model_series but restricted to connected graphs."""
-    _check_model(q, c, order)
+    _check_model(q, c)
     _check_pairing_order(order)
     values = [
         _graph_coefficient(m, q.propagator, c, connected_only=True) for m in range(order + 1)
@@ -495,7 +495,8 @@ def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
     values are exact, held as int or Fraction, and as a ``Scalar`` only with
     an imaginary part.
     """
-    _check_model(q, c, order)
+    _check_model(q, c)
+    _check_order(order)
     n = q.dimension
     propagator = [[_narrow(value) for value in row] for row in q.propagator]
     moments: dict[tuple[int, ...], object] = {(0,) * n: 1}
@@ -729,7 +730,6 @@ def ribbon_census(order: int) -> tuple[dict[tuple[int, int], int], int]:
     ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError`` before any pairing is
     built.
     """
-    _check_pairing_order(order)
     census: Counter = Counter()
     disconnected = 0
     for (label, faces), count in _pairing_census(order):

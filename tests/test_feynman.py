@@ -338,6 +338,7 @@ def test_order_cap_raises_before_any_pairing(monkeypatch):
         lambda order: connected_scalar_series(q, c, order),
         lambda order: matrix_model_series(order),
         lambda order: ribbon_census(order),
+        lambda order: connected_isomorphism_classes(order),
         lambda order: enumerate_pairings(order),
     ]
     start = time.perf_counter()
@@ -392,6 +393,9 @@ def test_the_matchings_are_walked_once_per_order(monkeypatch):
         lambda: stein_oracle_series(*one_dim(), 2.0),
         lambda: matrix_model_series(2.0),
         lambda: ribbon_census("4"),
+        lambda: ribbon_census(-1),
+        lambda: connected_isomorphism_classes(2.0),
+        lambda: connected_isomorphism_classes(-1),
         lambda: matrix_wick_oracle_series(2.5, 2),
         lambda: matrix_wick_oracle_series(2, 2.0),
         lambda: evaluate_matrix_series(matrix_model_series(2), True),
@@ -411,3 +415,15 @@ def test_the_matchings_are_walked_once_per_order(monkeypatch):
 def test_malformed_feynman_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_a_cached_census_admits_no_float_or_bool_order():
+    assert connected_isomorphism_classes(2) and ribbon_census(1) == ({}, 0)
+    for call in (
+        lambda: connected_isomorphism_classes(2.0),
+        lambda: connected_isomorphism_classes(True),
+        lambda: ribbon_census(2.0),
+        lambda: ribbon_census(True),
+    ):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
