@@ -4,13 +4,15 @@ A Laurent polynomial with Gaussian-integer coefficients becomes one Python
 int (Kronecker substitution): its coefficient at each exponent vector sits
 in a fixed-width slot, so a product of polynomials is one int product.  See
 ``_Kernel`` for the layout and the bounds that size it, and ``PAIR_MICROS``
-for when an operation runs on term dicts instead.
+for when an operation runs on term dicts instead.  ``PACKED_COUNTERS`` sums
+the work of every run, added once per run.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import repeat
 from math import inf
@@ -42,6 +44,12 @@ PAIR_MICROS = 0.6
 # array type codes by word width in bits: a slot of one word unpacks as one
 # array item
 _WORD_CODES = {array(code).itemsize * 8: code for code in "BHIQ"}
+
+# work summed over all kernel runs: "runs", "term_dict_runs" among them,
+# "nodes" recorded, "products" (pairs of values multiplied, an int product
+# each when packed) and "bits" (slots times slot width of a packed value,
+# summed over the packed runs)
+PACKED_COUNTERS: Counter = Counter()
 
 
 class _Gaussian:
@@ -126,6 +134,8 @@ class _Kernel:
         # of their term bounds, and whether a divisor forces term dicts
         self.pair_terms = 0
         self.sparse = False
+        # pairs summed by nonzero sums of products, for ``PACKED_COUNTERS``
+        self.products = 0
 
     def _add(self, kind: int, data, norm: int, ranges, terms) -> int:
         """Record a node with its norm bound and, read only when the norm is
@@ -166,6 +176,7 @@ class _Kernel:
         pair_terms = sum(map(mul, map(terms_of, xs), map(terms_of, ys)))
         if norm:
             self.pair_terms += pair_terms
+            self.products += len(xs)
         ranges = (
             (min(map(add, map(low.__getitem__, xs), map(low.__getitem__, ys))),
              max(map(add, map(high.__getitem__, xs), map(high.__getitem__, ys))))
@@ -243,6 +254,10 @@ class _Kernel:
         """Fix the layout, then evaluate every node packed or as term dicts."""
         self.decoded.update(outputs)
         self._layout()
+        PACKED_COUNTERS.update(
+            runs=1, term_dict_runs=int(self.sparse), nodes=len(self.nodes),
+            products=self.products, bits=0 if self.sparse else self.slots * self.width,
+        )
         if self.sparse:
             return self._run_sparse()
         width, norms, positions = self.width, self.norms, self.positions

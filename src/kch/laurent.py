@@ -149,11 +149,7 @@ class LaurentPolynomial:
         return all(not any(exps) for exps, _ in self._terms)
 
     def constant_term(self) -> Scalar:
-        zero_exps = (0,) * len(self.variables)
-        for exps, coeff in self._terms:
-            if exps == zero_exps:
-                return _scalar(coeff)
-        return ZERO
+        return next((_scalar(c) for exps, c in self._terms if not any(exps)), ZERO)
 
     def leading_term(self) -> tuple[ExponentVector, Scalar]:
         if not self._terms:
@@ -220,7 +216,8 @@ class LaurentPolynomial:
             return self
         if not value:
             return _make(self.variables, {})
-        return _make(self.variables, {e: c * value for e, c in self._terms})
+        # a nonzero factor keeps every exponent, and so the term order
+        return _adopt(self.variables, [(e, _narrow(c * value)) for e, c in self._terms])
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int):
@@ -246,9 +243,7 @@ class LaurentPolynomial:
 
     def shift(self, delta: ExponentVector) -> "LaurentPolynomial":
         delta = tuple(delta)
-        return _make(
-            self.variables, {tuple(map(add, e, delta)): c for e, c in self._terms}
-        )
+        return _make(self.variables, {tuple(map(add, e, delta)): c for e, c in self._terms})
 
     # -- evaluation and substitution ---------------------------------------
 
@@ -391,12 +386,8 @@ class LaurentPolynomial:
         return hash((self.variables, self._terms))
 
     def _monomial_text(self, exps: ExponentVector) -> str:
-        pieces = []
-        for name, e in zip(self.variables, exps):
-            if e == 0:
-                continue
-            pieces.append(name if e == 1 else f"{name}^{e}")
-        return "*".join(pieces)
+        powers = (name if e == 1 else f"{name}^{e}" for name, e in zip(self.variables, exps) if e)
+        return "*".join(powers)
 
     def __str__(self) -> str:
         if not self._terms:

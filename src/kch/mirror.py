@@ -17,21 +17,23 @@ about d k^2 / 2 polynomial products.
 The whole solve is one run of the packed kernel (``kch._packed``): every
 coefficient is a Kronecker-packed integer and each product one int product
 (or, where d is not a monomial or packing is estimated the costlier, every
-coefficient a polynomial with integer coefficients).  To keep every value integral, the curve is scaled by its common denominator,
-P by the denominator of P0 and X by a square of the content of d, which
-Hensel lifting shows to clear every denominator of the c_k (see
-``branch_series``).  ``verify_on_curve`` checks the result by its own full
-substitution of P0 exp(p) into the curve, another packed run.
+coefficient a polynomial with integer coefficients).  To keep every value
+integral, the curve is scaled by its common denominator, P by the
+denominator of P0 and X by a square of the content of d, which Hensel
+lifting shows to clear every denominator of the c_k (see ``branch_series``).
 
-The logarithm p(X) = log(P(X)/P0) is the momentum series; integrating it
-coefficientwise (divide X^k by k) gives the disk potential W with
-p = x-derivative of W, where the derivative acts as X d/dX on series in
-X = e^x.  Any constant log(P0) is carried symbolically, never numerically.
+The logarithm p(X) = log(P(X)/P0) is the momentum series, derived once per
+branch by ``p_series`` and kept on it; integrating it coefficientwise
+(divide X^k by k) gives the disk potential W with p = x-derivative of W,
+where the derivative acts as X d/dX on series in X = e^x.  Any constant
+log(P0) is carried symbolically, never numerically.  ``verify_on_curve``
+checks the kept p by its own exp and full substitution of P0 exp(p) into
+the curve, two more packed runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -69,6 +71,8 @@ class BranchSeries:
     p_variable: str
     base: Scalar
     series: FormalSeries
+    # the p series, kept by ``p_series`` on its first call
+    _p: FormalSeries | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -313,28 +317,27 @@ def p_series(branch: BranchSeries) -> FormalSeries:
     """log(P(X)/P0) as an exact series with zero constant term.
 
     The constant log(P0) is not a series coefficient; report it symbolically
-    when P0 is not 1.
+    when P0 is not 1.  The series is derived once per branch and kept on it,
+    so every later call (``verify_on_curve`` among them) returns the same
+    object.
     """
-    return branch.series.scale(branch.base.inverse()).log()
+    if branch._p is None:
+        object.__setattr__(branch, "_p", branch.series.scale(branch.base.inverse()).log())
+    return branch._p
 
 
 def potential_series(p: FormalSeries) -> PotentialSeries:
     """Integrate: the X^k coefficient divides by k; the constant becomes linear in x."""
     coefficients = [LaurentPolynomial.zero(p.ring)]
-    for k in range(1, p.order + 1):
-        coefficients.append(p.coefficient(k).scale(Fraction(1, k)))
-    return PotentialSeries(
-        linear_coefficient=p.coefficient(0),
-        series=FormalSeries(p.variable, p.order, coefficients),
-    )
+    coefficients += [c.scale(Fraction(1, k)) for k, c in enumerate(p.coefficients) if k]
+    return PotentialSeries(p.coefficient(0), FormalSeries(p.variable, p.order, coefficients))
 
 
 def potential_x_derivative(potential: PotentialSeries) -> FormalSeries:
     """x-derivative (X d/dX plus the linear part) recovering the p series."""
     series = potential.series
     coefficients = [potential.linear_coefficient]
-    for k in range(1, series.order + 1):
-        coefficients.append(series.coefficient(k).scale(k))
+    coefficients += [c.scale(k) for k, c in enumerate(series.coefficients) if k]
     return FormalSeries(series.variable, series.order, coefficients)
 
 
@@ -347,9 +350,10 @@ def verify_on_curve(
 ) -> CurveResidualReport:
     """Substitute P0 * exp(p) back into the curve; residual must vanish.
 
-    ``p`` is the momentum series to check, by default ``p_series(branch)``;
-    the branch is recomputed through its exp, so the check exercises the
-    log/exp round trip as well as the root solving.
+    ``p`` is the momentum series to check, by default ``p_series(branch)``:
+    the p the branch keeps, so no log runs twice.  The branch is rebuilt
+    from p through its own exp and substitution, which checks the log as
+    well as the root solving.
     """
     if order is None:
         order = branch.order
@@ -368,9 +372,6 @@ def verify_on_curve(
     residual = _substitute_branch(
         stripped, branch.x_variable, branch.p_variable, parameters, reconstructed
     )
-    first_failure = None
-    for k in range(order + 1):
-        if not residual.coefficient(k).is_zero():
-            first_failure = k
-            break
+    failures = (k for k in range(order + 1) if not residual.coefficient(k).is_zero())
+    first_failure = next(failures, None)
     return CurveResidualReport(first_failure is None, first_failure, residual)

@@ -16,6 +16,16 @@ def skein_counters(monkeypatch):
 
 
 @pytest.fixture
+def packed_counters(monkeypatch):
+    """The packed kernel's counters, zeroed for one test."""
+    import kch._packed
+
+    counters = Counter()
+    monkeypatch.setattr(kch._packed, "PACKED_COUNTERS", counters)
+    return counters
+
+
+@pytest.fixture
 def skein_edits(monkeypatch):
     """Every diagram the skein recursion smooths and every smoothing it
     builds from here on, in order, as diagrams of the raw parts (unchecked).

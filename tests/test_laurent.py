@@ -10,7 +10,7 @@ from kch.errors import DomainError, ParseError, RingMismatchError
 from kch.feynman import CubicForm, QuadraticForm, matrix_model_series, scalar_model_series
 from kch.groebner import normal_form, s_polynomial
 from kch.homfly import BUNDLED_DIAGRAMS, homfly
-from kch.laurent import LaurentPolynomial, parse_polynomial
+from kch.laurent import LaurentPolynomial, _make, parse_polynomial
 from kch.mirror import branch_series, p_series, potential_series, verify_on_curve
 from kch.pd import parse_pd
 from kch.scalars import Scalar
@@ -249,6 +249,32 @@ def test_scale_coerces_and_rejects():
         lp("X").scale(lp("Q"))  # polynomial factors go through *
     with pytest.raises(DomainError):
         LaurentPolynomial(RING, {(0, 0, 0): lp("Q")})
+
+
+def test_scale_keeps_the_terms_that_a_sorted_rebuild_gives():
+    # scale adopts its products in the input's term order; the sorting
+    # constructor must give the same terms, with the same narrow types
+    rng = random.Random(53)
+    values = [2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3), Scalar(0, 1),
+              Scalar(Fraction(1, 2), -2), Scalar(3), Scalar(0, Fraction(-1, 3))]
+
+    def rand_coefficient():
+        if rng.random() < 0.3:
+            return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.choice([1, -2]))
+        return Scalar(Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)))
+
+    for _ in range(80):
+        terms = {
+            tuple(rng.randint(-3, 3) for _ in RING): rand_coefficient()
+            for _ in range(rng.randint(1, 8))
+        }
+        poly = LaurentPolynomial(RING, terms)
+        for value in values:
+            scaled = poly.scale(value)
+            narrow = value.re if type(value) is Scalar and not value.im else value
+            sorted_route = _make(RING, {e: c * narrow for e, c in poly._terms})
+            assert scaled._terms == sorted_route._terms
+            assert [type(c) for _, c in scaled._terms] == [type(c) for _, c in sorted_route._terms]
 
 
 def test_primitive_normalized():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 import time
@@ -384,8 +385,69 @@ def test_verify_checks_the_p_it_is_given():
     corrupted = FormalSeries(p.variable, p.order, coefficients)
     report = verify_on_curve(UNKNOT_CURVE, branch, p=corrupted)
     assert report.ok is False and report.first_failure == 3
+    # the corrupted p is checked, not kept: the branch's own p still passes
+    assert p_series(branch) is p and verify_on_curve(UNKNOT_CURVE, branch).ok
     with pytest.raises(DomainError):
         verify_on_curve(UNKNOT_CURVE, branch, p=FormalSeries.zero("X", 8, ("R",)))
+
+
+def test_branch_keeps_its_p_series(monkeypatch):
+    branch = branch_series(UNKNOT_CURVE, 1, 8)
+    p = p_series(branch)
+    assert p_series(branch) is p
+    assert p == branch.series.scale(branch.base.inverse()).log()
+    # the check substitutes the kept p: no log runs again
+    monkeypatch.setattr(FormalSeries, "log", lambda self: pytest.fail("log ran twice"))
+    assert verify_on_curve(UNKNOT_CURVE, branch).ok
+    assert p_series(branch) is p
+
+
+def test_kept_p_series_is_not_part_of_the_branch_value():
+    kept = branch_series(UNKNOT_CURVE, 1, 8)
+    fresh = branch_series(UNKNOT_CURVE, 1, 8)
+    p_series(kept)
+    assert kept == fresh and hash(kept) == hash(fresh)
+    assert repr(kept) == repr(fresh) and "_p" not in repr(kept)
+    # a replaced branch derives its own p from its own series
+    shorter = dataclasses.replace(kept, series=kept.series.truncate(4))
+    assert shorter == dataclasses.replace(fresh, series=fresh.series.truncate(4))
+    assert p_series(shorter) == p_series(kept).truncate(4)
+    with pytest.raises(ValueError):
+        dataclasses.replace(kept, _p=None)
+
+
+def test_mirror_request_runs_the_log_once(packed_counters):
+    # a request as the CLI and the benchmark make it: the branch solve, one
+    # log, then the check's exp and substitution; checking a fresh branch
+    # runs the log once more
+    curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2", RING)
+    branch = branch_series(curve, 1, 10)
+    assert packed_counters["runs"] == 1
+    solve = dict(packed_counters)
+    p = p_series(branch)
+    potential_x_derivative(potential_series(p))
+    # the log: 11 inputs and 10 sums of products, of k pairs at order k
+    assert packed_counters["runs"] == 2
+    assert packed_counters["nodes"] - solve["nodes"] == 11 + 10
+    assert packed_counters["products"] - solve["products"] == sum(range(1, 11))
+    assert verify_on_curve(curve, branch).ok
+    assert packed_counters["runs"] == 4
+    assert verify_on_curve(curve, branch_series(curve, 1, 10)).ok
+    assert packed_counters["runs"] == 8
+    assert packed_counters["bits"] > 0 and packed_counters["term_dict_runs"] == 0
+
+
+def test_packed_counters_count_term_dict_runs_alike(packed_counters, monkeypatch):
+    curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2", RING)
+    verify_on_curve(curve, branch_series(curve, 1, 10))
+    packed = dict(packed_counters)
+    packed_counters.clear()
+    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
+    verify_on_curve(curve, branch_series(curve, 1, 10))
+    assert packed_counters["term_dict_runs"] == packed_counters["runs"] == packed["runs"]
+    assert packed_counters["nodes"] == packed["nodes"]
+    assert packed_counters["products"] == packed["products"]
+    assert packed_counters["bits"] == 0 < packed["bits"]
 
 
 def test_term_dict_branch_solve_equals_resubstitution(monkeypatch):

@@ -67,6 +67,46 @@ def test_newton_identity_matches_direct_expansion():
             assert hs[k] == complete_homogeneous_direct(s, k), k
 
 
+# denominators 1, 2, 3 and 6, the pair i/-i, a repeated eigenvalue and
+# negative reals, alone and mixed
+GAUSSIAN_RATIONAL_SPECTRA = [
+    (3, -2),
+    (Fraction(1, 2), Fraction(-3, 2)),
+    (Fraction(2, 3), Fraction(-1, 3), 1),
+    (Fraction(1, 6), Fraction(-5, 6)),
+    (Fraction(1, 2), Fraction(1, 3)),
+    (Scalar(0, 1), Scalar(0, -1)),
+    (Fraction(2, 3), Fraction(2, 3), -1),
+    (-1, -2, Fraction(-1, 6)),
+    (Scalar(Fraction(1, 2), Fraction(-1, 3)), Scalar(0, Fraction(5, 6)), -3),
+    (Scalar(1, 1), Scalar(1, 1), Scalar(0, -1), Fraction(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("values", GAUSSIAN_RATIONAL_SPECTRA)
+def test_integer_newton_route_equals_direct_expansion(values):
+    s = spectrum(*values)
+    hs = complete_homogeneous(s, 8)
+    assert len(hs) == 9
+    for k in range(9):
+        assert hs[k] == complete_homogeneous_direct(s, k), k
+        assert complete_homogeneous(s, k) == hs[: k + 1]
+
+
+@pytest.mark.parametrize("values", GAUSSIAN_RATIONAL_SPECTRA)
+def test_power_sums_equal_the_sums_of_powers(values):
+    s = spectrum(*values)
+    expected = [sum((v**j for v in s.eigenvalues), Scalar()) for j in range(1, 9)]
+    assert power_sums(s, 8) == expected
+
+
+def test_integer_newton_route_equals_product_oracle_at_the_cap():
+    s = spectrum(Fraction(2, 3), Scalar(0, Fraction(-1, 2)), -3, Fraction(5, 6))
+    hs = complete_homogeneous(s, MAX_TRACE_ORDER)
+    oracle = determinant_product_series(s, MAX_TRACE_ORDER)
+    assert [oracle.coefficient(k).constant_term() for k in range(MAX_TRACE_ORDER + 1)] == hs
+
+
 def test_direct_expansion_definition():
     # h_2(x, y) = x^2 + xy + y^2, brute force over monomials
     s = spectrum(2, 3)
@@ -121,8 +161,11 @@ def test_complex_spectrum():
 
 
 def test_trace_order_cap_raises_before_any_power_sum(monkeypatch):
+    # the integer kernel is where every power sum is built
     symfunc = importlib.import_module("kch.symfunc")
-    monkeypatch.setattr(symfunc, "power_sums", lambda *args: pytest.fail("power sum built"))
+    monkeypatch.setattr(
+        symfunc, "_gaussian_power_sums", lambda *args: pytest.fail("power sum built")
+    )
     start = time.perf_counter()
     for order in (MAX_TRACE_ORDER + 1, 5000):
         with pytest.raises(ResourceLimitError, match=f"{order}.*cap {MAX_TRACE_ORDER}"):
