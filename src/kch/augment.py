@@ -16,8 +16,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .dga import DGA, AlgebraElement
-from .errors import DomainError
-from .groebner import ideal_contains_one, reduced_groebner_basis
+from .errors import DomainError, max_steps_limit
+from .groebner import DEFAULT_MAX_STEPS, ideal_contains_one, reduced_groebner_basis
 from .laurent import LaurentPolynomial, _make
 from .scalars import Scalar
 
@@ -151,6 +151,7 @@ def augmentation_exists(
     Nullstellensatz it has a solution over the complex numbers exactly when
     the reduced basis avoids the unit ideal.
     """
+    max_steps = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     system = augmentation_system(dga)
     values = _validated_point(system.torus_variables, point)
     specialized = [eq.specialize(values) for _, eq in system.equations]
@@ -187,6 +188,7 @@ def eliminate_augmentation_ideal(
     basis of the elimination ideal.  Each survivor is normalized to integer
     content one with a positive leading coefficient.
     """
+    max_steps = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     system = augmentation_system(dga)
     elim_ring = system.unknowns + (SATURATION_VARIABLE,) + system.torus_variables
     lead_width = len(system.unknowns) + 1

@@ -101,39 +101,21 @@ def _rational_entry(value, where: str) -> Fraction:
     raise ParseError(f"{where}: entries must be integers or rational strings")
 
 
-def _parse_matrix(text: str) -> list[list[Fraction]]:
+def _parse_array(text: str, flag: str, depth: int, shape: str) -> list:
+    """A JSON array nested ``depth`` deep with rational entries, read in order."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"--q: invalid JSON: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ParseError("--q: expected a JSON array of arrays")
-    return [
-        [_rational_entry(v, f"--q[{i}][{j}]") for j, v in enumerate(row)]
-        for i, row in enumerate(data)
-    ]
+        raise ParseError(f"{flag}: invalid JSON: {exc}") from exc
 
+    def read(value, level: int, where: str):
+        if level == depth:
+            return _rational_entry(value, flag + where)
+        if not isinstance(value, list):
+            raise ParseError(f"{flag}: expected {shape}")
+        return [read(v, level + 1, f"{where}[{i}]") for i, v in enumerate(value)]
 
-def _parse_tensor(text: str) -> list[list[list[Fraction]]]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--c: invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ParseError("--c: expected a triply nested JSON array")
-    out = []
-    for i, plane in enumerate(data):
-        if not isinstance(plane, list):
-            raise ParseError("--c: expected a triply nested JSON array")
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list):
-                raise ParseError("--c: expected a triply nested JSON array")
-            rows.append(
-                [_rational_entry(v, f"--c[{i}][{j}][{k}]") for k, v in enumerate(row)]
-            )
-        out.append(rows)
-    return out
+    return read(data, 0, "")
 
 
 def _split_eigenvalues(text: str) -> list[Scalar]:
@@ -227,8 +209,8 @@ def _cmd_aug_exists(args) -> int:
 
 
 def _cmd_feynman_scalar(args) -> int:
-    q = QuadraticForm(_parse_matrix(args.q))
-    c = CubicForm.from_array(_parse_tensor(args.c))
+    q = QuadraticForm(_parse_array(args.q, "--q", 2, "a JSON array of arrays"))
+    c = CubicForm.from_array(_parse_array(args.c, "--c", 3, "a triply nested JSON array"))
     if args.n != q.dimension:
         raise ParseError(
             f"--n {args.n} does not match the {q.dimension}-dimensional quadratic form"

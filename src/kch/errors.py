@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the toolkit, and the one reader of the
-``KCH_MAX_STEPS`` work cap."""
+"""Exception hierarchy shared across the toolkit, the one rule for count
+arguments (orders, sizes, levels, indices, step caps), and the one reader of
+the ``KCH_MAX_STEPS`` work cap."""
 
 import os
 
@@ -29,8 +30,30 @@ class VerificationError(KchError):
     """A dual-route consistency check failed; the result cannot be trusted."""
 
 
-def max_steps_limit(default: int) -> int:
-    """The ``KCH_MAX_STEPS`` environment cap if set, else the caller's default."""
+def check_count(
+    value, what: str, *, least: int | None = 0, cap: int | None = None, cap_name: str = ""
+) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``, float or string) of at
+    least ``least`` (any int when None) and at most ``cap`` (no cap when None).
+
+    Raises ``DomainError`` for a non-int or a value below ``least``, and
+    ``ResourceLimitError`` quoting the value and the cap past ``cap``.
+    """
+    if type(value) is not int:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise DomainError(f"{what} must be {'nonnegative' if least == 0 else f'at least {least}'}")
+    if cap is not None and value > cap:
+        raise ResourceLimitError(f"{what} {value} exceeds the {cap_name or 'cap'} {cap}")
+    return value
+
+
+def max_steps_limit(default: int, given: int | None = None) -> int:
+    """The step cap: ``given`` if not None, else the ``KCH_MAX_STEPS``
+    environment cap if set, else the caller's default.  Either must be a
+    positive integer."""
+    if given is not None:
+        return check_count(given, "max_steps", least=1)
     raw = os.environ.get("KCH_MAX_STEPS")
     if raw is None:
         return default
@@ -38,6 +61,4 @@ def max_steps_limit(default: int) -> int:
         limit = int(raw)
     except ValueError:
         raise DomainError(f"KCH_MAX_STEPS must be an integer, got {raw!r}") from None
-    if limit <= 0:
-        raise DomainError("KCH_MAX_STEPS must be positive")
-    return limit
+    return check_count(limit, "KCH_MAX_STEPS", least=1)

@@ -39,7 +39,7 @@ from itertools import permutations, product
 from math import factorial
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, check_count
 from .laurent import LaurentPolynomial, _denominator, _narrow
 from .scalars import ONE, ZERO, Scalar
 from .series import FormalSeries
@@ -100,9 +100,7 @@ class CubicForm:
     __slots__ = ("dimension", "_entries")
 
     def __init__(self, dimension: int, entries: Mapping[tuple[int, int, int], Scalar]) -> None:
-        _check_int(dimension, "cubic form dimension")
-        if dimension <= 0:
-            raise DomainError("cubic form needs a positive dimension")
+        check_count(dimension, "cubic form dimension", least=1)
         canonical: dict[tuple[int, int, int], Scalar] = {}
         for key, value in entries.items():
             if not _is_int_tuple(key, 3) or not all(0 <= t < dimension for t in key):
@@ -150,26 +148,8 @@ class CubicForm:
 # -- pairings of half-edges ---------------------------------------------------
 
 
-def _check_int(value, what: str) -> None:
-    # ``type(...) is int`` also refuses ``bool`` and integral floats
-    if type(value) is not int:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-
-
 def _is_int_tuple(value, length: int) -> bool:
     return type(value) is tuple and len(value) == length and all(type(t) is int for t in value)
-
-
-def _check_order(order: int) -> None:
-    _check_int(order, "expansion order")
-    if order < 0:
-        raise DomainError("expansion order must be nonnegative")
-
-
-def _check_size(size: int) -> None:
-    _check_int(size, "matrix size")
-    if size < 1:
-        raise DomainError("matrix size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -180,7 +160,7 @@ class Pairing:
     matching: tuple[Edge, ...]
 
     def __post_init__(self):
-        _check_int(self.m, "vertex count")
+        check_count(self.m, "vertex count")
         total = 3 * self.m
         if total % 2:
             raise DomainError("a perfect matching needs an even number of half-edges")
@@ -215,11 +195,7 @@ MAX_FEYNMAN_ORDER = 4
 
 
 def _check_pairing_order(order: int) -> None:
-    _check_order(order)
-    if order > MAX_FEYNMAN_ORDER:
-        raise ResourceLimitError(
-            f"order {order} exceeds the Feynman order cap {MAX_FEYNMAN_ORDER}"
-        )
+    check_count(order, "expansion order", cap=MAX_FEYNMAN_ORDER, cap_name="Feynman order cap")
 
 
 def _matchings(m: int) -> Iterator[tuple[Edge, ...]]:
@@ -496,7 +472,7 @@ def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
     an imaginary part.
     """
     _check_model(q, c)
-    _check_order(order)
+    check_count(order, "expansion order")
     n = q.dimension
     propagator = [[_narrow(value) for value in row] for row in q.propagator]
     moments: dict[tuple[int, ...], object] = {(0,) * n: 1}
@@ -675,8 +651,8 @@ def matrix_wick_oracle_series(size: int, order: int) -> FormalSeries:
     resulting identification class ranges freely over the size, contributing
     one factor of size per class.  No ribbon structure is consulted.
     """
-    _check_size(size)
-    _check_order(order)
+    check_count(size, "matrix size", least=1)
+    check_count(order, "expansion order")
     values = []
     for m in range(order + 1):
         total = sum(count * size**classes for classes, count in _wick_class_counts(m))
@@ -712,7 +688,7 @@ def _wick_class_counts(m: int) -> tuple[tuple[int, int], ...]:
 
 def evaluate_matrix_series(series: FormalSeries, size: int) -> FormalSeries:
     """Substitute a concrete matrix size into a symbolic matrix-model series."""
-    _check_size(size)
+    check_count(size, "matrix size", least=1)
     ring = series.ring
     if len(ring) != 1:
         raise DomainError("expected a series with one symbolic matrix-size variable")

@@ -24,8 +24,9 @@ update (Gebauer & Moller 1988): the product criterion, the chain criterion on
 old pairs, and the M and F rules on new ones.  A nonzero constant remainder
 ends the loop at once, since the reduced basis of the unit ideal is ``[1]``.
 
-The pair loop is capped by the ``KCH_MAX_STEPS`` environment variable
-(default 20000) and raises ``ResourceLimitError`` beyond the cap, so
+The pair loop is capped by ``max_steps=``, else by the ``KCH_MAX_STEPS``
+environment variable (default 20000), both read by ``errors.max_steps_limit``
+before any work, and raises ``ResourceLimitError`` beyond the cap, so
 pathological ideals fail loudly instead of spinning.  The cap counts the
 S-pairs actually reduced, after the criteria have dropped the rest.
 """
@@ -189,12 +190,11 @@ def _update(members: list[Member], active: list[int], pairs: list, new: int):
     return [g for g in active if not _divides(h, members[g][0])] + [new], kept
 
 
-def _groebner(polys: Iterable[Terms], max_steps: int | None) -> list[Member]:
+def _groebner(polys: Iterable[Terms], limit: int) -> list[Member]:
     """Primitive reduced lex basis, sorted by leading monomial."""
     members = sorted((_member(p) for p in polys if p), key=lambda m: m[0])
     if not members:
         return []
-    limit = max_steps if max_steps is not None else max_steps_limit(DEFAULT_MAX_STEPS)
     if not any(members[0][0]):
         return [members[0]]
     active: list[int] = []
@@ -264,9 +264,10 @@ def reduced_groebner_basis(
     max_steps: int | None = None,
 ) -> list[LaurentPolynomial]:
     """Unique reduced lex Groebner basis, members monic, of the ideal the inputs generate."""
+    limit = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     polys = list(polys)
     ring = polys[0].variables if polys else ()
-    return [_make(ring, _monic(m)[1]) for m in _groebner(_checked(polys, ring), max_steps)]
+    return [_make(ring, _monic(m)[1]) for m in _groebner(_checked(polys, ring), limit)]
 
 
 def ideal_contains_one(
@@ -279,6 +280,7 @@ def ideal_contains_one(
     Accepts arbitrary generators; the basis computation stops at the first
     nonzero constant remainder.
     """
+    max_steps = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     if any(not g.is_zero() and g.is_constant() for g in polys):
         return True
     basis = reduced_groebner_basis(polys, max_steps=max_steps)

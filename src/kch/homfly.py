@@ -35,7 +35,7 @@ from itertools import chain
 from math import comb
 from types import MappingProxyType
 
-from .errors import DomainError, ResourceLimitError, max_steps_limit
+from .errors import DomainError, ResourceLimitError, check_count, max_steps_limit
 from .laurent import LaurentPolynomial, _make
 from .pd import LinkDiagram, _cycles, _smoothed, _strands, _switch
 # unused: perfbench's tracer wraps and restores these two names in this module
@@ -97,8 +97,8 @@ def homfly(
     """
     if not isinstance(diagram, LinkDiagram):
         raise DomainError(f"expected a LinkDiagram, got {type(diagram).__name__}")
-    if type(resolution) is not int or type(max_crossings) is not int:
-        raise DomainError("resolution and max_crossings must be integers")
+    check_count(resolution, "resolution", least=None)
+    check_count(max_crossings, "max_crossings", least=None)
     if diagram.crossing_count > max_crossings:
         raise ResourceLimitError(
             f"diagram has {diagram.crossing_count} crossings; limit is {max_crossings}"

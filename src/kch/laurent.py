@@ -34,7 +34,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, RingMismatchError
-from .scalars import I, ONE, ZERO, Scalar, _rational_literal
+from .scalars import I, ONE, ZERO, Scalar, _power, _rational_literal
 
 ExponentVector = tuple[int, ...]
 
@@ -92,7 +92,7 @@ class LaurentPolynomial:
         cleaned: dict[ExponentVector, Scalar] = {}
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != width or not all(isinstance(e, int) for e in exps):
+            if len(exps) != width or not all(type(e) is int for e in exps):
                 raise DomainError(f"exponent vector {exps!r} does not fit ring {variables!r}")
             if not isinstance(coeff, Scalar):
                 raise DomainError(f"coefficient {coeff!r} is not a scalar")
@@ -224,15 +224,7 @@ class LaurentPolynomial:
             return NotImplemented
         if exponent < 0:
             return self.monomial_inverse() ** (-exponent)
-        result = self._constant(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, self._constant(1))
 
     def monomial_inverse(self) -> "LaurentPolynomial":
         """Invert a single-term polynomial; anything else is not a unit."""

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_count
 from .laurent import LaurentPolynomial, _denominator, _make, _narrow
 from .scalars import Scalar
 from .series import FormalSeries, _kernel, _parts, _series_denominator
@@ -203,10 +203,7 @@ def branch_series(
     P-degree above ``MAX_BRANCH_WORK`` raise ``ResourceLimitError`` before any
     work.
     """
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    if order > MAX_BRANCH_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds the branch order cap {MAX_BRANCH_ORDER}")
+    check_count(order, "order", cap=MAX_BRANCH_ORDER, cap_name="branch order cap")
     base = Scalar.of(base)
     if base.is_zero():
         raise DomainError("branch base P(0) must be nonzero on the torus")
@@ -355,8 +352,7 @@ def verify_on_curve(
     from p through its own exp and substitution, which checks the log as
     well as the root solving.
     """
-    if order is None:
-        order = branch.order
+    order = branch.order if order is None else check_count(order, "order")
     if order > branch.order:
         raise DomainError(
             f"cannot verify to order {order}: branch only carries order {branch.order}"
@@ -372,6 +368,6 @@ def verify_on_curve(
     residual = _substitute_branch(
         stripped, branch.x_variable, branch.p_variable, parameters, reconstructed
     )
-    failures = (k for k in range(order + 1) if not residual.coefficient(k).is_zero())
+    failures = (k for k, c in enumerate(residual.coefficients) if not c.is_zero())
     first_failure = next(failures, None)
     return CurveResidualReport(first_failure is None, first_failure, residual)

@@ -31,7 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_count
 
 Crossing = tuple[int, int, int, int]
 
@@ -57,8 +57,7 @@ class LinkDiagram:
             raise DomainError("need exactly one sign per crossing")
         if any(type(s) is not int or s not in (-1, 1) for s in self.signs):
             raise DomainError("crossing signs must be +1 or -1")
-        if type(self.circles) is not int or self.circles < 0:
-            raise DomainError("circle count must be a non-negative integer")
+        check_count(self.circles, "circle count")
         if self.circles == 0 and not self.crossings:
             raise DomainError("a diagram needs at least one component")
         for record in self.crossings:
@@ -231,9 +230,8 @@ def _infer_signs(crossings: list[Crossing]) -> tuple[int, ...]:
 
 
 def _check_index(diagram: LinkDiagram, index: int) -> None:
-    if type(index) is not int:
-        raise DomainError(f"crossing index must be an integer, got {index!r}")
-    if not (0 <= index < diagram.crossing_count):
+    check_count(index, "crossing index")
+    if index >= diagram.crossing_count:
         raise DomainError(f"no crossing {index}")
 
 

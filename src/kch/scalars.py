@@ -20,6 +20,19 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _power(base, exponent: int, one):
+    """base ** exponent for exponent >= 0 by square-and-multiply from ``one``:
+    the one loop behind the ``__pow__`` of scalars, polynomials, series and
+    cyclotomic elements."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
 @dataclass(frozen=True, slots=True)
 class Scalar:
     """A Gaussian rational ``re + im*i``."""
@@ -106,15 +119,7 @@ class Scalar:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, ONE)
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)

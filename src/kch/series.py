@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DomainError, RingMismatchError
+from .errors import DomainError, RingMismatchError, check_count
 from .laurent import LaurentPolynomial, _denominator, _dot, _make
-from .scalars import Scalar
+from .scalars import Scalar, _power
 
 # a packed value holds (slots) x (slot width) bits, and a product of two
 # such values costs about 0.14 s at the cap.  A layout past it runs on term
@@ -47,8 +47,7 @@ class FormalSeries:
         order: int,
         coefficients: Sequence[LaurentPolynomial],
     ) -> None:
-        if order < 0:
-            raise DomainError("series order must be nonnegative")
+        check_count(order, "series order")
         if not variable or not variable.isidentifier():
             raise DomainError(f"invalid series variable name {variable!r}")
         coefficients = tuple(coefficients)
@@ -71,11 +70,12 @@ class FormalSeries:
 
     @classmethod
     def zero(cls, variable: str, order: int, ring: Iterable[str] = ()) -> "FormalSeries":
-        zero = LaurentPolynomial.zero(ring)
-        return cls(variable, order, [zero] * (order + 1))
+        check_count(order, "series order")
+        return cls(variable, order, [LaurentPolynomial.zero(ring)] * (order + 1))
 
     @classmethod
     def one(cls, variable: str, order: int, ring: Iterable[str] = ()) -> "FormalSeries":
+        check_count(order, "series order")
         ring = tuple(ring)
         coeffs = [LaurentPolynomial.one(ring)]
         coeffs += [LaurentPolynomial.zero(ring)] * order
@@ -99,7 +99,7 @@ class FormalSeries:
         return self.coefficients[0].variables
 
     def coefficient(self, k: int) -> LaurentPolynomial:
-        if k < 0 or k > self.order:
+        if check_count(k, "coefficient index") > self.order:
             raise DomainError(f"coefficient index {k} outside truncation order {self.order}")
         return self.coefficients[k]
 
@@ -160,14 +160,13 @@ class FormalSeries:
         return FormalSeries(self.variable, self.order, [c.scale(value) for c in self.coefficients])
 
     def truncate(self, order: int) -> "FormalSeries":
-        if order > self.order:
+        if check_count(order, "truncation order") > self.order:
             raise DomainError(f"cannot extend truncation order {self.order} to {order}")
         return FormalSeries(self.variable, order, self.coefficients[: order + 1])
 
     def shifted(self, k: int) -> "FormalSeries":
         """Multiply by t^k (k >= 0), keeping the truncation order."""
-        if k < 0:
-            raise DomainError("shift must be nonnegative")
+        check_count(k, "shift")
         zero = LaurentPolynomial.zero(self.ring)
         coeffs = [zero] * min(k, self.order + 1) + list(self.coefficients)
         return FormalSeries(self.variable, self.order, coeffs[: self.order + 1])
@@ -177,15 +176,7 @@ class FormalSeries:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = FormalSeries.one(self.variable, self.order, self.ring)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, FormalSeries.one(self.variable, self.order, self.ring))
 
     def inverse(self) -> "FormalSeries":
         """Multiplicative inverse; the constant coefficient must be a unit monomial.

@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from math import prod
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import DomainError, VerificationError, check_count
 from .laurent import _denominator
 from .scalars import ONE, ZERO, Scalar
 from .series import FormalSeries, _parts
@@ -55,8 +55,7 @@ def _gaussian_power_sums(spectrum: HolonomySpectrum, order: int) -> tuple[int, l
     """The common denominator D of the eigenvalues and P_1..P_order, where
     P_j = D^j p_j is the power sum of the Gaussian integers D lambda_i, as
     (re, im) pairs of ints."""
-    if order < 0:
-        raise DomainError("order must be nonnegative")
+    check_count(order, "order")
     d = _denominator(spectrum.eigenvalues)
     bases = [_parts(value, d) for value in spectrum.eigenvalues]
     powers, sums = bases, []
@@ -93,8 +92,7 @@ def complete_homogeneous(spectrum: HolonomySpectrum, order: int) -> list[Scalar]
 
 def complete_homogeneous_direct(spectrum: HolonomySpectrum, k: int) -> Scalar:
     """h_k straight from the definition: sum over degree-k monomial multisets."""
-    if k < 0:
-        raise DomainError("degree must be nonnegative")
+    check_count(k, "degree")
     monomials = combinations_with_replacement(spectrum.eigenvalues, k)
     return sum((prod(combo, start=ONE) for combo in monomials), ZERO)
 
@@ -106,7 +104,7 @@ def determinant_product_series(spectrum: HolonomySpectrum, order: int) -> Formal
     running recurrence c_k += lambda c_(k-1), taken upward in k: O(n * order)
     scalar products in all, with no series product.
     """
-    coefficients = [ONE] + [ZERO] * order
+    coefficients = [ONE] + [ZERO] * check_count(order, "order")
     for value in spectrum.eigenvalues:
         for k in range(1, order + 1):
             coefficients[k] = coefficients[k] + value * coefficients[k - 1]
@@ -119,10 +117,7 @@ def symmetric_trace_series(spectrum: HolonomySpectrum, order: int) -> FormalSeri
     Orders above ``MAX_TRACE_ORDER`` raise ``ResourceLimitError`` before any
     power sum.
     """
-    if order < 0:
-        raise DomainError("order must be nonnegative")
-    if order > MAX_TRACE_ORDER:
-        raise ResourceLimitError(f"order {order} exceeds the trace order cap {MAX_TRACE_ORDER}")
+    check_count(order, "order", cap=MAX_TRACE_ORDER, cap_name="trace order cap")
     series = FormalSeries.from_scalars(SERIES_VARIABLE, complete_homogeneous(spectrum, order))
     oracle = determinant_product_series(spectrum, order)
     if series != oracle:

@@ -20,8 +20,9 @@ give the field element; no field product or inverse runs.  An independent
 floating-point substitution cross-checks the complexified value.
 
 The skein polynomial comes from ``homfly``, which keeps it on the diagram, so
-the levels of one diagram share one skein recursion.  L is capped at
-``MAX_LEVEL``; every public entry point checks it first.
+the levels of one diagram share one skein recursion.  N, k and L go through
+``errors.check_count``, L capped at ``MAX_LEVEL``; every public entry point
+checks them first.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .cyclotomic import (
     _divmod_monic,
     _integer_cyclotomic,
 )
-from .errors import DomainError, ResourceLimitError, VerificationError
+from .errors import DomainError, VerificationError, check_count
 from .homfly import homfly
 from .laurent import LaurentPolynomial
 from .pd import LinkDiagram
@@ -52,16 +53,13 @@ _field = lru_cache(maxsize=None)(CyclotomicField)
 
 
 def _check_levels(N: int, k: int) -> None:
-    if type(N) is not int or type(k) is not int:
-        raise DomainError("rank N and level k must be integers")
-    if N < 1:
-        raise DomainError("rank N must be at least 1")
+    check_count(N, "rank N", least=1)
+    check_count(k, "level k", least=None)
     if k + N == 0:
         raise DomainError("k + N must be nonzero")
     if abs(k + N) == 1:
         raise DomainError("k + N = +-1 makes q^{1/2} - q^{-1/2} vanish")
-    if abs(k + N) > MAX_LEVEL:
-        raise ResourceLimitError(f"|k + N| = {abs(k + N)} exceeds the level cap {MAX_LEVEL}")
+    check_count(abs(k + N), "|k + N|", cap=MAX_LEVEL, cap_name="level cap")
 
 
 def _times_level_over_z(v: list[int], level: int) -> list[int]:

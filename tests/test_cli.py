@@ -153,6 +153,29 @@ def test_feynman_scalar_dimension_mismatch(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--q", "[[1", "--q: invalid JSON: Expecting ',' delimiter: line 1 column 4 (char 3)"),
+        ("--q", "5", "--q: expected a JSON array of arrays"),
+        ("--q", "[[1], 2]", "--q: expected a JSON array of arrays"),
+        ("--q", '[["x"]]', "--q[0][0]: 'x' is not a rational"),
+        ("--q", "[[1, true]]", "--q[0][1]: entries must be integers or rational strings"),
+        ("--c", "[[[1", "--c: invalid JSON: Expecting ',' delimiter: line 1 column 5 (char 4)"),
+        ("--c", "[5]", "--c: expected a triply nested JSON array"),
+        ("--c", "[[5]]", "--c: expected a triply nested JSON array"),
+        ("--c", "[[[1]], 5]", "--c: expected a triply nested JSON array"),
+        ("--c", '[[["1/0"]]]', "--c[0][0][0]: '1/0' is not a rational"),
+        ("--c", "[[[1, [2]]]]", "--c[0][0][1]: entries must be integers or rational strings"),
+    ],
+)
+def test_feynman_scalar_array_messages(capsys, flag, text, message):
+    arrays = {"--q": "[[1]]", "--c": "[[[1]]]", flag: text}
+    argv = ["feynman", "scalar", "--n", "1", "--order", "2"]
+    code, out, err = run(capsys, *argv, "--q", arrays["--q"], "--c", arrays["--c"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_feynman_matrix(capsys):
     code, out, _ = run(capsys, "feynman", "matrix", "--N", "2", "--order", "2")
     assert code == 0

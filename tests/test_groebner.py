@@ -146,10 +146,13 @@ def test_step_cap_reader(monkeypatch):
     assert max_steps_limit(20000) == 20000 and max_steps_limit(7) == 7
     monkeypatch.setenv("KCH_MAX_STEPS", "12")
     assert max_steps_limit(20000) == 12
+    # a given max_steps= wins, and the environment is then not read
+    assert max_steps_limit(20000, 5) == 5
     for raw in ("many", "0", "-3"):
         monkeypatch.setenv("KCH_MAX_STEPS", raw)
         with pytest.raises(DomainError, match="KCH_MAX_STEPS"):
             max_steps_limit(20000)
+        assert max_steps_limit(20000, 5) == 5
 
 
 # -- an independent oracle: textbook Buchberger over Scalar ---------------------

@@ -34,6 +34,11 @@ def test_variable_validation():
         LaurentPolynomial.zero(("2bad",))
 
 
+def test_bool_is_not_an_exponent():
+    with pytest.raises(DomainError, match="does not fit ring"):
+        LaurentPolynomial(("x",), {(True,): Scalar.of(1)})
+
+
 def test_canonical_term_order_is_pinned():
     # later ring variables dominate the ordering; within that, ascending powers
     assert str(lp("Q*X*P + 1 - P - X")) == "1 - X - P + Q*X*P"

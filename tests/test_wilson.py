@@ -104,10 +104,13 @@ def test_zeta_has_exact_order():
     acc = field.one()
     seen = set()
     for k in range(12):
+        assert z**k == acc and z ** -k == acc.inverse()
         seen.add(acc)
         acc = acc * z
     assert acc == field.one()
     assert len(seen) == 12
+    with pytest.raises(TypeError):
+        z**0.5
 
 
 def test_field_inverse_random():
