@@ -40,7 +40,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, check_count
-from .laurent import LaurentPolynomial, _denominator, _narrow
+from .laurent import _check_variables, _denominator, _make, _narrow
 from .scalars import ONE, ZERO, Scalar
 from .series import FormalSeries
 
@@ -119,23 +119,9 @@ class CubicForm:
     @classmethod
     def from_array(cls, array: Sequence[Sequence[Sequence]]) -> "CubicForm":
         n = len(array)
-        entries = {}
-        for i in range(n):
-            if len(array[i]) != n:
-                raise DomainError("cubic array is not n*n*n")
-            for j in range(n):
-                if len(array[i][j]) != n:
-                    raise DomainError("cubic array is not n*n*n")
-                for k in range(n):
-                    value = Scalar.of(array[i][j][k])
-                    key = tuple(sorted((i, j, k)))
-                    if key in entries:
-                        if entries[key] != value:
-                            raise DomainError(
-                                f"cubic array is not symmetric at ({i},{j},{k})"
-                            )
-                    else:
-                        entries[key] = value
+        if any(len(plane) != n or any(len(row) != n for row in plane) for plane in array):
+            raise DomainError("cubic array is not n*n*n")
+        entries = {(i, j, k): array[i][j][k] for i, j, k in product(range(n), repeat=3)}
         return cls(n, entries)
 
     def entry(self, i: int, j: int, k: int) -> Scalar:
@@ -311,55 +297,42 @@ def connected_isomorphism_classes(m: int) -> dict[tuple[Edge, ...], int]:
 # -- scalar model -------------------------------------------------------------
 
 
-def _contract_multigraph(edges: Sequence[Edge], m: int, propagator, cubic: CubicForm):
+def _contract_multigraph(edges: Sequence[Edge], m: int, propagator, vertices):
     """Tensor contraction of one labeled multigraph.
 
-    Vertices are consumed in order; the state maps each edge with exactly one
-    visited endpoint to the index carried at that endpoint.  Symmetry of C
-    makes the stub ordering at a vertex irrelevant.  The values are exact,
-    in the narrow types a polynomial stores: int, Fraction, or a ``Scalar``
-    only with an imaginary part.
+    ``propagator`` is the n*n matrix Q^{ij} and ``vertices`` lists the
+    nonzero ((i, j, k), C_ijk) over all ordered triples.  Vertices are
+    consumed in order; a state is the tuple of indices carried by the edges
+    with exactly one visited endpoint: the edges kept open, in order, then
+    the ones this vertex opens.  Symmetry of C makes the stub ordering at a
+    vertex irrelevant.  The values are exact, in the narrow types a
+    polynomial stores: int, Fraction, or a ``Scalar`` only with an imaginary
+    part.
     """
-    n = cubic.dimension
-    propagator = [[_narrow(value) for value in row] for row in propagator]
-    vertices = [
-        (idx, factor)
-        for idx in product(range(n), repeat=3)
-        if (factor := _narrow(cubic.entry(*idx)))
-    ]
     indexed = list(enumerate(edges))
+    open_edges: list[int] = []
     states = {(): 1}
     for v in range(m):
-        loops = [eid for eid, (a, b) in indexed if a == v and b == v]
+        loops = sum(1 for a, b in edges if a == v and b == v)
         closing = [eid for eid, (a, b) in indexed if (a == v) != (b == v) and min(a, b) < v]
         opening = [eid for eid, (a, b) in indexed if (a == v) != (b == v) and max(a, b) > v]
-        stubs = 2 * len(loops) + len(closing) + len(opening)
-        if stubs != 3:
+        if 2 * loops + len(closing) + len(opening) != 3:
             raise DomainError("multigraph is not trivalent")
+        # stubs are read loop first, then closing edges, then opening edges
+        closed = [(open_edges.index(eid), pos) for pos, eid in enumerate(closing, 2 * loops)]
+        kept = [k for k, eid in enumerate(open_edges) if eid not in closing]
+        open_edges = [open_edges[k] for k in kept] + opening
+        start = 2 * loops + len(closing)
         next_states = {}
-        for state_key, weight in states.items():
-            state = dict(state_key)
+        for state, weight in states.items():
             for idx, factor in vertices:
-                pos = 0
-                for eid in loops:
-                    a, b = idx[pos], idx[pos + 1]
-                    pos += 2
-                    factor = factor * propagator[a][b]
-                ok = True
-                for eid in closing:
-                    other = state[eid]
-                    factor = factor * propagator[other][idx[pos]]
-                    pos += 1
-                    if not factor:
-                        ok = False
-                        break
-                if not ok:
+                if loops:
+                    factor = factor * propagator[idx[0]][idx[1]]
+                for k, pos in closed:
+                    factor = factor * propagator[state[k]][idx[pos]]
+                if not factor:
                     continue
-                new_state = {k: val for k, val in state.items() if k not in closing}
-                for eid in opening:
-                    new_state[eid] = idx[pos]
-                    pos += 1
-                key = tuple(sorted(new_state.items()))
+                key = tuple(state[k] for k in kept) + idx[start:]
                 total = next_states.get(key, 0) + weight * factor
                 if total:
                     next_states[key] = total
@@ -371,37 +344,47 @@ def _contract_multigraph(edges: Sequence[Edge], m: int, propagator, cubic: Cubic
     return states.get((), 0)
 
 
-def _graph_coefficient(
-    m: int, propagator, cubic: CubicForm, *, connected_only: bool
-) -> Scalar:
-    """(1/m!) times the sum over pairing classes of count * contraction.
-
-    The contraction runs on integers: the propagator is scaled by the lcm D
-    of its denominators and the cubic entries by theirs, Dc, so that every
-    weight is an integer (a ``Scalar`` with integral parts where an entry is
-    imaginary), and the sum is divided once by D^edges * Dc^m * m!.
-    """
-    if (3 * m) % 2:
-        return ZERO
-    d = _denominator(_narrow(value) for row in propagator for value in row)
-    d_cubic = _denominator(_narrow(value) for value in cubic._entries.values())
-    scaled_propagator = [[value * d for value in row] for row in propagator]
-    scaled_cubic = CubicForm(
-        cubic.dimension, {key: value * d_cubic for key, value in cubic._entries.items()}
-    )
-    total = 0
-    for edges, count in _class_census(m):
-        if connected_only and not _connected(m, edges):
-            continue
-        total += _contract_multigraph(edges, m, scaled_propagator, scaled_cubic) * count
-    return Scalar.of(total) * Fraction(1, d ** (3 * m // 2) * d_cubic**m * factorial(m))
-
-
 def _check_model(q: QuadraticForm, c: CubicForm) -> None:
     if q.dimension != c.dimension:
         raise DomainError(
             f"quadratic dimension {q.dimension} differs from cubic dimension {c.dimension}"
         )
+
+
+def _graph_series(
+    q: QuadraticForm, c: CubicForm, order: int, connected_only: bool
+) -> FormalSeries:
+    """Coefficient of hbar^m is (1/m!) times the sum over pairing classes
+    (the connected ones, if asked) of count * contraction.
+
+    The integer propagator (Q^{ij} times the lcm D of its denominators) and
+    the vertex list (each nonzero C entry over its ordered triples, times
+    the lcm Dc of theirs) are built once per call, so every weight is an
+    integer (a ``Scalar`` with integral parts where an entry is imaginary);
+    each order's sum is divided once by D^edges * Dc^m * m!.
+    """
+    _check_model(q, c)
+    _check_pairing_order(order)
+    # narrowed before and after scaling: a Fraction times its denominator
+    # is still a Fraction
+    propagator = [[_narrow(value) for value in row] for row in q.propagator]
+    d = _denominator(value for row in propagator for value in row)
+    propagator = [[_narrow(value * d) for value in row] for row in propagator]
+    entries = {key: _narrow(value) for key, value in c._entries.items() if value}
+    d_cubic = _denominator(entries.values())
+    vertices = sorted(
+        (idx, _narrow(value * d_cubic))
+        for key, value in entries.items()
+        for idx in set(permutations(key))
+    )
+    values = []
+    for m in range(order + 1):
+        total = 0
+        for edges, count in _class_census(m):
+            if not connected_only or _connected(m, edges):
+                total += _contract_multigraph(edges, m, propagator, vertices) * count
+        values.append(total * Fraction(1, d ** (3 * m // 2) * d_cubic**m * factorial(m)))
+    return FormalSeries.from_scalars("hbar", values)
 
 
 def scalar_model_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
@@ -410,23 +393,12 @@ def scalar_model_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
     Orders above ``MAX_FEYNMAN_ORDER`` raise ``ResourceLimitError`` before
     any pairing is built.
     """
-    _check_model(q, c)
-    _check_pairing_order(order)
-    values = [
-        _graph_coefficient(m, q.propagator, c, connected_only=False)
-        for m in range(order + 1)
-    ]
-    return FormalSeries.from_scalars("hbar", values)
+    return _graph_series(q, c, order, connected_only=False)
 
 
 def connected_scalar_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
     """Same weights as scalar_model_series but restricted to connected graphs."""
-    _check_model(q, c)
-    _check_pairing_order(order)
-    values = [
-        _graph_coefficient(m, q.propagator, c, connected_only=True) for m in range(order + 1)
-    ]
-    return FormalSeries.from_scalars("hbar", values)
+    return _graph_series(q, c, order, connected_only=True)
 
 
 # -- moment oracle ------------------------------------------------------------
@@ -634,12 +606,11 @@ def matrix_model_series(
     """
     _check_pairing_order(order)
     ring = (matrix_variable,)
-    coefficients = []
-    for m in range(order + 1):
-        poly = LaurentPolynomial.zero(ring)
-        for faces, count in _face_census(m):
-            poly = poly + LaurentPolynomial.monomial(ring, (faces,), Fraction(count, factorial(m)))
-        coefficients.append(poly)
+    _check_variables(ring)
+    coefficients = [
+        _make(ring, {(faces,): Fraction(count, factorial(m)) for faces, count in _face_census(m)})
+        for m in range(order + 1)
+    ]
     return FormalSeries("g", order, coefficients)
 
 

@@ -98,7 +98,7 @@ def homfly(
     if not isinstance(diagram, LinkDiagram):
         raise DomainError(f"expected a LinkDiagram, got {type(diagram).__name__}")
     check_count(resolution, "resolution", least=None)
-    check_count(max_crossings, "max_crossings", least=None)
+    check_count(max_crossings, "max_crossings")
     if diagram.crossing_count > max_crossings:
         raise ResourceLimitError(
             f"diagram has {diagram.crossing_count} crossings; limit is {max_crossings}"

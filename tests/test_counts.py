@@ -88,10 +88,10 @@ ROWS = {
     "wilson_exact.k": (lambda k: wilson_exact(trefoil(), 2, k), (), MAX_LEVEL - 1),
     "wilson_loop.k": (lambda k: wilson_loop(trefoil(), 2, k), (), MAX_LEVEL - 1),
     "wilson_loop_float.k": (lambda k: wilson_loop_float(trefoil(), 2, k), (), MAX_LEVEL - 1),
-    # any int is a resolution and a crossing cap; a cap below the diagram's
-    # three crossings is past it
+    # any int is a resolution; a crossing cap is a nonnegative int, and one
+    # below the diagram's three crossings is past it
     "homfly.resolution": (lambda r: homfly(trefoil(), resolution=r), (), None),
-    "homfly.max_crossings": (lambda n: homfly(trefoil(), max_crossings=n), (), None),
+    "homfly.max_crossings": (lambda n: homfly(trefoil(), max_crossings=n), (-1,), None),
     "LinkDiagram.circles": (lambda n: LinkDiagram((), (), n), (-1,), None),
     "switch_crossing": (lambda i: switch_crossing(trefoil(), i), (-1, 3), None),
     "smooth_crossing": (lambda i: smooth_crossing(trefoil(), i), (-1, 3), None),

@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -34,7 +35,6 @@ from kch.feynman import (
     _wick_class_counts,
     _connected,
     _contract_multigraph,
-    _graph_coefficient,
 )
 from kch.scalars import ZERO, Scalar
 
@@ -311,19 +311,49 @@ def test_class_sum_equals_labeled_sum():
     labeled = {m: Counter(p.vertex_edges() for p in enumerate_pairings(m)).items() for m in (2, 4)}
     for _ in range(4):
         q, c = random_model(rng, rng.randint(1, 3))
+        # the unscaled model: every labeled multigraph contracted on Scalars
+        vertices = [
+            (idx, c.entry(*idx))
+            for idx in product(range(c.dimension), repeat=3)
+            if not c.entry(*idx).is_zero()
+        ]
+        full_series = scalar_model_series(q, c, 4)
+        connected_series = connected_scalar_series(q, c, 4)
         for m in (2, 4):
             full = connected = ZERO
             for edges, count in labeled[m]:
-                term = _contract_multigraph(edges, m, q.propagator, c) * Scalar.of(count)
+                term = _contract_multigraph(edges, m, q.propagator, vertices) * Scalar.of(count)
                 full = full + term
                 if _connected(m, edges):
                     connected = connected + term
             inv_fact = Scalar.of(Fraction(1, factorial(m)))
-            assert _graph_coefficient(m, q.propagator, c, connected_only=False) == full * inv_fact
-            assert (
-                _graph_coefficient(m, q.propagator, c, connected_only=True)
-                == connected * inv_fact
-            )
+            assert full_series.coefficient(m).constant_term() == full * inv_fact
+            assert connected_series.coefficient(m).constant_term() == connected * inv_fact
+
+
+def test_graph_series_builds_its_inputs_once(monkeypatch):
+    feynman = importlib.import_module("kch.feynman")
+    q, c = random_model(random.Random(5), 3)
+    built = []
+    cubic_init = CubicForm.__init__
+    monkeypatch.setattr(
+        CubicForm, "__init__", lambda self, *args: built.append(args) or cubic_init(self, *args)
+    )
+    calls = []
+    contract = feynman._contract_multigraph
+    monkeypatch.setattr(
+        feynman, "_contract_multigraph", lambda *args: calls.append(args) or contract(*args)
+    )
+    series = scalar_model_series(q, c, 4)
+    assert built == []
+    # one contraction per census class of each order, all on one propagator
+    # and one vertex list
+    assert [(edges, m) for edges, m, _, _ in calls] == [
+        (edges, m) for m in range(5) for edges, _ in _class_census(m)
+    ]
+    assert len({id(propagator) for _, _, propagator, _ in calls}) == 1
+    assert len({id(vertices) for _, _, _, vertices in calls}) == 1
+    assert series == stein_oracle_series(q, c, 4)
 
 
 def test_order_cap_raises_before_any_pairing(monkeypatch):
