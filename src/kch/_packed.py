@@ -314,6 +314,12 @@ class _Kernel:
                     raise fail(values[x]) from exc
             values.append(value)
 
+    def is_zero(self, node: int) -> bool:
+        """Whether the value of a run node is zero, read without unpacking:
+        a packed value is zero exactly when its polynomial is."""
+        value = self.values[node]
+        return value.is_zero() if self.sparse else not value
+
     def _pack_parts(self, re, im, node: int):
         """The packed value of real and imaginary (exponents, int) terms: an
         int, or a ``_Gaussian`` pair when there are imaginary terms."""

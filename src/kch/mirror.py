@@ -28,7 +28,8 @@ branch by ``p_series`` and kept on it; integrating it coefficientwise
 where the derivative acts as X d/dX on series in X = e^x.  Any constant
 log(P0) is carried symbolically, never numerically.  ``verify_on_curve``
 checks the kept p by its own exp and full substitution of P0 exp(p) into
-the curve, two more packed runs.
+the curve, one more packed run on integers in divided powers: it reads only
+p and the curve, and a residual that vanishes is never unpacked.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import comb, factorial, gcd, perm
 
 from .errors import DomainError, ResourceLimitError, check_count
-from .laurent import LaurentPolynomial, _denominator, _make, _narrow
+from .laurent import LaurentPolynomial, _adopt, _denominator, _make, _narrow
 from .scalars import Scalar
-from .series import FormalSeries, _kernel, _parts, _series_denominator
+from .series import FormalSeries, _kernel, _parts, _record_exp, _series_denominator
 
 # the online solve makes O(order^2) coefficient products per power of P, but
 # the coefficients themselves grow with the order: order 150 of
@@ -123,10 +124,11 @@ def _substitute_branch(
 ) -> FormalSeries:
     """A(X, branch(X)) as a series; exponents were normalized nonnegative.
 
-    One packed evaluation: the branch times its common denominator D, its
-    powers up to the curve's P-degree d, and each X^k coefficient of the sum,
-    with the curve's coefficients scaled so that everything is over
-    D^d times the curve's own denominator.
+    One packed evaluation in divided powers: the branch times its common
+    denominator D, its powers up to the curve's P-degree d by
+    k! (F G)_k = sum_j C(k, j) f_j g_(k-j), and each X^k coefficient of the
+    sum (``_record_curve``), with the curve's coefficients scaled so that
+    everything is over D^d times the curve's own denominator.
     """
     order = branch.order
     x_index = curve.variables.index(x_variable)
@@ -138,27 +140,80 @@ def _substitute_branch(
     d_curve = _series_denominator(c for _, _, c in terms)
     d_branch = _series_denominator(branch.coefficients)
     kernel = _kernel(parameters)
-    zero = kernel.input(LaurentPolynomial.zero(parameters))
-    powers = [[kernel.input(LaurentPolynomial.one(parameters))] + [zero] * order]
-    if top:
-        powers.append([kernel.input(c, d_branch) for c in branch.coefficients])
-    for _ in range(2, top + 1):
-        lower = powers[-1]
-        powers.append([kernel.dot(powers[1][: k + 1], lower[k::-1]) for k in range(order + 1)])
+    first = [kernel.input(c, d_branch * factorial(k)) for k, c in enumerate(branch.coefficients)]
+    powers = {1: first}
+    for e in range(2, top + 1):
+        lower = powers[e - 1]
+        powers[e] = [
+            kernel.dot(first[: k + 1], lower[k::-1], [comb(k, j) for j in range(k + 1)])
+            for k in range(order + 1)
+        ]
     scaled = [
         (e_x, e_p, kernel.input(c, d_curve * d_branch ** (top - e_p))) for e_x, e_p, c in terms
     ]
-    total = [_residual(kernel, scaled, powers, k) for k in range(order + 1)]
+    total = _record_curve(kernel, scaled, powers, order)
     kernel.run(total)
     denominator = d_curve * d_branch**top
-    return FormalSeries("X", order, kernel.unpack(total, [denominator] * len(total)))
+    denominators = [factorial(k) * denominator for k in range(order + 1)]
+    return FormalSeries(x_variable, order, kernel.unpack(total, denominators))
 
 
-def _residual(kernel, scaled, powers, k: int) -> int:
-    """The node of the X^k coefficient of sum c X^e_x P^e_p over the scaled
-    curve terms (e_x, e_p, node of c), from the nodes of the powers of P."""
-    used = [(node, powers[e_p][k - e_x]) for e_x, e_p, node in scaled if e_x <= k]
-    return kernel.dot([x for x, _ in used], [y for _, y in used])
+def _record_curve(kernel, scaled, powers: dict, order: int) -> list[int]:
+    """Record a curve at a series F in divided powers: the nodes of k! times
+    the X^k coefficient of sum c X^e_x F^e_p, for k = 0 .. order, over the
+    scaled curve terms (e_x, e_p, node of c), from powers[e], the nodes of
+    k! (F^e)_k for every e > 0 the terms use.  X^e_x F^e_p enters the X^k
+    coefficient with the factor k!/(k - e_x)!."""
+    zero = kernel.input(LaurentPolynomial.zero(kernel.variables))
+    powers = {0: [kernel.input(LaurentPolynomial.one(kernel.variables))] + [zero] * order, **powers}
+    total = []
+    for k in range(order + 1):
+        used = [(perm(k, e_x), node, powers[e_p][k - e_x]) for e_x, e_p, node in scaled if e_x <= k]
+        factors, xs, ys = zip(*used)
+        total.append(kernel.dot(xs, ys, factors))
+    return total
+
+
+def _on_curve_residual(
+    curve: LaurentPolynomial,
+    x_variable: str,
+    p_variable: str,
+    parameters: tuple[str, ...],
+    base: Scalar,
+    p: FormalSeries,
+) -> FormalSeries:
+    """A(X, base * exp(p)) as a series, in one packed run that reads only
+    the curve and p.
+
+    Each power exp(p)^e = exp(e p) that the curve uses is recorded in
+    divided powers k! E_k D^k, with X scaled by D (``kch.series._record_exp``),
+    and the curve is summed over them by ``_record_curve``.  For the base
+    b/q (b a Gaussian integer), q^top (base E)^e is q^(top-e) b^e E^e, so
+    each curve term X^a P^e is scaled by the curve's common denominator,
+    q^(top-e) b^e and D^a.  A packed value is zero exactly when its
+    polynomial is, so a vanishing residual is returned without an unpack.
+    """
+    order = p.order
+    terms = _terms_by_power(curve, x_variable, p_variable, parameters, order)
+    exponents = sorted({e_p for _, e_p, _ in terms} - {0})
+    top = max(exponents, default=0)
+    d_curve = _series_denominator(c for _, _, c in terms)
+    base = _narrow(base)
+    q = _denominator((base,))
+    b = base * q
+    kernel = _kernel(parameters)
+    d, exps = _record_exp(kernel, p.coefficients, exponents)
+    scaled = [
+        (e_x, e_p, kernel.input(c.scale(b**e_p), d_curve * q ** (top - e_p) * d**e_x))
+        for e_x, e_p, c in terms
+    ]
+    total = _record_curve(kernel, scaled, dict(zip(exponents, exps)), order)
+    kernel.run(total)
+    if all(map(kernel.is_zero, total)):
+        return FormalSeries.zero(x_variable, order, parameters)
+    denominator = d_curve * q**top
+    denominators = [factorial(k) * d**k * denominator for k in range(order + 1)]
+    return FormalSeries(x_variable, order, kernel.unpack(total, denominators))
 
 
 def _terms_by_power(
@@ -266,7 +321,7 @@ def branch_series(
     scales = [d_curve * q ** (top - e_p) * lam**e_x for e_x, e_p, _ in terms]
     kernel, nodes = _solve_branch(parameters, terms, scales, base * q, eps, order, not_separating)
     coefficients = kernel.unpack(nodes, [q * lam**k for k in range(order + 1)])
-    series = FormalSeries("X", order, coefficients)
+    series = FormalSeries(x_variable, order, coefficients)
     return BranchSeries(curve, x_variable, p_variable, base, series)
 
 
@@ -301,7 +356,8 @@ def _solve_branch(parameters, terms, scales, p, eps, order, not_separating):
             lower = powers[e - 1]
             powers[e].append(kernel.dot(coefficients[:k], lower[k:0:-1]))
         # the X^k coefficient of G(X, p + ... + C_(k-1) X^(k-1)), then C_k
-        residual = _residual(kernel, scaled, powers, k)
+        used = [(node, powers[e_p][k - e_x]) for e_x, e_p, node in scaled if e_x <= k]
+        residual = kernel.dot(*zip(*used))
         fail = partial(not_separating, k)
         coefficients[k] = kernel.divide(residual, divisor, fail)
         for e in range(2, top + 1):
@@ -325,17 +381,44 @@ def p_series(branch: BranchSeries) -> FormalSeries:
 
 def potential_series(p: FormalSeries) -> PotentialSeries:
     """Integrate: the X^k coefficient divides by k; the constant becomes linear in x."""
-    coefficients = [LaurentPolynomial.zero(p.ring)]
-    coefficients += [c.scale(Fraction(1, k)) for k, c in enumerate(p.coefficients) if k]
+    ring = p.ring
+    coefficients = [LaurentPolynomial.zero(ring)]
+    coefficients += [
+        _adopt(ring, [(e, _divided(c, k)) for e, c in poly._terms])
+        for k, poly in enumerate(p.coefficients) if k
+    ]
     return PotentialSeries(p.coefficient(0), FormalSeries(p.variable, p.order, coefficients))
 
 
 def potential_x_derivative(potential: PotentialSeries) -> FormalSeries:
     """x-derivative (X d/dX plus the linear part) recovering the p series."""
     series = potential.series
+    ring = series.ring
     coefficients = [potential.linear_coefficient]
-    coefficients += [c.scale(k) for k, c in enumerate(series.coefficients) if k]
+    coefficients += [
+        _adopt(ring, [(e, _multiplied(c, k)) for e, c in poly._terms])
+        for k, poly in enumerate(series.coefficients) if k
+    ]
     return FormalSeries(series.variable, series.order, coefficients)
+
+
+def _divided(c, k: int):
+    """c / k for a narrow coefficient c and k > 0, narrow (an imaginary
+    ``Scalar`` stays imaginary)."""
+    if type(c) is int:
+        return Fraction(c, k) if c % k else c // k
+    if type(c) is Fraction:
+        return Fraction(c.numerator, c.denominator * k)
+    return c * Fraction(1, k)
+
+
+def _multiplied(c, k: int):
+    """c * k for a narrow coefficient c and k > 0, narrow: only a
+    ``Fraction`` can become an int."""
+    if type(c) is Fraction:
+        n, d = c.numerator * k, c.denominator
+        return Fraction(n, d) if n % d else n // d
+    return c * k
 
 
 def verify_on_curve(
@@ -364,9 +447,12 @@ def verify_on_curve(
         p = p_series(branch)
     elif p.ring != parameters:
         raise DomainError(f"p series ring {p.ring!r} differs from the branch's {parameters!r}")
-    reconstructed = p.truncate(order).exp() * LaurentPolynomial.constant(parameters, branch.base)
-    residual = _substitute_branch(
-        stripped, branch.x_variable, branch.p_variable, parameters, reconstructed
+    elif p.variable != branch.x_variable:
+        raise DomainError(
+            f"p series variable {p.variable!r} differs from the branch's {branch.x_variable!r}"
+        )
+    residual = _on_curve_residual(
+        stripped, branch.x_variable, branch.p_variable, parameters, branch.base, p.truncate(order)
     )
     failures = (k for k, c in enumerate(residual.coefficients) if not c.is_zero())
     first_failure = next(failures, None)

@@ -235,22 +235,10 @@ class FormalSeries:
         reads e_k = sum_{j=1}^{k} C(k-1, j-1) s_j e_(k-j); D is the common
         denominator of the j! S_j, often 1 where that of the S_j is not.
         """
-        ring = self.ring
-        if not self.coefficients[0].is_zero():
-            raise DomainError("exp requires zero constant coefficient")
-        fact = [factorial(j) for j in range(self.order + 1)]
-        d = 1
-        for j, c in enumerate(self.coefficients):
-            m = _series_denominator((c,))
-            d = lcm(d, m // gcd(m, fact[j]))
-        kernel = _kernel(ring)
-        s = [kernel.input(c, fact[j] * d**j) for j, c in enumerate(self.coefficients)]
-        out = [kernel.input(_make(ring, {(0,) * len(ring): 1}))]
-        for k in range(1, self.order + 1):
-            factors = [comb(k - 1, j) for j in range(k)]
-            out.append(kernel.dot(s[1 : k + 1], out[k - 1 :: -1], factors))
+        kernel = _kernel(self.ring)
+        d, (out,) = _record_exp(kernel, self.coefficients)
         kernel.run(out)
-        coefficients = kernel.unpack(out, [fact[k] * d**k for k in range(self.order + 1)])
+        coefficients = kernel.unpack(out, [factorial(k) * d**k for k in range(self.order + 1)])
         return FormalSeries(self.variable, self.order, coefficients)
 
     # -- equality / printing -------------------------------------------------
@@ -295,6 +283,35 @@ class FormalSeries:
 
 def _series_denominator(coefficients: Iterable[LaurentPolynomial]) -> int:
     return _denominator(c for poly in coefficients for _, c in poly._terms)
+
+
+def _record_exp(
+    kernel, coefficients: Sequence[LaurentPolynomial], multiples: Iterable[int] = (1,)
+) -> tuple[int, list[list[int]]]:
+    """Record exp(m S) on ``kernel`` for each of the ``multiples`` m, S the
+    series with these coefficients, in the divided powers of
+    ``FormalSeries.exp`` (m S has the integral values m s_j).  Returns the
+    scale D of t and, per multiple, the nodes of e_k = k! E_k D^k for
+    E = exp(m S)."""
+    ring = kernel.variables
+    if not coefficients[0].is_zero():
+        raise DomainError("exp requires zero constant coefficient")
+    fact = [factorial(j) for j in range(len(coefficients))]
+    d = 1
+    for j, c in enumerate(coefficients):
+        m = _series_denominator((c,))
+        d = lcm(d, m // gcd(m, fact[j]))
+    s = [kernel.input(c, fact[j] * d**j) for j, c in enumerate(coefficients)]
+    one = kernel.input(_make(ring, {(0,) * len(ring): 1}))
+    rows = [[comb(k - 1, j) for j in range(k)] for k in range(1, len(coefficients))]
+    series = []
+    for multiple in multiples:
+        out = [one]
+        for k, row in enumerate(rows, 1):
+            factors = row if multiple == 1 else [multiple * f for f in row]
+            out.append(kernel.dot(s[1 : k + 1], out[k - 1 :: -1], factors))
+        series.append(out)
+    return d, series
 
 
 def _kernel(variables: tuple[str, ...]):

@@ -293,25 +293,26 @@ def test_branch_solving_makes_no_series_product(monkeypatch):
     products = []
     substitutions = []
     multiply = FormalSeries.__mul__
-    substitute = mirror._substitute_branch
+    record = mirror._record_curve
 
     def counted_multiply(self, other):
         products.append(other)
         return multiply(self, other)
 
-    def counted_substitute(*args):
+    def counted_record(*args):
         substitutions.append(args)
-        return substitute(*args)
+        return record(*args)
 
     monkeypatch.setattr(FormalSeries, "__mul__", counted_multiply)
     monkeypatch.setattr(FormalSeries, "__rmul__", counted_multiply)
-    monkeypatch.setattr(mirror, "_substitute_branch", counted_substitute)
+    monkeypatch.setattr(mirror, "_record_curve", counted_record)
     curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2 + X^2*P^3", RING)
     branch = branch_series(curve, 1, 12)
     assert products == [] and substitutions == []
-    # the on-curve check keeps its own substitution, which the counters see
+    # the on-curve check records its own substitution, in its one packed
+    # run with exp, and makes no series product either
     assert verify_on_curve(curve, branch).ok
-    assert products and len(substitutions) == 1
+    assert products == [] and len(substitutions) == 1
 
 
 def test_packed_branch_equals_resubstitution_at_rational_and_imaginary_bases():
@@ -418,8 +419,8 @@ def test_kept_p_series_is_not_part_of_the_branch_value():
 
 def test_mirror_request_runs_the_log_once(packed_counters):
     # a request as the CLI and the benchmark make it: the branch solve, one
-    # log, then the check's exp and substitution; checking a fresh branch
-    # runs the log once more
+    # log, then the check, whose exp and substitution are one run; checking
+    # a fresh branch runs the log once more
     curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2", RING)
     branch = branch_series(curve, 1, 10)
     assert packed_counters["runs"] == 1
@@ -431,9 +432,9 @@ def test_mirror_request_runs_the_log_once(packed_counters):
     assert packed_counters["nodes"] - solve["nodes"] == 11 + 10
     assert packed_counters["products"] - solve["products"] == sum(range(1, 11))
     assert verify_on_curve(curve, branch).ok
-    assert packed_counters["runs"] == 4
+    assert packed_counters["runs"] == 3
     assert verify_on_curve(curve, branch_series(curve, 1, 10)).ok
-    assert packed_counters["runs"] == 8
+    assert packed_counters["runs"] == 6
     assert packed_counters["bits"] > 0 and packed_counters["term_dict_runs"] == 0
 
 
@@ -509,3 +510,149 @@ def test_evaluation_is_chosen_by_estimated_cost(monkeypatch):
     (dense_sparse, dense_bits), _, (log_sparse, log_bits) = layouts
     assert not dense_sparse and log_sparse
     assert max(dense_bits, log_bits) <= kch._packed.MAX_PACKED_BITS
+
+
+def reference_report(curve, branch, p):
+    """(ok, first_failure, repr(residual)) of the on-curve check by
+    definition: B = base * exp(p), and A(X, B) summed over the curve's
+    terms with ``FormalSeries`` powers and products."""
+    parameters, stripped = _split_curve(curve, "X", "P")
+    x_index, p_index = stripped.variables.index("X"), stripped.variables.index("P")
+    positions = [stripped.variables.index(v) for v in parameters]
+    b = p.exp() * LaurentPolynomial.constant(parameters, branch.base)
+    total = FormalSeries.zero("X", p.order, parameters)
+    for exps, c in stripped._terms:
+        key = tuple(exps[i] for i in positions)
+        coefficient = LaurentPolynomial(parameters, {key: Scalar.of(c)})
+        total = total + (b ** exps[p_index]).shifted(exps[x_index]) * coefficient
+    failures = [k for k, c in enumerate(total.coefficients) if not c.is_zero()]
+    return not failures, (failures[0] if failures else None), repr(total)
+
+
+def nudged(p, rng):
+    """p with one coefficient, at a seeded X^k with k >= 1, moved off by a
+    seeded amount."""
+    k = rng.randint(1, p.order)
+    nudge = LaurentPolynomial.constant(p.ring, rng.choice([Fraction(1, 3), 1]))
+    if p.ring:
+        nudge = nudge * LaurentPolynomial.monomial(p.ring, (1,) * len(p.ring), rng.choice([1, -2]))
+    coefficients = list(p.coefficients)
+    coefficients[k] = coefficients[k] + nudge
+    return FormalSeries(p.variable, p.order, coefficients)
+
+
+def check_reports(curve, base, order, rng):
+    branch = branch_series(curve, base, order)
+    p = p_series(branch)
+    for candidate in (p, nudged(p, rng)):
+        report = verify_on_curve(curve, branch, p=candidate)
+        got = (report.ok, report.first_failure, repr(report.residual))
+        assert got == reference_report(curve, branch, candidate), (str(curve), str(candidate))
+    assert verify_on_curve(curve, branch).ok
+    return report
+
+
+def test_fused_check_equals_the_reference_on_corrupted_p():
+    # bases 1, 1/2, i and -1, as the random curves are built for them
+    rng = random.Random(4242)
+    failures = 0
+    for trial in range(16):
+        base = (1, Fraction(1, 2), Scalar(0, 1), -1)[trial % 4]
+        curve = random_curve(rng, base)
+        failures += not check_reports(curve, base, rng.randint(1, 6), rng).ok
+    assert failures == 16
+
+
+@pytest.mark.parametrize(
+    "text, ring, base",
+    [
+        ("1 - P + Q*X*P + R*X*P^2 - 1/2*X^2*P^3", ("Q", "R"), 1),
+        ("P^2 + 1 - X*P^3 + Q*X^2", ("Q",), Scalar(0, -1)),
+        ("2*P - 1 - X*P^2 + Q*X*P", ("Q",), Fraction(1, 2)),
+    ],
+)
+def test_fused_check_equals_the_reference_on_named_curves(text, ring, base):
+    curve = parse_polynomial(text, ring + ("X", "P"))
+    assert not check_reports(curve, base, 7, random.Random(text)).ok
+
+
+def test_term_dict_fused_check_equals_the_reference(monkeypatch, packed_counters):
+    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
+    rng = random.Random(31)
+    for trial in range(8):
+        base = (1, Fraction(1, 2), Scalar(0, 1), -1)[trial % 4]
+        check_reports(random_curve(rng, base), base, 5, rng)
+    check_reports(parse_polynomial("1 - P + Q*X*P + R*X*P^2", ("Q", "R", "X", "P")), 1, 6, rng)
+    assert packed_counters["runs"] == packed_counters["term_dict_runs"] > 0
+
+
+@pytest.mark.parametrize("pair_micros", [kch._packed.PAIR_MICROS, 0])
+def test_passing_check_unpacks_nothing(pair_micros, monkeypatch):
+    # packed, or forced onto term dicts
+    monkeypatch.setattr(kch._packed, "PAIR_MICROS", pair_micros)
+    unpacked = []
+    unpack = kch._packed._Kernel.unpack
+
+    def counted(self, nodes, denominators):
+        unpacked.append(nodes)
+        return unpack(self, nodes, denominators)
+
+    curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2 + X^2*P^3", RING)
+    branch = branch_series(curve, Fraction(1, 1), 9)
+    p = p_series(branch)
+    monkeypatch.setattr(kch._packed._Kernel, "unpack", counted)
+    report = verify_on_curve(curve, branch)
+    assert report.ok and unpacked == []
+    assert report.residual == FormalSeries.zero("X", 9, ("Q",))
+    # a failing check unpacks its residual once
+    assert not verify_on_curve(curve, branch, p=nudged(p, random.Random(5))).ok
+    assert len(unpacked) == 1
+
+
+def test_series_take_the_branch_variable():
+    x_curve = parse_polynomial("1 - X - P + Q*X*P^2", ("Q", "X", "P"))
+    y_curve = parse_polynomial("1 - Y - P + Q*Y*P^2", ("Q", "Y", "P"))
+    x_branch = branch_series(x_curve, 1, 3)
+    y_branch = branch_series(y_curve, 1, 3, x_variable="Y")
+    x_p, y_p = p_series(x_branch), p_series(y_branch)
+    pairs = [
+        (x_branch.series, y_branch.series),
+        (x_p, y_p),
+        (potential_series(x_p).series, potential_series(y_p).series),
+        (verify_on_curve(x_curve, x_branch).residual, verify_on_curve(y_curve, y_branch).residual),
+    ]
+    for x_series, y_series in pairs:
+        assert y_series.variable == "Y"
+        assert str(y_series) == str(x_series).replace("X", "Y")
+    # a p series in another variable is rejected, not checked
+    t_p = FormalSeries("t", 3, y_p.coefficients)
+    with pytest.raises(DomainError, match="variable 't'"):
+        verify_on_curve(y_curve, y_branch, p=t_p)
+
+
+def test_potential_arithmetic_stores_narrow_coefficients():
+    # 1/k and k on int, Fraction and imaginary coefficients: the results
+    # equal the Scalar route and store its narrow types
+    ring = ("Q",)
+    p = FormalSeries(
+        "X",
+        4,
+        [
+            LaurentPolynomial.zero(ring),
+            qp("3 - 1/2*Q"),
+            qp("5 + 1/3*Q^2") + LaurentPolynomial.monomial(ring, (1,), Scalar(2, 6)),
+            qp("-6*Q + 5/6*Q^3"),
+            qp("8/3 - 12*Q^-1") + LaurentPolynomial.constant(ring, Scalar(0, Fraction(1, 2))),
+        ],
+    )
+    potential = potential_series(p)
+    derivative = potential_x_derivative(potential)
+    expected = [c.scale(Fraction(1, k)) for k, c in enumerate(p.coefficients) if k]
+    assert list(potential.series.coefficients[1:]) == expected
+    assert derivative == p
+
+    def stored(series):
+        return [[(e, type(c), c) for e, c in poly._terms] for poly in series.coefficients]
+
+    assert stored(potential.series)[1:] == stored(FormalSeries("X", 3, expected))
+    assert stored(derivative) == stored(p)

@@ -6,8 +6,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from kch.errors import DomainError, ResourceLimitError
+from kch.errors import DomainError, ResourceLimitError, VerificationError
 from kch.scalars import Scalar
+from kch.series import FormalSeries
 from kch.symfunc import (
     MAX_TRACE_ORDER,
     SERIES_VARIABLE,
@@ -177,3 +178,38 @@ def test_trace_order_cap_admits_the_cap():
     series = symmetric_trace_series(spectrum(1), MAX_TRACE_ORDER)
     assert series.order == MAX_TRACE_ORDER
     assert all(str(c) == "1" for c in series.coefficients)
+
+
+def scalar_product_expansion(values, order):
+    """prod_i (1 - lambda_i t)^{-1} by the running recurrence
+    c_k += lambda c_(k-1) in ``Scalar`` arithmetic."""
+    coefficients = [Scalar.of(1)] + [Scalar()] * order
+    for value in values:
+        for k in range(1, order + 1):
+            coefficients[k] = coefficients[k] + Scalar.of(value) * coefficients[k - 1]
+    return coefficients
+
+
+@pytest.mark.parametrize("values", GAUSSIAN_RATIONAL_SPECTRA)
+def test_integer_product_equals_the_scalar_recurrence(values):
+    s = spectrum(*values)
+    expected = scalar_product_expansion(values, 12)
+    oracle = determinant_product_series(s, 12)
+    assert [c.constant_term() for c in oracle.coefficients] == expected
+    assert symmetric_trace_series(s, 12) == oracle
+    assert oracle == FormalSeries.from_scalars(SERIES_VARIABLE, expected)
+
+
+@pytest.mark.parametrize("values", [(1, Fraction(1, 2)), (Scalar(0, 1), Scalar(0, -1), 3)])
+def test_trace_series_rejects_corrupted_power_sums(values, monkeypatch):
+    symfunc = importlib.import_module("kch.symfunc")
+    power_sums_of = symfunc._gaussian_power_sums
+
+    def corrupted(spectrum, order):
+        d, sums = power_sums_of(spectrum, order)
+        (re, im), *rest = sums
+        return d, [(re, im + d)] + rest
+
+    monkeypatch.setattr(symfunc, "_gaussian_power_sums", corrupted)
+    with pytest.raises(VerificationError, match="disagree"):
+        symmetric_trace_series(spectrum(*values), 6)
