@@ -239,7 +239,11 @@ class _Kernel:
         Term dicts pay ``PAIR_MICROS`` per pair of terms, from the term
         bounds.  Packed ints pay one int product per pair, its factors
         taken as half as wide as the extent of the node that sums them.
+        Over no parameters every value is one term, so a pair is the same
+        int product either way, and packing saves the dict work.
         """
+        if not self.variables:
+            return False
         packed = 0.0
         for node, (kind, data) in enumerate(self.nodes):
             if kind == _DOT and self.norms[node]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .augment import augmentation_exists, eliminate_augmentation_ideal
-from .dga import DGA, bundled_names, load_bundled, load_dga
+from .dga import DGA, _read_text, bundled_names, load_bundled, load_dga_text
 from .errors import KchError, ParseError
 from .feynman import (
     CubicForm,
@@ -47,10 +47,16 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _file_text(spec: str) -> str | None:
+    """The text of the file a CLI spec names, or None when it names none; a
+    name the OS cannot hold (too long, or with a NUL byte) names no file."""
+    return _read_text(spec) if os.path.isfile(spec) else None
+
+
 def _load_algebra(spec: str) -> DGA:
-    path = Path(spec)
-    if path.is_file():
-        return load_dga(path)
+    text = _file_text(spec)
+    if text is not None:
+        return load_dga_text(text, source=spec)
     if spec in bundled_names():
         return load_bundled(spec)
     raise ParseError(
@@ -60,9 +66,9 @@ def _load_algebra(spec: str) -> DGA:
 
 
 def _load_diagram_text(spec: str) -> str:
-    path = Path(spec)
-    if path.is_file():
-        return path.read_text(encoding="utf-8").strip()
+    text = _file_text(spec)
+    if text is not None:
+        return text.strip()
     if spec in BUNDLED_DIAGRAMS:
         return BUNDLED_DIAGRAMS[spec]
     if "X[" in spec or "UNKNOT" in spec:
@@ -82,30 +88,35 @@ def _parse_point(text: str) -> dict[str, Scalar]:
         if "=" not in piece:
             raise ParseError(f"expected NAME=VALUE in point assignment, got {piece!r}")
         name, _, raw = piece.partition("=")
-        point[name.strip()] = parse_scalar(raw.strip())
+        name = name.strip()
+        if name in point:
+            raise ParseError(f"coordinate {name!r} is given twice in point assignment")
+        point[name] = parse_scalar(raw)
     if not point:
         raise ParseError("empty point assignment")
     return point
 
 
 def _rational_entry(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: entries must be integers or rational strings")
-    if isinstance(value, int):
+    """An int, or a string in the ``parse_scalar`` grammar with no imaginary part."""
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"{where}: {value!r} is not a rational") from None
-    raise ParseError(f"{where}: entries must be integers or rational strings")
+    if not isinstance(value, str):
+        raise ParseError(f"{where}: entries must be integers or rational strings")
+    try:
+        scalar = parse_scalar(value)
+    except ParseError:
+        scalar = None
+    if scalar is None or scalar.im:
+        raise ParseError(f"{where}: {value!r} is not a rational")
+    return scalar.re
 
 
 def _parse_array(text: str, flag: str, depth: int, shape: str) -> list:
     """A JSON array nested ``depth`` deep with rational entries, read in order."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past Python's int conversion limit
         raise ParseError(f"{flag}: invalid JSON: {exc}") from exc
 
     def read(value, level: int, where: str):
@@ -119,23 +130,8 @@ def _parse_array(text: str, flag: str, depth: int, shape: str) -> list:
 
 
 def _split_eigenvalues(text: str) -> list[Scalar]:
-    pieces = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("--eigs: unbalanced parentheses")
-        if ch == "," and depth == 0:
-            pieces.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    pieces.append("".join(current))
-    values = [parse_scalar(piece.strip()) for piece in pieces if piece.strip()]
+    # no scalar literal holds a comma
+    values = [parse_scalar(piece) for piece in text.split(",") if piece.strip()]
     if not values:
         raise ParseError("--eigs: no eigenvalues given")
     return values
@@ -389,8 +385,8 @@ def _cmd_symtrace(args) -> int:
 
 
 def _cmd_mirror_branch(args) -> int:
-    path = Path(args.poly)
-    text = path.read_text(encoding="utf-8").strip() if path.is_file() else args.poly
+    text = _file_text(args.poly)
+    text = args.poly if text is None else text.strip()
     curve = parse_polynomial(text, ("Q", "X", "P"))
     if args.Q is not None:
         curve = curve.substitute("Q", parse_scalar(args.Q))

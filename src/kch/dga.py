@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import DomainError, ParseError, RingMismatchError
-from .laurent import LaurentPolynomial, parse_polynomial
+from .laurent import LaurentPolynomial, _NAME, parse_polynomial
 
 Word = tuple[str, ...]
 
@@ -276,9 +276,6 @@ class DGA:
 
 # -- JSON document loading ----------------------------------------------------
 
-_NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
-
-
 def _located(where: str, message: str) -> ParseError:
     return ParseError(f"{where}: {message}")
 
@@ -302,10 +299,8 @@ def _expect_dict(value, where: str) -> dict:
 
 
 def _expect_identifier(value, where: str) -> str:
-    import re
-
     text = _expect_str(value, where)
-    if not re.fullmatch(_NAME_PATTERN, text):
+    if not _NAME.fullmatch(text):
         raise _located(where, f"{text!r} is not a valid name")
     if text in RESERVED_NAMES:
         raise _located(where, f"{text!r} is reserved")
@@ -315,14 +310,22 @@ def _expect_identifier(value, where: str) -> str:
 def load_dga_text(text: str, *, source: str = "<string>") -> DGA:
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or a number past Python's int conversion limit
         raise ParseError(f"{source}: invalid JSON: {exc}") from exc
     return build_dga(document, source=source)
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of a file; bytes that do not decode are malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_dga(path) -> DGA:
-    with open(path, "r", encoding="utf-8") as handle:
-        return load_dga_text(handle.read(), source=str(path))
+    return load_dga_text(_read_text(path), source=str(path))
 
 
 def build_dga(document, *, source: str = "<document>") -> DGA:

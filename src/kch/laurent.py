@@ -9,9 +9,10 @@ use it, which keeps every rendering byte-stable.
 
 Text grammar (``parse_polynomial`` and ``__str__``): terms are joined by
 ``+``/``-``; a term is an optional coefficient (``3``, ``-1/2``, or a
-parenthesized complex value such as ``(2+3i)``) together with ``*``-separated
-variable powers ``X^k`` where ``k`` is optionally signed and ``X`` abbreviates
-``X^1``.  Whitespace is ignored.  Example: ``1 - X - P + Q*X*P``.
+``parse_scalar`` literal in parentheses such as ``(2+3i)``) together with
+``*``-separated variable powers ``X^k`` where ``k`` is optionally signed and
+``X`` abbreviates ``X^1``.  Whitespace is ignored.  Example:
+``1 - X - P + Q*X*P``.
 
 Values stay exact, but a coefficient is stored narrow: an ``int`` when it is
 integral, a ``Fraction`` when it is real, a ``Scalar`` only with a nonzero
@@ -34,7 +35,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, ParseError, RingMismatchError
-from .scalars import I, ONE, ZERO, Scalar, _power, _rational_literal
+from .scalars import ONE, ZERO, Scalar, _power, _rational_literal, parse_scalar
 
 ExponentVector = tuple[int, ...]
 
@@ -69,9 +70,15 @@ def _scalar(c) -> Scalar:
     return c if type(c) is Scalar else Scalar(c)
 
 
+# the one name rule, for ring variables, series variables and DGA names: an
+# ASCII identifier other than ``i``, which coefficients read as the imaginary unit
+_IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME = _re.compile(rf"(?!i$){_IDENTIFIER}")
+
+
 def _check_variables(variables: tuple[str, ...]) -> None:
     for name in variables:
-        if name == "i" or not _re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
+        if not _NAME.fullmatch(name):
             raise DomainError(f"invalid variable name {name!r}")
     if len(set(variables)) != len(variables):
         raise DomainError("duplicate variable names in ring")
@@ -450,7 +457,8 @@ def _dot(variables: tuple[str, ...], pairs: Iterable, scale=1) -> LaurentPolynom
 # -- parsing ----------------------------------------------------------------
 
 _TOKEN = _re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[+\-*^()]))"
+    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>" + _IDENTIFIER + r")"
+    r"|(?P<scalar>\([^()]*\))|(?P<op>[+\-*^()]))"
 )
 
 
@@ -520,9 +528,9 @@ class _PolynomialParser:
             if kind == "number":
                 self.take()
                 coeff = coeff * _rational_literal(value)
-            elif kind == "op" and value == "(":
+            elif kind == "scalar":
                 self.take()
-                coeff = coeff * self._complex_literal(where)
+                coeff = coeff * parse_scalar(value)
             elif kind == "name":
                 if value == "i":
                     raise ParseError(
@@ -533,6 +541,8 @@ class _PolynomialParser:
                 self.take()
                 exps[self.variables.index(value)] += self._exponent()
             else:
+                if value == "(":
+                    raise ParseError(f"unbalanced '(' at position {where} in {self.text!r}")
                 if not saw_factor:
                     raise ParseError(f"expected a term at position {where} in {self.text!r}")
                 break
@@ -558,37 +568,10 @@ class _PolynomialParser:
             token = self.take()
         if token[0] != "number" or "/" in token[1]:
             raise ParseError(f"expected an integer exponent at position {token[2]}")
-        return sign * int(token[1])
-
-    def _complex_literal(self, where: int):
-        total = 0
-        count = 0
-        while True:
-            token = self.take()
-            sign = 1
-            if token[0] == "op" and token[1] in "+-":
-                sign = -1 if token[1] == "-" else 1
-                token = self.take()
-            elif count > 0:
-                raise ParseError(f"missing sign inside coefficient at position {token[2]}")
-            if token[0] == "number":
-                value = _rational_literal(token[1])
-                nxt = self.peek()
-                if nxt is not None and nxt[0] == "name" and nxt[1] == "i":
-                    self.take()
-                    value = Scalar(0, value)
-            elif token[0] == "name" and token[1] == "i":
-                value = I
-            else:
-                raise ParseError(f"invalid coefficient starting at position {where}")
-            total = total + (value if sign > 0 else -value)
-            count += 1
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == ")":
-                self.take()
-                return total
-            if nxt is None:
-                raise ParseError(f"unterminated coefficient starting at position {where}")
+        try:
+            return sign * int(token[1])
+        except ValueError:  # past Python's int conversion limit
+            raise ParseError(f"exponent at position {token[2]} is too long to convert") from None
 
 
 def parse_polynomial(text: str, variables: Iterable[str]) -> LaurentPolynomial:

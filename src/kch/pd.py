@@ -147,8 +147,11 @@ def parse_pd(text: str) -> LinkDiagram:
         match = _X_STATEMENT.fullmatch(statement)
         if match is None:
             raise ParseError(f"statement {idx}: expected X[a,b,c,d] or UNKNOT, got {statement!r}")
-        labels = tuple(int(g) for g in match.groups())
-        if any(label == 0 for label in labels):
+        try:
+            labels = tuple(map(int, match.groups()))
+        except ValueError:  # past Python's int conversion limit
+            raise ParseError(f"statement {idx}: arc label too long to convert") from None
+        if 0 in labels:
             raise ParseError(f"statement {idx}: arc labels must be positive")
         crossings.append(labels)
 

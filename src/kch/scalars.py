@@ -150,15 +150,23 @@ _SCALAR_TERM = _re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(i)?|(i))\s*")
 
 
 def _rational_literal(digits: str) -> Fraction:
-    """A parsed ``n`` or ``n/d`` token; a zero denominator is malformed text."""
+    """A parsed ``n`` or ``n/d`` token; a zero denominator, or a number
+    longer than Python converts to an int, is malformed text."""
     try:
         return Fraction(digits)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {digits!r}") from None
+    except ValueError:
+        raise ParseError(f"number of {len(digits)} characters is too long to convert") from None
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse ``3``, ``-1/2``, ``2+3i``, ``3i``, ``i`` (optionally parenthesized)."""
+    """Parse ``3``, ``-1/2``, ``2+3i``, ``3i``, ``i`` (optionally parenthesized).
+
+    The toolkit's one literal grammar: at most a real and an imaginary part,
+    each ``n`` or ``n/d``; no decimals and no exponent notation.  The
+    polynomial parser reads each parenthesized coefficient here, and the CLI
+    each point coordinate, eigenvalue and form entry."""
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]

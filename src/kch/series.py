@@ -28,7 +28,7 @@ from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RingMismatchError, check_count
-from .laurent import LaurentPolynomial, _denominator, _dot, _make
+from .laurent import LaurentPolynomial, _NAME, _denominator, _dot, _make
 from .scalars import Scalar, _power
 
 # a packed value holds (slots) x (slot width) bits, and a product of two
@@ -48,7 +48,7 @@ class FormalSeries:
         coefficients: Sequence[LaurentPolynomial],
     ) -> None:
         check_count(order, "series order")
-        if not variable or not variable.isidentifier():
+        if not isinstance(variable, str) or not _NAME.fullmatch(variable):
             raise DomainError(f"invalid series variable name {variable!r}")
         coefficients = tuple(coefficients)
         if len(coefficients) != order + 1:

@@ -336,6 +336,27 @@ def test_symtrace(capsys):
     assert payload["coefficients"][1] == "3+3i"
 
 
+def test_symtrace_splits_eigenvalues_at_every_comma(capsys):
+    code, out, _ = run(capsys, "symtrace", "--eigs", " (2+3i) ,, 1 ", "--order", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == ["1", "3+3i", "-2+15i"]
+    code, _, err = run(capsys, "symtrace", "--eigs", "(1,2)", "--order", "2")
+    assert (code, err) == (2, "error: invalid scalar literal '(1'\n")
+
+
+@pytest.mark.parametrize(
+    "entry, accepted",
+    [('"-1/2"', True), ('"(3)"', True), ('"1.5"', False), ('"1e3"', False), ('"1_000"', False), ('"i"', False)],
+)
+def test_feynman_scalar_string_entries_follow_the_literal_grammar(capsys, entry, accepted):
+    argv = ["feynman", "scalar", "--n", "1", "--q", f"[[{entry}]]", "--c", "[[[0]]]", "--order", "1"]
+    code, _, err = run(capsys, *argv)
+    if accepted:
+        assert code == 0
+    else:
+        assert (code, err) == (2, f"error: --q[0][0]: {json.loads(entry)!r} is not a rational\n")
+
+
 def test_symtrace_rejects_zero_eigenvalue(capsys):
     code, _, err = run(capsys, "symtrace", "--eigs", "1,0", "--order", "3")
     assert code == 1
@@ -429,11 +450,38 @@ def test_import_builds_no_census_and_loads_no_lazy_module():
     assert proc.stdout == "[] 0\n"
 
 
-def test_zero_denominator_exits_two_without_traceback():
-    proc = run_process("aug", "exists", "unknot", "--at", "Q=1/0,X=1,P=1")
-    assert proc.returncode == 2
+HUGE = "7" * 5000  # past Python's int conversion limit
+SCALAR_ARGS = ("feynman", "scalar", "--n", "1", "--order", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        pytest.param(("aug", "exists", "unknot", "--at", "Q=1/0,X=1,P=1"), 2, id="zero-denominator"),
+        pytest.param(("aug", "exists", "unknot", "--at", f"Q={HUGE},X=1,P=1"), 2, id="at-huge"),
+        pytest.param(("aug", "exists", "unknot", "--at", "Q=1,Q=2,X=2,P=3"), 2, id="at-repeated"),
+        pytest.param(("symtrace", "--eigs", f"1,{HUGE}", "--order", "2"), 2, id="eigs-huge"),
+        pytest.param((*SCALAR_ARGS, "--q", f"[[{HUGE}]]", "--c", "[[[1]]]"), 2, id="q-huge-int"),
+        pytest.param((*SCALAR_ARGS, "--q", f'[["{HUGE}"]]', "--c", "[[[1]]]"), 2, id="q-huge-string"),
+        pytest.param((*SCALAR_ARGS, "--q", "[[1]]", "--c", '[[["1e10000000"]]]'), 2, id="c-exponent"),
+        pytest.param(("homfly", "--pd", f"X[1,{HUGE},2,4]"), 2, id="pd-huge-label"),
+        pytest.param(("homfly", "--pd", "{undecodable}"), 2, id="pd-undecodable"),
+        pytest.param(("mirror", "branch", "--order", "2", "--poly", "{undecodable}"), 2, id="poly-undecodable"),
+        pytest.param(("dga", "check", "{undecodable}"), 2, id="dga-undecodable"),
+        pytest.param(("homfly", "--pd", ";".join(["UNKNOT"] * 40)), 0, id="pd-long-inline"),
+    ],
+)
+def test_cli_input_exits_without_traceback(argv, code, tmp_path):
+    # malformed input exits 2 with an error line; the last row is valid input
+    undecodable = tmp_path / "undecodable.txt"
+    undecodable.write_bytes(b"\xff\xfeX[1,1,2,2]")
+    proc = run_process(*(str(undecodable) if a == "{undecodable}" else a for a in argv))
+    assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error:")
+    if code:
+        assert proc.stderr.startswith("error:")
+    else:
+        assert proc.stdout.startswith("diagram: crossings 0, components 40, writhe 0\nP = ")
 
 
 @pytest.mark.parametrize(

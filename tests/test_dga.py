@@ -9,6 +9,7 @@ from kch.dga import (
     build_dga,
     bundled_names,
     load_bundled,
+    load_dga,
     load_dga_text,
 )
 from kch.errors import DomainError, ParseError
@@ -192,9 +193,15 @@ def test_load_dga_text_and_json_path_errors():
     assert "differential" in str(err.value)
 
 
-def test_invalid_json_is_a_parse_error():
+def test_invalid_json_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError):
         load_dga_text("{not json", source="x")
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_dga_text('{"name": "x", "generators": [{"name": "a", "degree": %s}]}' % ("7" * 5000))
+    path = tmp_path / "latin1.dga.json"
+    path.write_bytes(json.dumps(BASE_DOC).replace("sample", "sampl\u00e9").encode("latin-1"))
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        load_dga(path)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +217,9 @@ def test_invalid_json_is_a_parse_error():
         lambda d: d.update(differential={"a": [{"word": []}]}),
         lambda d: d.pop("name"),
         lambda d: d.update(generators=[{"name": "a", "degree": 0}, {"name": "a", "degree": 1}]),
+        lambda d: d.update(torus_variables=["é"]),
+        lambda d: d.update(generators=[{"name": "i", "degree": 0}]),
+        lambda d: d.update(differential={"a": [{"coefficient": "7" * 5000, "word": []}]}),
     ],
 )
 def test_document_validation(mutate):

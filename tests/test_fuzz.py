@@ -3,20 +3,25 @@
 Each parser sees random token soup and small mutations of valid texts.  PD
 codes also come as random pairings of arc labels, and every parse with at
 most four crossings goes on through ``homfly``, which runs the skein
-recursion and its diagram edits on diagrams nobody wrote by hand.
+recursion and its diagram edits on diagrams nobody wrote by hand.  Every
+token list holds a number longer than Python converts to an int.
 """
 
 import random
+from importlib import resources
 
+from kch.dga import bundled_names, load_dga_text
 from kch.errors import KchError
 from kch.homfly import BUNDLED_DIAGRAMS, homfly
 from kch.laurent import parse_polynomial
 from kch.pd import parse_pd
 from kch.scalars import parse_scalar
 
-PD_TOKENS = ["X[", "]", ",", ";", "UNKNOT", " ", "0", "1", "2", "3", "4", "12", "-", "x", "["]
-POLY_TOKENS = ["X", "Q", "P", "a", "i", "^", "-", "+", "*", "/", "(", ")", " ", "0", "1", "2", "7", "3i", "^-"]
-SCALAR_TOKENS = ["0", "1", "2", "9", "/", "+", "-", "i", "(", ")", " ", ".", "e"]
+HUGE = "7" * 5000
+PD_TOKENS = ["X[", "]", ",", ";", "UNKNOT", " ", "0", "1", "2", "3", "4", "12", "-", "x", "[", HUGE]
+POLY_TOKENS = ["X", "Q", "P", "a", "i", "^", "-", "+", "*", "/", "(", ")", " ", "0", "1", "2", "7", "3i", "^-", HUGE]
+SCALAR_TOKENS = ["0", "1", "2", "9", "/", "+", "-", "i", "(", ")", " ", ".", "e", HUGE]
+DGA_TOKENS = ['"', "{", "}", "[", "]", ",", ":", " ", "0", "1", "-", "1.5", "true", "null", "i", "_w", "\u00e9", "(1+i)", "^", HUGE]
 VALID_POLYS = ["1 - X - P + Q*X*P", "(2+3i)*X^-2 + 1/2*Q", "-P^3 + X*Q^-1", "0"]
 VALID_SCALARS = ["1/2", "-3", "(2+3i)", "(1/2-i)", "0", "i"]
 
@@ -103,3 +108,13 @@ def test_scalar_parser():
         for _ in range(6000)
     ]
     assert escapes(parse_scalar, texts) == []
+
+
+def test_dga_loader():
+    rng = random.Random("fuzz-dga")
+    documents = [
+        resources.files("kch").joinpath("data", f"{name}.dga.json").read_text(encoding="utf-8")
+        for name in bundled_names()
+    ]
+    texts = [mutate(rng, rng.choice(documents), DGA_TOKENS) for _ in range(20000)]
+    assert escapes(load_dga_text, texts) == []

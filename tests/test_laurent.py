@@ -66,7 +66,12 @@ def test_parse_grammar():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "+", "X^", "X^1.5", "Y", "i", "2i", "1 + * X", "(2+3i", "X X", "^2", "3/0", "- -X"],
+    [
+        "", "+", "X^", "X^1.5", "Y", "i", "2i", "1 + * X", "(2+3i", "X X", "^2", "3/0", "- -X",
+        # coefficients in parentheses follow parse_scalar, and numbers past
+        # Python's int conversion limit are malformed text
+        "(1+2+3i)*X", "(1.5)", "((1))", "X*(1", "7" * 5000, "X^" + "7" * 5000,
+    ],
 )
 def test_parse_rejects(text):
     with pytest.raises(ParseError):

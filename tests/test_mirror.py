@@ -438,6 +438,17 @@ def test_mirror_request_runs_the_log_once(packed_counters):
     assert packed_counters["bits"] > 0 and packed_counters["term_dict_runs"] == 0
 
 
+def test_runs_over_no_parameters_pack(packed_counters):
+    # one slot per value: a term-dict pair is the same int product as a
+    # packed one, plus dict work, however wide the values (1664 bits here)
+    curve = parse_polynomial("1 - P + X*P^2", ("X", "P"))
+    branch = branch_series(curve, 1, 200)
+    p = p_series(branch)
+    assert verify_on_curve(curve, branch, p=p).ok
+    assert packed_counters["runs"] == 3
+    assert packed_counters["term_dict_runs"] == 0
+
+
 def test_packed_counters_count_term_dict_runs_alike(packed_counters, monkeypatch):
     curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2", RING)
     verify_on_curve(curve, branch_series(curve, 1, 10))

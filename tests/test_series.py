@@ -28,6 +28,12 @@ def test_constructor_validates():
         FormalSeries("", 0, coeffs)
 
 
+@pytest.mark.parametrize("name", ["i", "é", None])
+def test_series_variable_follows_the_ring_name_rule(name):
+    with pytest.raises(DomainError):
+        FormalSeries(name, 0, [LaurentPolynomial.one(())])
+
+
 def test_basic_arithmetic():
     a = scal(1, 2, 3)
     b = scal(0, 1, 1)
@@ -421,9 +427,10 @@ def test_integral_parts_refuse_a_scale_that_leaves_a_fraction():
 
 
 @pytest.mark.parametrize("ring", [(), ("Q",), ("Q", "R"), ("a", "b", "c")])
-def test_term_dict_evaluation_equals_packed(ring, monkeypatch):
-    """The same series operations evaluated packed and as term dicts, each
-    forced through the cost of a term pair, give equal results."""
+def test_term_dict_evaluation_equals_packed(ring, monkeypatch, packed_counters):
+    """The same series operations evaluated packed (forced through the cost
+    of a term pair) and as term dicts (forced through the bits cap, since a
+    run over no parameters always packs) give equal results."""
     rng = random.Random(49)
     cases = []
     for _ in range(12):
@@ -437,8 +444,10 @@ def test_term_dict_evaluation_equals_packed(ring, monkeypatch):
 
     monkeypatch.setattr(kch._packed, "PAIR_MICROS", 10**9)
     packed = evaluate()
-    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
+    assert packed_counters["term_dict_runs"] == 0
+    monkeypatch.setattr(kch._packed, "MAX_PACKED_BITS", 0)
     assert evaluate() == packed
+    assert 2 * packed_counters["term_dict_runs"] == packed_counters["runs"]
 
 
 def test_sparse_high_order_log_and_exp_stay_cheap():
