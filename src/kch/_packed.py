@@ -114,8 +114,8 @@ class _Kernel:
 
     The nodes run as polynomials with Gaussian-integer coefficients instead
     where a divisor is not a monomial, where a packed value would pass
-    ``MAX_PACKED_BITS``, or where that is estimated cheaper
-    (``_prefers_term_dicts``).  For the estimate each node also carries a
+    ``MAX_PACKED_BITS``, or where a layout of more than one slot is estimated
+    cheaper so (``_prefers_term_dicts``).  For the estimate each node carries a
     bound on its count of terms: an input's own, and for a sum of products
     the smaller of the count of exponent vectors in its range and the sum
     over its pairs of the products of their bounds.
@@ -239,10 +239,11 @@ class _Kernel:
         Term dicts pay ``PAIR_MICROS`` per pair of terms, from the term
         bounds.  Packed ints pay one int product per pair, its factors
         taken as half as wide as the extent of the node that sums them.
-        Over no parameters every value is one term, so a pair is the same
-        int product either way, and packing saves the dict work.
+        With one slot (over no parameters, say) every value is one term, so
+        a pair is the same int product either way, and packing saves the
+        dict work.
         """
-        if not self.variables:
+        if self.slots == 1:
             return False
         packed = 0.0
         for node, (kind, data) in enumerate(self.nodes):

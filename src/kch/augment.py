@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from types import MappingProxyType
 from typing import Mapping
 
 from .dga import DGA, AlgebraElement
 from .errors import DomainError, max_steps_limit
 from .groebner import DEFAULT_MAX_STEPS, ideal_contains_one, reduced_groebner_basis
-from .laurent import LaurentPolynomial, _make
+from .laurent import LaurentPolynomial, _check_variables, _make
 from .scalars import Scalar
 
 SATURATION_VARIABLE = "_w"
@@ -69,6 +70,8 @@ def _build_system(dga: DGA) -> AugmentationSystem:
     if len(set(unknowns)) != len(unknowns):
         raise DomainError("degree-zero generator names produce colliding unknowns")
     ring = unknowns + dga.torus_variables
+    # every name valid and distinct, the elimination ring's saturation variable too
+    _check_variables(ring + (SATURATION_VARIABLE,))
     equations = []
     for g in dga.generators:
         if g.degree != 1:
@@ -91,15 +94,20 @@ def _epsilon_image(
     ring: tuple[str, ...],
     unknown_of: Mapping[str, str],
 ) -> LaurentPolynomial:
-    total = LaurentPolynomial.zero(ring)
+    """epsilon(element): each word's unknown counts go in front of its
+    coefficient's exponents, all summed in one map."""
+    position = {name: k for k, name in enumerate(unknown_of)}
+    acc = {}
     for word, coeff in element.terms():
         if any(dga.generator(letter).degree != 0 for letter in word):
             continue
-        term = coeff.with_variables(ring)
+        counts = [0] * len(position)
         for letter in word:
-            term = term * LaurentPolynomial.variable(ring, unknown_of[letter])
-        total = total + term
-    return total
+            counts[position[letter]] += 1
+        for exps, c in coeff._terms:
+            key = (*counts, *exps)
+            acc[key] = acc.get(key, 0) + c
+    return _make(ring, acc)
 
 
 def _validated_point(
@@ -160,22 +168,20 @@ def augmentation_exists(
     return not ideal_contains_one(specialized, max_steps=max_steps)
 
 
-def _clear_torus_negatives(poly: LaurentPolynomial, first_torus_index: int) -> LaurentPolynomial:
-    """Multiply by a torus monomial so torus exponents are nonnegative.
+def _elimination_generator(
+    eq: LaurentPolynomial, ring: tuple[str, ...], unknowns: int
+) -> LaurentPolynomial:
+    """eq over ``ring`` (unknowns, saturation variable, torus block), with
+    the torus exponents shifted by their column minima to be nonnegative.
 
     Torus variables are units, and the ideal is saturated against them, so
     this does not change the variety.  Unknown exponents are untouched: the
     unknowns are not invertible and stripping them would drop components.
     """
-    width = len(poly.variables)
-    mins = [0] * width
-    for exps, _ in poly._terms:
-        for k in range(first_torus_index, width):
-            if exps[k] < mins[k]:
-                mins[k] = exps[k]
-    if not any(mins):
-        return poly
-    return poly.shift(tuple(-m for m in mins))
+    shift = [min(0, *column) for column in zip(*(e[unknowns:] for e, _ in eq._terms))]
+    return _make(
+        ring, {(*e[:unknowns], 0, *map(sub, e[unknowns:], shift)): c for e, c in eq._terms}
+    )
 
 
 def eliminate_augmentation_ideal(
@@ -197,14 +203,10 @@ def eliminate_augmentation_ideal(
         f"equations from degree-one generators: {len(system.equations)}",
     ]
     generators = [
-        _clear_torus_negatives(eq.with_variables(elim_ring), lead_width)
-        for _, eq in system.equations
+        _elimination_generator(eq, elim_ring, lead_width - 1) for _, eq in system.equations
     ]
     saturation_exps = (0,) * len(system.unknowns) + (1,) * (1 + len(system.torus_variables))
-    saturation = LaurentPolynomial.one(elim_ring) - LaurentPolynomial.monomial(
-        elim_ring, saturation_exps
-    )
-    generators.append(saturation)
+    generators.append(_make(elim_ring, {(0,) * len(elim_ring): 1, saturation_exps: -1}))
     notes.append(
         f"saturated against {SATURATION_VARIABLE}*{'*'.join(system.torus_variables)}"
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, gcd, perm
+from math import factorial, gcd, perm
 
 from .errors import DomainError, ResourceLimitError, check_count
 from .laurent import LaurentPolynomial, _adopt, _denominator, _make, _narrow
@@ -113,49 +113,6 @@ def _split_curve(
     # series substitution never needs an inverse
     stripped, _ = curve.strip_monomial_factor()
     return parameters, stripped
-
-
-def _substitute_branch(
-    curve: LaurentPolynomial,
-    x_variable: str,
-    p_variable: str,
-    parameters: tuple[str, ...],
-    branch: FormalSeries,
-) -> FormalSeries:
-    """A(X, branch(X)) as a series; exponents were normalized nonnegative.
-
-    One packed evaluation in divided powers: the branch times its common
-    denominator D, its powers up to the curve's P-degree d by
-    k! (F G)_k = sum_j C(k, j) f_j g_(k-j), and each X^k coefficient of the
-    sum (``_record_curve``), with the curve's coefficients scaled so that
-    everything is over D^d times the curve's own denominator.
-    """
-    order = branch.order
-    x_index = curve.variables.index(x_variable)
-    p_index = curve.variables.index(p_variable)
-    if any(exps[x_index] < 0 or exps[p_index] < 0 for exps, _ in curve._terms):
-        raise DomainError("curve exponents must be normalized nonnegative")
-    terms = _terms_by_power(curve, x_variable, p_variable, parameters, order)
-    top = max((e_p for _, e_p, _ in terms), default=0)
-    d_curve = _series_denominator(c for _, _, c in terms)
-    d_branch = _series_denominator(branch.coefficients)
-    kernel = _kernel(parameters)
-    first = [kernel.input(c, d_branch * factorial(k)) for k, c in enumerate(branch.coefficients)]
-    powers = {1: first}
-    for e in range(2, top + 1):
-        lower = powers[e - 1]
-        powers[e] = [
-            kernel.dot(first[: k + 1], lower[k::-1], [comb(k, j) for j in range(k + 1)])
-            for k in range(order + 1)
-        ]
-    scaled = [
-        (e_x, e_p, kernel.input(c, d_curve * d_branch ** (top - e_p))) for e_x, e_p, c in terms
-    ]
-    total = _record_curve(kernel, scaled, powers, order)
-    kernel.run(total)
-    denominator = d_curve * d_branch**top
-    denominators = [factorial(k) * denominator for k in range(order + 1)]
-    return FormalSeries(x_variable, order, kernel.unpack(total, denominators))
 
 
 def _record_curve(kernel, scaled, powers: dict, order: int) -> list[int]:
@@ -275,22 +232,19 @@ def branch_series(
             f"work cap {MAX_BRANCH_WORK}"
         )
 
-    at_origin = stripped.substitute(x_variable, 0).substitute(p_variable, base)
-    if not at_origin.is_zero():
-        raise DomainError(
-            f"base {base} is not a root of the curve at {x_variable} = 0"
-        )
-    derivative = (
-        stripped.derivative(p_variable)
-        .substitute(x_variable, 0)
-        .substitute(p_variable, base)
-    )
+    terms = _terms_by_power(stripped, x_variable, p_variable, parameters, order)
+    # A(0, P0) and dA/dP(0, P0): the sums of c P0^e and of e c P0^(e-1) over
+    # the X^0 terms c P^e
+    at_x0 = [(e_p, c) for e_x, e_p, c in terms if e_x == 0]
+    zero = LaurentPolynomial.zero(parameters)
+    if not sum((c.scale(base**e) for e, c in at_x0), zero).is_zero():
+        raise DomainError(f"base {base} is not a root of the curve at {x_variable} = 0")
+    derivative = sum((c.scale(e * base ** (e - 1)) for e, c in at_x0 if e), zero)
     if derivative.is_zero():
         raise DomainError(
             f"base {base} is a branch point: dA/d{p_variable} vanishes at {x_variable} = 0"
         )
 
-    terms = _terms_by_power(stripped, x_variable, p_variable, parameters, order)
     top = max(e_p for _, e_p, _ in terms)
     # the solve runs on integers: the curve times its common denominator
     # d_curve, P = P'/q for the base p/q, and the X^k coefficient scaled by

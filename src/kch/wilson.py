@@ -116,7 +116,8 @@ def _evaluate_cyclotomic(poly: LaurentPolynomial, N: int, k: int) -> CyclotomicE
 
 
 def _evaluate_float(poly: LaurentPolynomial, N: int, k: int) -> complex:
-    a_value = cmath.exp(1j * cmath.pi * N / (k + N))
+    # a depends on N only modulo 2|k + N|, which keeps a large N's low digits
+    a_value = cmath.exp(1j * cmath.pi * (N % (2 * abs(k + N))) / (k + N))
     z_value = cmath.exp(1j * cmath.pi / (k + N)) - cmath.exp(-1j * cmath.pi / (k + N))
     total = 0j
     for (e_a, e_z), coeff in poly._terms:

@@ -10,7 +10,7 @@ from kch.augment import (
     eliminate_augmentation_ideal,
     is_augmentation,
 )
-from kch.dga import DGA, build_dga, bundled_names, load_bundled, load_dga_text
+from kch.dga import DGA, Generator, build_dga, bundled_names, load_bundled, load_dga_text
 from kch.errors import DomainError
 from kch.laurent import parse_polynomial
 from kch.scalars import Scalar
@@ -72,6 +72,52 @@ def test_degree_zero_words_survive_epsilon():
     # only degree-1 generators contribute equations; d(b) involves h which maps to 0
     assert len(system.equations) == 1
     assert system.equations[0][1] == lp("u_u^2 - X", system.ring)
+
+
+def test_epsilon_image_sums_the_words_of_each_monomial():
+    # uv and vu land on one monomial, so a commutator vanishes; a Laurent
+    # coefficient keeps its torus exponents behind the unknown counts
+    doc = {
+        "name": "words",
+        "torus_variables": ["Q", "X", "P"],
+        "generators": [
+            {"name": "u", "degree": 0},
+            {"name": "v", "degree": 0},
+            {"name": "a", "degree": 1},
+            {"name": "b", "degree": 1},
+        ],
+        "differential": {
+            "a": [{"coefficient": "1", "word": ["u", "v"]}, {"coefficient": "-1", "word": ["v", "u"]}],
+            "b": [
+                {"coefficient": "Q^-1*X", "word": ["u", "u", "v"]},
+                {"coefficient": "2*P - Q^-1*X", "word": ["v", "u", "u"]},
+                {"coefficient": "1/2", "word": []},
+            ],
+        },
+    }
+    system = augmentation_system(build_dga(doc, source="inline"))
+    assert system.ring == ("u_u", "u_v", "Q", "X", "P")
+    assert dict(system.equations) == {
+        "a": lp("0", system.ring),
+        "b": lp("2*P*u_u^2*u_v + 1/2", system.ring),
+    }
+    result = eliminate_augmentation_ideal(build_dga(doc, source="inline"))
+    assert result.principal is True and result.polynomial is None
+
+
+@pytest.mark.parametrize(
+    "torus, generators, message",
+    [
+        (("_w",), [Generator("c", 1)], "duplicate variable names in ring"),
+        (("Q",), [Generator("a b", 0), Generator("c", 1)], "invalid variable name 'u_a b'"),
+    ],
+)
+def test_names_of_an_algebra_built_in_code_are_checked(torus, generators, message):
+    # loading refuses both; built in code, the system refuses them before
+    # any polynomial is made
+    algebra = DGA("in_code", torus, generators, {})
+    with pytest.raises(DomainError, match=message):
+        augmentation_system(algebra)
 
 
 def test_is_augmentation_on_synthetic():

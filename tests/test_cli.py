@@ -452,6 +452,13 @@ def test_import_builds_no_census_and_loads_no_lazy_module():
 
 HUGE = "7" * 5000  # past Python's int conversion limit
 SCALAR_ARGS = ("feynman", "scalar", "--n", "1", "--order", "2")
+# N = 10^400 is past a float, and k + N = 5
+RANK_PAST_FLOAT = ("--N", str(10**400), "--k", str(5 - 10**400))
+# how the output of each command with a row that exits 0 begins
+VALID_STDOUT = {
+    "homfly": "diagram: crossings 0, components 40, writhe 0\nP = ",
+    "wilson": "W = 0.000000000000 + 0.000000000000i\n(exact cyclotomic arithmetic in Q(zeta_10)",
+}
 
 
 @pytest.mark.parametrize(
@@ -469,10 +476,11 @@ SCALAR_ARGS = ("feynman", "scalar", "--n", "1", "--order", "2")
         pytest.param(("mirror", "branch", "--order", "2", "--poly", "{undecodable}"), 2, id="poly-undecodable"),
         pytest.param(("dga", "check", "{undecodable}"), 2, id="dga-undecodable"),
         pytest.param(("homfly", "--pd", ";".join(["UNKNOT"] * 40)), 0, id="pd-long-inline"),
+        pytest.param(("wilson", "--pd", "right_trefoil", *RANK_PAST_FLOAT), 0, id="wilson-huge-rank"),
     ],
 )
 def test_cli_input_exits_without_traceback(argv, code, tmp_path):
-    # malformed input exits 2 with an error line; the last row is valid input
+    # malformed input exits 2 with an error line; the rows that exit 0 are valid input
     undecodable = tmp_path / "undecodable.txt"
     undecodable.write_bytes(b"\xff\xfeX[1,1,2,2]")
     proc = run_process(*(str(undecodable) if a == "{undecodable}" else a for a in argv))
@@ -481,7 +489,7 @@ def test_cli_input_exits_without_traceback(argv, code, tmp_path):
     if code:
         assert proc.stderr.startswith("error:")
     else:
-        assert proc.stdout.startswith("diagram: crossings 0, components 40, writhe 0\nP = ")
+        assert proc.stdout.startswith(VALID_STDOUT[argv[0]])
 
 
 @pytest.mark.parametrize(

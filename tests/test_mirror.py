@@ -14,7 +14,6 @@ from kch.mirror import (
     MAX_BRANCH_P_DEGREE,
     MAX_BRANCH_WORK,
     _split_curve,
-    _substitute_branch,
     branch_series,
     p_series,
     potential_series,
@@ -208,6 +207,20 @@ class NotSeparating(Exception):
     pass
 
 
+def on_curve(curve, b):
+    """A(X, b) for a series b: the curve's terms summed with ``FormalSeries``
+    powers, shifts and products."""
+    parameters, stripped = _split_curve(curve, "X", "P")
+    x_index, p_index = stripped.variables.index("X"), stripped.variables.index("P")
+    positions = [stripped.variables.index(v) for v in parameters]
+    total = FormalSeries.zero("X", b.order, parameters)
+    for exps, c in stripped._terms:
+        key = tuple(exps[i] for i in positions)
+        coefficient = LaurentPolynomial(parameters, {key: Scalar.of(c)})
+        total = total + (b ** exps[p_index]).shifted(exps[x_index]) * coefficient
+    return total
+
+
 def resubstituted_branch(curve, base, order):
     """The branch by definition: at every order k, substitute the partial
     branch (with c_k = 0) into the whole curve and divide its X^k coefficient
@@ -219,8 +232,7 @@ def resubstituted_branch(curve, base, order):
     zero = LaurentPolynomial.zero(parameters)
     coefficients = [LaurentPolynomial.constant(parameters, base)]
     for k in range(1, order + 1):
-        partial = FormalSeries("X", k, coefficients + [zero])
-        r_k = _substitute_branch(stripped, "X", "P", parameters, partial).coefficient(k)
+        r_k = on_curve(curve, FormalSeries("X", k, coefficients + [zero])).coefficient(k)
         if r_k.is_zero():
             coefficients.append(zero)
             continue
@@ -449,12 +461,23 @@ def test_runs_over_no_parameters_pack(packed_counters):
     assert packed_counters["term_dict_runs"] == 0
 
 
+def test_runs_whose_parameters_never_appear_pack(packed_counters):
+    # Q is in the ring but in no value: one slot per value, as over no
+    # parameters
+    curve = parse_polynomial("1 - P + X*P^2", RING)
+    branch = branch_series(curve, 1, 200)
+    assert branch.parameters == ("Q",)
+    assert verify_on_curve(curve, branch).ok
+    assert packed_counters["runs"] == 3
+    assert packed_counters["term_dict_runs"] == 0
+
+
 def test_packed_counters_count_term_dict_runs_alike(packed_counters, monkeypatch):
     curve = parse_polynomial("P - 1 + Q*X*P^2 - 3*X*P^2", RING)
     verify_on_curve(curve, branch_series(curve, 1, 10))
     packed = dict(packed_counters)
     packed_counters.clear()
-    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
+    monkeypatch.setattr(kch._packed, "MAX_PACKED_BITS", 0)
     verify_on_curve(curve, branch_series(curve, 1, 10))
     assert packed_counters["term_dict_runs"] == packed_counters["runs"] == packed["runs"]
     assert packed_counters["nodes"] == packed["nodes"]
@@ -463,9 +486,9 @@ def test_packed_counters_count_term_dict_runs_alike(packed_counters, monkeypatch
 
 
 def test_term_dict_branch_solve_equals_resubstitution(monkeypatch):
-    # the solve forced onto term dicts (as a layout where they are estimated
-    # cheaper would be) divides, separates and fails exactly as the packed one
-    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
+    # the solve forced onto term dicts (as a layout past the packed cap would
+    # be) divides, separates and fails exactly as the packed one
+    monkeypatch.setattr(kch._packed, "MAX_PACKED_BITS", 0)
     rng = random.Random(77)
     for trial in range(12):
         base = (1, Fraction(1, 2), Scalar(0, 1), -1)[trial % 4]
@@ -525,17 +548,8 @@ def test_evaluation_is_chosen_by_estimated_cost(monkeypatch):
 
 def reference_report(curve, branch, p):
     """(ok, first_failure, repr(residual)) of the on-curve check by
-    definition: B = base * exp(p), and A(X, B) summed over the curve's
-    terms with ``FormalSeries`` powers and products."""
-    parameters, stripped = _split_curve(curve, "X", "P")
-    x_index, p_index = stripped.variables.index("X"), stripped.variables.index("P")
-    positions = [stripped.variables.index(v) for v in parameters]
-    b = p.exp() * LaurentPolynomial.constant(parameters, branch.base)
-    total = FormalSeries.zero("X", p.order, parameters)
-    for exps, c in stripped._terms:
-        key = tuple(exps[i] for i in positions)
-        coefficient = LaurentPolynomial(parameters, {key: Scalar.of(c)})
-        total = total + (b ** exps[p_index]).shifted(exps[x_index]) * coefficient
+    definition: B = base * exp(p), and A(X, B) by ``on_curve``."""
+    total = on_curve(curve, p.exp() * LaurentPolynomial.constant(p.ring, branch.base))
     failures = [k for k, c in enumerate(total.coefficients) if not c.is_zero()]
     return not failures, (failures[0] if failures else None), repr(total)
 
@@ -588,7 +602,7 @@ def test_fused_check_equals_the_reference_on_named_curves(text, ring, base):
 
 
 def test_term_dict_fused_check_equals_the_reference(monkeypatch, packed_counters):
-    monkeypatch.setattr(kch._packed, "PAIR_MICROS", 0)
+    monkeypatch.setattr(kch._packed, "MAX_PACKED_BITS", 0)
     rng = random.Random(31)
     for trial in range(8):
         base = (1, Fraction(1, 2), Scalar(0, 1), -1)[trial % 4]
@@ -597,10 +611,10 @@ def test_term_dict_fused_check_equals_the_reference(monkeypatch, packed_counters
     assert packed_counters["runs"] == packed_counters["term_dict_runs"] > 0
 
 
-@pytest.mark.parametrize("pair_micros", [kch._packed.PAIR_MICROS, 0])
-def test_passing_check_unpacks_nothing(pair_micros, monkeypatch):
+@pytest.mark.parametrize("packed_bits", [kch._packed.MAX_PACKED_BITS, 0])
+def test_passing_check_unpacks_nothing(packed_bits, monkeypatch):
     # packed, or forced onto term dicts
-    monkeypatch.setattr(kch._packed, "PAIR_MICROS", pair_micros)
+    monkeypatch.setattr(kch._packed, "MAX_PACKED_BITS", packed_bits)
     unpacked = []
     unpack = kch._packed._Kernel.unpack
 

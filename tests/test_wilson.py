@@ -173,6 +173,14 @@ def test_trefoil_value_against_direct_substitution():
         assert abs(wilson_loop(trefoil, N, k) - prefactor * total) < 1e-9
 
 
+def test_float_cross_check_reads_the_rank_modulo_twice_the_level():
+    # the float of N = 10^20 + 3 drops its low digits; a depends only on N
+    # modulo 2|k + N| = 10, so the value is that of N = 3, k = 2
+    for name in ("right_trefoil", "positive_hopf"):
+        d = bundled(name)
+        assert wilson_loop(d, 10**20 + 3, 2 - 10**20) == wilson_loop(d, 3, 2)
+
+
 def test_negative_level_mirror_symmetry():
     # k + N < 0 uses the conjugate root; values mirror the positive side
     unknot = bundled("unknot")
