@@ -114,11 +114,11 @@ class _Kernel:
 
     The nodes run as polynomials with Gaussian-integer coefficients instead
     where a divisor is not a monomial, where a packed value would pass
-    ``MAX_PACKED_BITS``, or where a layout of more than one slot is estimated
-    cheaper so (``_prefers_term_dicts``).  For the estimate each node carries a
-    bound on its count of terms: an input's own, and for a sum of products
-    the smaller of the count of exponent vectors in its range and the sum
-    over its pairs of the products of their bounds.
+    ``MAX_PACKED_BITS``, or, in a layout of more than one slot, where they
+    are estimated cheaper (``_prefers_term_dicts``).  For the estimate each
+    node also carries a bound on its count of terms: an input's own, and for
+    a sum of products the smaller of the count of exponent vectors in its
+    range and the sum over its pairs of the products of their bounds.
     """
 
     def __init__(self, variables: tuple[str, ...]) -> None:
