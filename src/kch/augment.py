@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import sub
 from types import MappingProxyType
 from typing import Mapping
@@ -19,7 +20,7 @@ from typing import Mapping
 from .dga import DGA, AlgebraElement
 from .errors import DomainError, max_steps_limit
 from .groebner import DEFAULT_MAX_STEPS, ideal_contains_one, reduced_groebner_basis
-from .laurent import LaurentPolynomial, _check_variables, _make
+from .laurent import LaurentPolynomial, _check_variables, _denominator, _make
 from .scalars import Scalar
 
 SATURATION_VARIABLE = "_w"
@@ -155,17 +156,42 @@ def augmentation_exists(
 ) -> bool:
     """Decide solvability of the augmentation equations at a fixed torus point.
 
-    The specialized system generates an ideal in the unknowns alone; by the
-    Nullstellensatz it has a solution over the complex numbers exactly when
-    the reduced basis avoids the unit ideal.
+    The specialized system, each equation scaled to integral coefficients,
+    generates an ideal in the unknowns alone; by the Nullstellensatz it has
+    a solution over the complex numbers exactly when that is not the unit
+    ideal.
     """
     max_steps = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     system = augmentation_system(dga)
-    values = _validated_point(system.torus_variables, point)
-    specialized = [eq.specialize(values) for _, eq in system.equations]
+    at = []
+    for value in _validated_point(system.torus_variables, point).values():
+        d = lcm(value.re.denominator, value.im.denominator)
+        at.append((value.re.numerator if not value.im else value * d, d))
+    specialized = [_integral_specialization(eq, system.unknowns, at) for _, eq in system.equations]
     if not system.unknowns:
         return all(poly.is_zero() for poly in specialized)
     return not ideal_contains_one(specialized, max_steps=max_steps)
+
+
+def _integral_specialization(
+    eq: LaurentPolynomial, unknowns: tuple[str, ...], at: list
+) -> LaurentPolynomial:
+    """eq at the torus point whose coordinates are g/d (g a Gaussian integer,
+    d > 0), over the unknowns, times the nonzero constant that makes every
+    coefficient integral: its coefficients' common denominator and, per torus
+    variable, g^(-min e) * d^(max e) over the variable's exponents e."""
+    width = len(unknowns)
+    scale = _denominator(c for _, c in eq._terms)
+    columns = list(zip(*(e[width:] for e, _ in eq._terms)))
+    lows, highs = list(map(min, columns)), list(map(max, columns))
+    acc = {}
+    for exps, c in eq._terms:
+        c = c.numerator * (scale // c.denominator) if type(c) is Fraction else c * scale
+        for (g, d), e, low, high in zip(at, exps[width:], lows, highs):
+            c = c * g ** (e - low) * d ** (high - e)
+        key = exps[:width]
+        acc[key] = acc[key] + c if key in acc else c
+    return _make(unknowns, acc)
 
 
 def _elimination_generator(

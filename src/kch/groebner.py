@@ -1,73 +1,129 @@
 """Buchberger's algorithm, fraction-free over the Gaussian integers.
 
 Polynomials are ``LaurentPolynomial`` values restricted to nonnegative
-exponents; the monomial order is plain lexicographic on the exponent tuple in
-declared variable order (first variable most significant).  Ring variable
-order therefore doubles as the elimination order: a reduced basis element
-supported on a trailing block of variables certifies membership in the
-corresponding elimination ideal.
+exponents; the monomial order is plain lexicographic in declared variable
+order (first variable most significant), which doubles as the elimination
+order: a reduced basis element supported on a trailing block of variables
+certifies membership in the corresponding elimination ideal.
 
-The public functions read their inputs' stored terms once into
-``{exponents: coefficient}`` dicts and hand their results back once through
-the polynomial canonicaliser.  The pair loop forms and reduces each
-S-polynomial through the public ``s_polynomial`` and ``normal_form``, which
-take kernel values as well, so a wrapper around those two names sees every
-reduction the algorithm makes.  The kernel is fraction-free, as in Bareiss
-(1968): a basis member is primitive (denominators cleared once, the gcd of
-every real and imaginary part divided out, a real lead made positive), and
-S-polynomials and reductions scale by leading coefficients over their gcd, so
-coefficients stay ``int`` (``Scalar`` with integral parts when imaginary).
-Members are made monic once, on leaving the kernel; by monic divisors the
-same reduction is field division.  Pairs are taken by the normal strategy
-(smallest lcm of leading monomials first) and filtered by the Gebauer-Moller
-update (Gebauer & Moller 1988): the product criterion, the chain criterion on
-old pairs, and the M and F rules on new ones.  A nonzero constant remainder
-ends the loop at once, since the reduced basis of the unit ideal is ``[1]``.
+The kernel runs on packed monomials (Bachmann & Schonemann 1998, Monagan &
+Pearce 2007).  The public functions pack each input exponent vector once into
+an int of ``FIELD_BITS``-bit fields, the first variable's most significant, and
+unpack each result term once for the polynomial canonicaliser.  Lex order is
+int order and a shift is an int add.  The top bit of each field is a guard
+bit, clear in every key the kernel reads: divisibility is one masked subtract,
+``((b | G) - a) & G == G`` for the guard bits G, and the lcm a few masks.  An
+exponent is capped at ``EXPONENT_CAP`` (2^16 - 1).  An input past it, or a
+term the kernel forms past it (its guard bit is seen when a reduction pops it
+or a result is unpacked), raises ``ResourceLimitError`` naming the exponent
+and the cap, so no key ever carries into a neighbouring field.  A Laurent
+dividend of ``normal_form`` and the inputs of ``s_polynomial`` keep their
+negative exponents: each field is then biased by its variable's least
+exponent (the cap bounds exponents counted from there), and the masks and
+shifts do not see the bias.
+
+The pair loop forms and reduces each S-polynomial through the public
+``s_polynomial`` and ``normal_form``, which take kernel values as well, so a
+wrapper around those two names sees every reduction the algorithm makes.
+The kernel is fraction-free, as in Bareiss (1968): a basis member is
+primitive (denominators cleared once, the gcd of every real and imaginary
+part divided out, a real lead made positive), and S-polynomials and
+reductions scale by leading coefficients over their gcd, so coefficients stay
+``int`` (``Scalar`` with integral parts when imaginary).  Members are made
+monic once, on leaving the kernel.  Pairs are taken by the normal strategy
+(smallest lcm first) and filtered by the Gebauer-Moller update (1988): the
+product criterion, the chain criterion on old pairs, and the M and F rules on
+new ones.  A nonzero constant remainder ends the loop at once, since the
+reduced basis of the unit ideal is ``[1]``; ``ideal_contains_one`` returns
+there or after the loop, without reducing the basis.  ``GROEBNER_COUNTERS``
+sums the work of every basis computation, added once per computation.
 
 The pair loop is capped by ``max_steps=``, else by the ``KCH_MAX_STEPS``
 environment variable (default 20000), both read by ``errors.max_steps_limit``
-before any work, and raises ``ResourceLimitError`` beyond the cap, so
-pathological ideals fail loudly instead of spinning.  The cap counts the
-S-pairs actually reduced, after the criteria have dropped the rest.
+before any work; it raises ``ResourceLimitError`` beyond the cap, which
+counts the S-pairs actually reduced after the criteria have dropped the rest.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
-from operator import add, le, sub
+from operator import add, lshift
 from typing import Iterable, Sequence
 
-from .errors import DomainError, ResourceLimitError, RingMismatchError, max_steps_limit
+from .errors import DomainError, ResourceLimitError, RingMismatchError, check_count, max_steps_limit
 from .laurent import ExponentVector, LaurentPolynomial, _denominator, _make, _narrow
 from .scalars import Scalar
 
 DEFAULT_MAX_STEPS = 20000
 
-# a basis member is the pair (leading monomial, primitive terms)
-Member = tuple
+# bits of one packed exponent field, its top bit the guard
+FIELD_BITS = 17
+EXPONENT_CAP = (1 << FIELD_BITS - 1) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+
+# work summed over all basis computations: "pairs_considered"; those dropped
+# by the "mf_rules", the "chain_criterion" and the "product_criterion";
+# "pairs_reduced", and "reduced_to_zero" among them; "reduction_steps" (one
+# divisor subtracted each), the final interreduction's included
+GROEBNER_COUNTERS: Counter = Counter()
 
 
 class Terms(dict):
-    """A kernel polynomial: exponents -> nonzero int, ``Fraction`` or ``Scalar``."""
+    """A kernel polynomial: packed exponents -> nonzero int, ``Fraction`` or
+    ``Scalar``; a remainder also keeps the reduction ``steps`` that made it."""
 
-    __slots__ = ()
+    __slots__ = ("steps",)
 
     def is_zero(self) -> bool:
         return not self
 
 
-def _checked(polys: Sequence[LaurentPolynomial], ring: tuple, laurent=False) -> list[Terms]:
-    # kernel terms of public inputs, all in ``ring``; negative exponents only if ``laurent``
-    for poly in polys:
-        if poly.variables != ring:
-            raise RingMismatchError("Groebner inputs live in different rings")
-        if not laurent and any(e < 0 for exps, _ in poly._terms for e in exps):
-            raise DomainError("Groebner computations need nonnegative exponents")
-    return [Terms(poly._terms) for poly in polys]
+def _exponent(value: int) -> int:
+    return check_count(
+        value, "exponent", least=None, cap=EXPONENT_CAP, cap_name="Groebner exponent cap"
+    )
 
 
-def _member(terms: Terms) -> Member:
+def _past_cap(key: int):
+    # raises for a key with a guard bit set, naming the greatest field
+    _exponent(max(key >> s & _FIELD for s in range(0, key.bit_length(), FIELD_BITS)))
+
+
+def _guard(key: int) -> int:
+    # the guard bits of every field up to the one that holds key's top bit
+    fields = key.bit_length() // FIELD_BITS + 1
+    return ((1 << FIELD_BITS * fields) - 1) // _FIELD << FIELD_BITS - 1
+
+
+def _checked(polys: Sequence[LaurentPolynomial], ring: tuple, laurent=0) -> tuple[list, tuple]:
+    """Packed kernel terms of public inputs, all in ``ring``, and the bias of
+    each field; only the first ``laurent`` inputs may hold negative exponents."""
+    if any(poly.variables != ring for poly in polys):
+        raise RingMismatchError("Groebner inputs live in different rings")
+    columns = list(zip(*(e for poly in polys for e, _ in poly._terms))) or [(0,)] * len(ring)
+    bias = tuple(-min(0, *column) for column in columns)
+    if any(bias) and any(min(e, default=0) < 0 for p in polys[laurent:] for e, _ in p._terms):
+        raise DomainError("Groebner computations need nonnegative exponents")
+    _exponent(max(map(add, map(max, columns), bias), default=0))
+    shifts = range(FIELD_BITS * (len(ring) - 1), -1, -FIELD_BITS)
+    offset = sum(map(lshift, bias, shifts))
+    terms = [Terms({sum(map(lshift, e, shifts)) + offset: c for e, c in p._terms}) for p in polys]
+    return terms, bias
+
+
+def _unpacked(terms: Terms, bias: tuple) -> dict:
+    guard = _guard(max(terms, default=0))
+    for key in terms:
+        if key & guard:
+            _past_cap(key)
+    shifts = list(zip(range(FIELD_BITS * (len(bias) - 1), -1, -FIELD_BITS), bias))
+    return {tuple([(k >> s & _FIELD) - b for s, b in shifts]): c for k, c in terms.items()}
+
+
+def _member(terms: Terms) -> tuple:
+    # a basis member: (leading key, primitive terms)
     if not terms:
         raise DomainError("zero polynomial has no leading term")
     lead = max(terms)
@@ -80,12 +136,14 @@ def _member(terms: Terms) -> Member:
     if type(terms[lead]) is int and terms[lead] < 0:
         content = -content
     if content != 1:
-        scale = Fraction(1, content)
-        terms = {e: c // content if type(c) is int else c * scale for e, c in terms.items()}
+        terms = {
+            e: c // content if type(c) is int else c * Fraction(1, content)
+            for e, c in terms.items()
+        }
     return lead, terms
 
 
-def _monic(member: Member) -> Member:
+def _monic(member: tuple) -> tuple:
     lead, terms = member
     a = terms[lead]
     if a == 1:
@@ -107,23 +165,22 @@ def _cofactors(a, b):
     return a, b
 
 
-def _divides(a: ExponentVector, b: ExponentVector) -> bool:
-    return all(map(le, a, b))
+def _divides(a: int, b: int, guard: int) -> bool:
+    return (b | guard) - a & guard == guard
 
 
-def _lcm(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    return tuple(map(max, a, b))
+def _lcm(a: int, b: int, guard: int) -> int:
+    # the guard bits of (a | guard) - b mark the fields where a >= b
+    marks = (a | guard) - b & guard
+    mask = marks - (marks >> FIELD_BITS - 1)
+    return a & mask | b & ~mask
 
 
-def _coprime(a: ExponentVector, b: ExponentVector) -> bool:
-    return not any(map(min, a, b))
-
-
-def _subtract(work: Terms, terms: Terms, lead: ExponentVector, shift: ExponentVector, factor):
+def _subtract(work: Terms, terms: dict, lead: int, shift: int, factor):
     # work -= factor * x^shift * (terms less their lead), in place
     for exps, coeff in terms.items():
         if exps != lead:
-            key = tuple(map(add, exps, shift))
+            key = exps + shift
             total = work.get(key, 0) - factor * coeff
             if total:
                 work[key] = total
@@ -131,102 +188,121 @@ def _subtract(work: Terms, terms: Terms, lead: ExponentVector, shift: ExponentVe
                 del work[key]
 
 
-def _reduce(work: Terms, divisors: Sequence[Member]) -> Terms:
+def _reduce(work: Terms, divisors: Sequence[tuple]) -> Terms:
     """Full remainder of ``work`` (consumed) by the members, the first divisor
     in order taken at each step; work and remainder first scale by its cofactor."""
     remainder = Terms()
+    steps = 0
+    if work:
+        # every later term is below the first, so a lead above it divides none
+        top = max(work)
+        guard = _guard(top)
+        divisors = [m for m in divisors if m[0] <= top]
     while work:
         exps = max(work)
+        if exps & guard:
+            _past_cap(exps)
         coeff = work.pop(exps)
+        marked = exps | guard
         for lead, g in divisors:
-            if _divides(lead, exps):
+            if marked - lead & guard == guard:
+                steps += 1
                 scale, coeff = _cofactors(g[lead], coeff)
                 if scale != 1:
                     for part in (work, remainder):
                         for key in part:
                             part[key] *= scale
-                _subtract(work, g, lead, tuple(map(sub, exps, lead)), coeff)
+                _subtract(work, g, lead, exps - lead, coeff)
                 break
         else:
             remainder[exps] = coeff
+    remainder.steps = steps
     return remainder
 
 
-def _spoly(f: Member, g: Member) -> Terms:
+def _spoly(f: tuple, g: tuple) -> Terms:
     # b' * x^f_shift * f - a' * x^g_shift * g for leading coefficients a, b
     (f_lead, f_terms), (g_lead, g_terms) = f, g
     a, b = _cofactors(f_terms[f_lead], g_terms[g_lead])
-    lcm = _lcm(f_lead, g_lead)
-    f_shift = tuple(map(sub, lcm, f_lead))
-    g_shift = tuple(map(sub, lcm, g_lead))
-    work = Terms((tuple(map(add, e, f_shift)), b * c) for e, c in f_terms.items() if e != f_lead)
-    _subtract(work, g_terms, g_lead, g_shift, a)
+    lcm = _lcm(f_lead, g_lead, _guard(max(f_lead, g_lead)))
+    work = Terms((e + lcm - f_lead, b * c) for e, c in f_terms.items() if e != f_lead)
+    _subtract(work, g_terms, g_lead, lcm - g_lead, a)
     return work
 
 
-def _update(members: list[Member], active: list[int], pairs: list, new: int):
+def _update(members: list, active: list, pairs: list, new: int, guard: int, counts: Counter):
     """Gebauer-Moller update: the active members and pending pairs once
-    member ``new`` joins.  A pair is ``(lcm, i, j)`` with ``i < j``."""
+    member ``new`` joins.  A pair is ``(lcm, i, j)`` with ``i < j``; two
+    leads are coprime when their lcm is their product."""
     h = members[new][0]
-    candidates = [(_lcm(members[g][0], h), g) for g in active]
+    candidates = [(_lcm(members[g][0], h, guard), g) for g in active]
     chosen = []
     for k, (lcm, g) in enumerate(candidates):
         # M and F: drop a pair when the lcm of another new pair, not yet
         # dropped, divides its lcm; coprime pairs stay here as witnesses
-        if _coprime(members[g][0], h) or not (
-            any(_divides(m, lcm) for m, _ in candidates[k + 1 :])
-            or any(_divides(m, lcm) for m, _ in chosen)
-        ):
+        marked = lcm | guard
+        others = candidates[k + 1 :] + chosen
+        if lcm == members[g][0] + h or not any(marked - m & guard == guard for m, _ in others):
             chosen.append((lcm, g))
     # chain criterion on the old pairs, then the product criterion on the new
     kept = [
         (lcm, i, j)
         for lcm, i, j in pairs
-        if not _divides(h, lcm)
-        or _lcm(members[i][0], h) == lcm
-        or _lcm(members[j][0], h) == lcm
+        if not _divides(h, lcm, guard)
+        or _lcm(members[i][0], h, guard) == lcm
+        or _lcm(members[j][0], h, guard) == lcm
     ]
-    kept += [(lcm, g, new) for lcm, g in chosen if not _coprime(members[g][0], h)]
-    return [g for g in active if not _divides(h, members[g][0])] + [new], kept
+    fresh = [(lcm, g, new) for lcm, g in chosen if lcm != members[g][0] + h]
+    counts["pairs_considered"] += len(candidates)
+    counts["mf_rules"] += len(candidates) - len(chosen)
+    counts["chain_criterion"] += len(pairs) - len(kept)
+    counts["product_criterion"] += len(chosen) - len(fresh)
+    return [g for g in active if not _divides(h, members[g][0], guard)] + [new], kept + fresh
 
 
-def _groebner(polys: Iterable[Terms], limit: int) -> list[Member]:
-    """Primitive reduced lex basis, sorted by leading monomial."""
+def _groebner(polys: Iterable[Terms], limit: int, reduced=True) -> list[tuple]:
+    """Primitive lex basis sorted by leading monomial: reduced, or when
+    ``reduced`` is false as the pair loop leaves it (a constant alone if found)."""
     members = sorted((_member(p) for p in polys if p), key=lambda m: m[0])
-    if not members:
-        return []
-    if not any(members[0][0]):
-        return [members[0]]
+    if not members or not members[0][0]:
+        return members[:1]
+    guard = _guard(members[-1][0])  # every later key lies in the largest lead's fields
     active: list[int] = []
     pairs: list = []
-    for new in range(len(members)):
-        active, pairs = _update(members, active, pairs, new)
-    steps = 0
-    while pairs:
-        steps += 1
-        if steps > limit:
-            raise ResourceLimitError(
-                f"Groebner basis exceeded {limit} reduction steps with {len(active)} basis"
-                f" members and {len(pairs)} pairs pending (set KCH_MAX_STEPS to raise)"
-            )
-        pair = min(pairs)
-        pairs.remove(pair)
-        _, i, j = pair
-        spoly = s_polynomial(members[i], members[j])
-        remainder = normal_form(spoly, [members[g] for g in active])
-        if remainder:
-            members.append(_member(remainder))
-            if not any(members[-1][0]):
-                return [members[-1]]
-            active, pairs = _update(members, active, pairs, len(members) - 1)
-
-    # minimalise, then reduce each tail against the others once
-    basis = sorted((members[g] for g in active), key=lambda m: m[0])
-    basis = [m for m in basis if not any(o is not m and _divides(o[0], m[0]) for o in basis)]
-    return [
-        _member(normal_form(Terms(terms), [o for o in basis if o[0] != lead]))
-        for lead, terms in basis
-    ]
+    counts: Counter = Counter()
+    try:
+        for new in range(len(members)):
+            active, pairs = _update(members, active, pairs, new, guard, counts)
+        while pairs:
+            if counts["pairs_reduced"] == limit:
+                raise ResourceLimitError(
+                    f"Groebner basis exceeded {limit} reduction steps with {len(active)} basis"
+                    f" members and {len(pairs)} pairs pending (set KCH_MAX_STEPS to raise)"
+                )
+            pair = min(pairs)
+            pairs.remove(pair)
+            _, i, j = pair
+            spoly = s_polynomial(members[i], members[j])
+            remainder = normal_form(spoly, [members[g] for g in active])
+            counts["pairs_reduced"] += 1
+            counts["reduced_to_zero"] += not remainder
+            counts["reduction_steps"] += remainder.steps
+            if remainder:
+                members.append(_member(remainder))
+                if not members[-1][0]:
+                    return [members[-1]]
+                active, pairs = _update(members, active, pairs, len(members) - 1, guard, counts)
+        basis = sorted((members[g] for g in active), key=lambda m: m[0])
+        if not reduced:
+            return basis
+        # minimalise, then reduce each tail against the others once
+        leads = [m[0] for m in basis]
+        basis = [m for m in basis if not any(_divides(o, m[0], guard) for o in leads if o != m[0])]
+        tails = [normal_form(Terms(t), [o for o in basis if o[0] != lead]) for lead, t in basis]
+        counts["reduction_steps"] += sum(tail.steps for tail in tails)
+        return [_member(tail) for tail in tails]
+    finally:
+        GROEBNER_COUNTERS.update(counts)
 
 
 def leading_term(poly: LaurentPolynomial) -> tuple[ExponentVector, Scalar]:
@@ -242,11 +318,11 @@ def normal_form(poly: LaurentPolynomial, basis: Sequence[LaurentPolynomial]) -> 
     passes kernel ``Terms`` (consumed) and members instead."""
     if not isinstance(poly, LaurentPolynomial):
         return _reduce(poly, basis)
-    divisors = _checked(basis, poly.variables)
+    (work, *divisors), bias = _checked([poly, *basis], poly.variables, laurent=1)
     if poly.is_zero() or not divisors:
         return poly
     divisors = [_monic(_member(g)) for g in divisors]
-    return _make(poly.variables, _reduce(Terms(poly._terms), divisors))
+    return _make(poly.variables, _unpacked(_reduce(work, divisors), bias))
 
 
 def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
@@ -254,8 +330,9 @@ def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
     the pair loop passes two basis members instead and gets ``Terms`` back."""
     if not isinstance(f, LaurentPolynomial):
         return _spoly(f, g)
-    f_terms, g_terms = _checked([f, g], f.variables, laurent=True)
-    return _make(f.variables, _spoly(_monic(_member(f_terms)), _monic(_member(g_terms))))
+    (f_terms, g_terms), bias = _checked([f, g], f.variables, laurent=2)
+    spoly = _spoly(_monic(_member(f_terms)), _monic(_member(g_terms)))
+    return _make(f.variables, _unpacked(spoly, bias))
 
 
 def reduced_groebner_basis(
@@ -267,21 +344,18 @@ def reduced_groebner_basis(
     limit = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     polys = list(polys)
     ring = polys[0].variables if polys else ()
-    return [_make(ring, _monic(m)[1]) for m in _groebner(_checked(polys, ring), limit)]
+    terms, bias = _checked(polys, ring)
+    return [_make(ring, _unpacked(_monic(m)[1], bias)) for m in _groebner(terms, limit)]
 
 
 def ideal_contains_one(
-    polys: Sequence[LaurentPolynomial],
+    polys: Iterable[LaurentPolynomial],
     *,
     max_steps: int | None = None,
 ) -> bool:
-    """True when the inputs generate the whole ring.
-
-    Accepts arbitrary generators; the basis computation stops at the first
-    nonzero constant remainder.
-    """
-    max_steps = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
-    if any(not g.is_zero() and g.is_constant() for g in polys):
-        return True
-    basis = reduced_groebner_basis(polys, max_steps=max_steps)
-    return any(g.is_constant() for g in basis)
+    """True when the inputs (any iterable of generators) generate the whole
+    ring; the pair loop stops at the first nonzero constant remainder."""
+    limit = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
+    polys = list(polys)
+    basis = _groebner(_checked(polys, polys[0].variables if polys else ())[0], limit, False)
+    return bool(basis) and not basis[0][0]

@@ -26,6 +26,16 @@ def packed_counters(monkeypatch):
 
 
 @pytest.fixture
+def groebner_counters(monkeypatch):
+    """The Groebner kernel's counters, zeroed for one test."""
+    import kch.groebner
+
+    counters = Counter()
+    monkeypatch.setattr(kch.groebner, "GROEBNER_COUNTERS", counters)
+    return counters
+
+
+@pytest.fixture
 def skein_edits(monkeypatch):
     """Every diagram the skein recursion smooths and every smoothing it
     builds from here on, in order, as diagrams of the raw parts (unchecked).

@@ -12,8 +12,9 @@ from kch.augment import (
 )
 from kch.dga import DGA, Generator, build_dga, bundled_names, load_bundled, load_dga_text
 from kch.errors import DomainError
-from kch.laurent import parse_polynomial
-from kch.scalars import Scalar
+from kch.groebner import reduced_groebner_basis
+from kch.laurent import LaurentPolynomial, parse_polynomial
+from kch.scalars import Scalar, parse_scalar
 
 RING = ("Q", "X", "P")
 
@@ -396,3 +397,55 @@ def test_specialised_equations_keep_scalar_coefficients(monkeypatch):
     assert not augmentation_exists(algebra, {"Q": sc(1), "X": sc(Fraction(1, 4)), "P": sc(3)})
     assert seen and all(type(c) is Scalar for poly in seen for _, c in poly.terms())
     assert all(poly.variables == ("u_u",) for poly in seen)
+
+
+# -- the integral point route against the specialize route it replaced ------------
+
+
+def _reference_cases():
+    """(algebra, torus points) for the bundled algebras and the planted
+    documents of the frozen tests, at their fixed and their own points."""
+    from test_frozen_augment import BUNDLED, DOCUMENTS, FIXED_POINTS
+
+    for name, (points, *_) in sorted(BUNDLED.items()):
+        yield load_bundled(name), FIXED_POINTS + points
+    for text, points, *_ in DOCUMENTS:
+        yield load_dga_text(text), FIXED_POINTS + points
+
+
+def test_point_tests_match_the_specialize_route(monkeypatch):
+    seen = []
+    original = augment.ideal_contains_one
+
+    def recorded(polys, **kwargs):
+        seen.append(polys)
+        return original(polys, **kwargs)
+
+    monkeypatch.setattr(augment, "ideal_contains_one", recorded)
+    kinds = {"rational": 0, "gaussian": 0, "negative exponents": 0, "exists": 0}
+    for algebra, points in _reference_cases():
+        system = augmentation_system(algebra)
+        negative = any(e < 0 for _, eq in system.equations for exps, _ in eq.terms() for e in exps)
+        for point in points:
+            values = {name: parse_scalar(v) for name, v in zip(RING, point)}
+            seen.clear()
+            answer = augmentation_exists(algebra, values)
+            old = [eq.specialize(values) for _, eq in system.equations]
+            if not system.unknowns:
+                assert not seen and answer == all(poly.is_zero() for poly in old)
+                continue
+            (new,) = seen
+            # each equation times a nonzero constant, every coefficient integral
+            for n, o in zip(new, old):
+                assert n.is_zero() == o.is_zero()
+                if not o.is_zero():
+                    assert n == o.scale(n.leading_term()[1] / o.leading_term()[1])
+                for _, c in n.terms():
+                    assert c.re.denominator == c.im.denominator == 1
+            basis = reduced_groebner_basis(old)
+            assert reduced_groebner_basis(new) == basis
+            assert answer == (basis != [LaurentPolynomial.one(system.unknowns)])
+            kinds["gaussian" if any(v.im for v in values.values()) else "rational"] += 1
+            kinds["negative exponents"] += negative
+            kinds["exists"] += answer
+    assert all(count >= 20 for count in kinds.values()), kinds

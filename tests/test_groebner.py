@@ -452,3 +452,127 @@ def test_basis_matches_sympy_lex():
         assert reduced_groebner_basis(gens) == expected
         sizes.append(len(expected))
     assert sum(size > 1 for size in sizes) >= 25
+
+
+# -- packed exponents, their cap, and the kernel's counters ----------------------
+
+
+CYCLIC = ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
+
+
+def test_contains_one_reads_an_iterator_once():
+    ring = ("x", "y")
+    assert ideal_contains_one(iter([lp("x - 1", ring), lp("x - 2", ring)]))
+    assert not ideal_contains_one(iter([lp("x - 1", ring), lp("y - 2", ring)]))
+    assert ideal_contains_one(lp(t, ring) for t in ("x*y - 1", "x", "y + 3"))
+
+
+def test_contains_one_checks_inputs_that_hold_a_constant():
+    # a constant generator is found by the pair loop, after the checks
+    with pytest.raises(RingMismatchError):
+        ideal_contains_one([lp("1", ("x",)), lp("y", ("y",))])
+    with pytest.raises(DomainError, match="nonnegative exponents"):
+        ideal_contains_one([lp("2", ("x",)), lp("x^-1", ("x",))])
+    assert ideal_contains_one([lp("x", ("x",)), lp("3", ("x",))])
+    assert ideal_contains_one([LaurentPolynomial.one(())])
+    assert not ideal_contains_one([LaurentPolynomial.zero(("x",))])
+
+
+def test_counters_pin_the_cyclic_ideal(groebner_counters):
+    ring = ("x", "y", "z")
+    gens = [lp(t, ring) for t in CYCLIC]
+    reduced_groebner_basis(gens)
+    # 6 pairs considered: 2 dropped by the product criterion, 4 reduced,
+    # 3 of them to zero; one reduction step each, and none interreducing
+    assert groebner_counters == {
+        "pairs_considered": 6,
+        "mf_rules": 0,
+        "chain_criterion": 0,
+        "product_criterion": 2,
+        "pairs_reduced": 4,
+        "reduced_to_zero": 3,
+        "reduction_steps": 3,
+    }
+    groebner_counters.clear()
+    assert not ideal_contains_one(gens)
+    assert groebner_counters["pairs_considered"] == 6 and groebner_counters["pairs_reduced"] == 4
+
+
+def test_counters_add_up_over_the_seeded_ideals(groebner_counters):
+    for gens in seeded_ideals(60):
+        reduced_groebner_basis(gens)
+    counts = groebner_counters
+    dropped = counts["mf_rules"] + counts["chain_criterion"] + counts["product_criterion"]
+    # a constant remainder ends the loop with pairs still pending
+    assert counts["pairs_reduced"] + dropped <= counts["pairs_considered"]
+    assert 0 < counts["reduced_to_zero"] < counts["pairs_reduced"] <= counts["reduction_steps"]
+    assert all(counts[k] > 0 for k in ("mf_rules", "chain_criterion", "product_criterion"))
+
+
+def test_counters_are_added_when_the_step_cap_raises(groebner_counters):
+    gens = [lp(t, ("x", "y", "z")) for t in CYCLIC]
+    with pytest.raises(ResourceLimitError):
+        reduced_groebner_basis(gens, max_steps=1)
+    assert groebner_counters["pairs_reduced"] == 1 and groebner_counters["pairs_considered"] == 6
+
+
+def test_packed_masks_agree_with_exponent_tuples():
+    rng = random.Random(17)
+    cap = groebner.EXPONENT_CAP
+    for _ in range(3000):
+        ring = ("x", "y", "z", "u", "v")[: rng.randint(1, 5)]
+        draws = (0, 1, 2, cap - 1, cap, rng.randint(0, cap))
+        a, b = [[rng.choice(draws) for _ in ring] for _ in "ab"]
+        (pa, pb), bias = groebner._checked(
+            [LaurentPolynomial(ring, {tuple(e): Scalar(1)}) for e in (a, b)], ring
+        )
+        (ka,), (kb,) = pa, pb
+        guard = groebner._guard(max(ka, kb))
+        assert groebner._divides(ka, kb, guard) == all(x <= y for x, y in zip(a, b))
+        lcm = groebner._lcm(ka, kb, guard)
+        assert groebner._unpacked({lcm: 1}, bias) == {tuple(map(max, a, b)): 1}
+        assert (ka < kb) == (a < b)
+        assert (lcm == ka + kb) == (not any(map(min, a, b)))
+
+
+def test_exponents_up_to_the_cap_are_exact():
+    ring = ("x", "y", "z")
+    basis = reduced_groebner_basis([lp("x - y^200", ring), lp("y - z^200", ring)])
+    assert basis == [lp("y - z^200", ring), lp("x - z^40000", ring)]
+    top = f"z^{groebner.EXPONENT_CAP}"
+    assert reduced_groebner_basis([lp(f"x - {top}", ring)]) == [lp(f"x - {top}", ring)]
+    f, g = lp(f"x^2 + {top}", ring), lp("x*y - z^5", ring)
+    assert s_polynomial(f, g) == textbook_s_polynomial(f, g)
+
+
+def test_exponents_past_the_cap_raise():
+    ring = ("x", "y", "z")
+    cap = groebner.EXPONENT_CAP
+    message = f"exponent {{}} exceeds the Groebner exponent cap {cap}"
+    # an input exponent past the cap
+    with pytest.raises(ResourceLimitError, match=message.format(cap + 1)):
+        reduced_groebner_basis([lp(f"x - y^{cap + 1}", ring)])
+    with pytest.raises(ResourceLimitError, match=message.format(10**6)):
+        ideal_contains_one([lp("x - y^1000000", ring), lp("y - 2", ring)])
+    # a basis whose reduction forms z^65700 on the way to z^90000
+    with pytest.raises(ResourceLimitError, match=message.format(65700)):
+        reduced_groebner_basis([lp("x - y^300", ring), lp("y - z^300", ring)])
+    with pytest.raises(ResourceLimitError, match=message.format(65700)):
+        ideal_contains_one([lp("x - y^300", ring), lp("y - z^300", ring), lp("x - 2", ring)])
+    # an S-polynomial term y^70000 and a remainder term z^66000
+    with pytest.raises(ResourceLimitError, match=message.format(70000)):
+        s_polynomial(lp("x^3 + y^60000", ring), lp("y^10000 + 1", ring))
+    with pytest.raises(ResourceLimitError, match=message.format(66000)):
+        normal_form(lp("x^2", ring), [lp("x - z^33000", ring)])
+
+
+def test_laurent_inputs_keep_negative_exponents_within_the_cap():
+    ring = ("x", "y")
+    f, g = lp("x^-3*y + 2", ring), lp("x*y^-2 - y", ring)
+    assert s_polynomial(f, g) == textbook_s_polynomial(f, g)
+    dividend = lp("x^3*y^-5 + x^-40000 + y^20000", ring)
+    divisors = [lp("x - 3", ring), lp("y^2 + x", ring)]
+    assert normal_form(dividend, divisors) == textbook_normal_form(dividend, divisors)
+    # exponents are counted from the least one of each variable
+    with pytest.raises(ResourceLimitError, match="exponent 70000 exceeds"):
+        normal_form(lp("x^-40000 + x^30000", ring), [lp("x - 3", ring)])
