@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .dga import DGA, AlgebraElement
 from .errors import DomainError, max_steps_limit
-from .groebner import DEFAULT_MAX_STEPS, ideal_contains_one, reduced_groebner_basis
+from .groebner import DEFAULT_MAX_STEPS, _eliminate, ideal_contains_one, reduced_groebner_basis
 from .laurent import LaurentPolynomial, _check_variables, _denominator, _make
 from .scalars import Scalar
 
@@ -90,10 +90,7 @@ def _build_system(dga: DGA) -> AugmentationSystem:
 
 
 def _epsilon_image(
-    dga: DGA,
-    element: AlgebraElement,
-    ring: tuple[str, ...],
-    unknown_of: Mapping[str, str],
+    dga: DGA, element: AlgebraElement, ring: tuple[str, ...], unknown_of: Mapping[str, str]
 ) -> LaurentPolynomial:
     """epsilon(element): each word's unknown counts go in front of its
     coefficient's exponents, all summed in one map."""
@@ -149,10 +146,7 @@ def is_augmentation(
 
 
 def augmentation_exists(
-    dga: DGA,
-    point: Mapping[str, Scalar | int | Fraction],
-    *,
-    max_steps: int | None = None,
+    dga: DGA, point: Mapping[str, Scalar | int | Fraction], *, max_steps: int | None = None
 ) -> bool:
     """Decide solvability of the augmentation equations at a fixed torus point.
 
@@ -216,44 +210,35 @@ def eliminate_augmentation_ideal(
     """Project the augmentation ideal onto the torus variables.
 
     Variables are ordered unknowns, saturation variable, torus block; under
-    lex order the reduced basis elements supported on the torus block form a
-    basis of the elimination ideal.  Each survivor is normalized to integer
-    content one with a positive leading coefficient.
+    lex order the members of the minimal basis that hold only torus variables
+    form a basis of the elimination ideal, and only they are reduced.  Each
+    survivor is normalized to integer content one with a positive leading
+    coefficient.
     """
     max_steps = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
     system = augmentation_system(dga)
     elim_ring = system.unknowns + (SATURATION_VARIABLE,) + system.torus_variables
-    lead_width = len(system.unknowns) + 1
     notes = [
         f"unknowns: {', '.join(system.unknowns) if system.unknowns else '(none)'}",
         f"equations from degree-one generators: {len(system.equations)}",
+        f"saturated against {SATURATION_VARIABLE}*{'*'.join(system.torus_variables)}",
     ]
-    generators = [
-        _elimination_generator(eq, elim_ring, lead_width - 1) for _, eq in system.equations
-    ]
-    saturation_exps = (0,) * len(system.unknowns) + (1,) * (1 + len(system.torus_variables))
+    width = len(system.unknowns)
+    generators = [_elimination_generator(eq, elim_ring, width) for _, eq in system.equations]
+    saturation_exps = (0,) * width + (1,) * (1 + len(system.torus_variables))
     generators.append(_make(elim_ring, {(0,) * len(elim_ring): 1, saturation_exps: -1}))
-    notes.append(
-        f"saturated against {SATURATION_VARIABLE}*{'*'.join(system.torus_variables)}"
-    )
-    basis = reduced_groebner_basis(generators, max_steps=max_steps)
-    eliminated = []
-    for g in basis:
-        if all(all(exps[k] == 0 for k in range(lead_width)) for exps, _ in g._terms):
-            torus_poly = _make(
-                system.torus_variables, {exps[lead_width:]: c for exps, c in g._terms}
-            )
-            torus_poly = torus_poly.strip_monomial_factor()[0].primitive_normalized()
-            eliminated.append(torus_poly)
+    size, block = _eliminate(generators, system.torus_variables, max_steps)
+    eliminated = [
+        g.strip_monomial_factor()[0].primitive_normalized()
+        for g in reduced_groebner_basis(block, max_steps=max_steps)
+    ]
     eliminated.sort(key=lambda p: (len(p._terms), str(p)))
-    notes.append(
-        f"reduced basis has {len(basis)} elements, {len(eliminated)} in the torus block"
-    )
+    notes.append(f"reduced basis has {size} elements, {len(eliminated)} in the torus block")
     if not eliminated:
         notes.append("no torus constraints: the variety is the whole torus")
         return AugmentationVarietyResult(True, None, (), tuple(notes))
     principal = len(eliminated) == 1
     polynomial = eliminated[0] if principal else None
-    if principal and polynomial is not None and polynomial.is_constant():
+    if principal and polynomial.is_constant():
         notes.append("the variety is empty: the ideal meets the coefficient field")
     return AugmentationVarietyResult(principal, polynomial, tuple(eliminated), tuple(notes))

@@ -178,11 +178,12 @@ class DgaCheckReport:
 
 
 class DGA:
-    # ``_augmentation`` holds the augmentation system once ``kch.augment``
-    # has built it (a failed build is not stored); the read-only
-    # ``differential`` keeps it from going stale
+    # ``_report`` holds the first ``check()``'s report, and ``_augmentation``
+    # the augmentation system once ``kch.augment`` has built it (a failed
+    # build is not stored); the read-only ``differential`` keeps both current
     __slots__ = (
-        "name", "torus_variables", "generators", "differential", "_by_name", "_augmentation"
+        "name", "torus_variables", "generators", "differential", "_by_name", "_report",
+        "_augmentation",
     )
 
     def __init__(
@@ -212,6 +213,7 @@ class DGA:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "differential", MappingProxyType(diff))
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_report", None)
         object.__setattr__(self, "_augmentation", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -252,6 +254,8 @@ class DGA:
         return out
 
     def check(self) -> DgaCheckReport:
+        if self._report is not None:
+            return self._report
         violations = []
         for g in self.generators:
             expected = g.degree - 1
@@ -266,12 +270,14 @@ class DGA:
             (g.name, self.apply_differential(self.differential[g.name]))
             for g in self.generators
         )
-        return DgaCheckReport(
+        report = DgaCheckReport(
             degrees_ok=not violations,
             degree_violations=tuple(violations),
             d_squared_ok=all(im.is_zero() for _, im in images),
             d_squared_images=images,
         )
+        object.__setattr__(self, "_report", report)
+        return report
 
 
 # -- JSON document loading ----------------------------------------------------
@@ -386,12 +392,8 @@ def build_dga(document, *, source: str = "<document>") -> DGA:
 
 
 def bundled_names() -> tuple[str, ...]:
-    folder = resources.files("kch").joinpath("data")
-    names = []
-    for entry in folder.iterdir():
-        if entry.name.endswith(".dga.json"):
-            names.append(entry.name[: -len(".dga.json")])
-    return tuple(sorted(names))
+    names = (entry.name for entry in resources.files("kch").joinpath("data").iterdir())
+    return tuple(sorted(n.removesuffix(".dga.json") for n in names if n.endswith(".dga.json")))
 
 
 def load_bundled(name: str) -> DGA:

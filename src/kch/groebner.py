@@ -1,10 +1,12 @@
 """Buchberger's algorithm, fraction-free over the Gaussian integers.
 
 Polynomials are ``LaurentPolynomial`` values restricted to nonnegative
-exponents; the monomial order is plain lexicographic in declared variable
-order (first variable most significant), which doubles as the elimination
-order: a reduced basis element supported on a trailing block of variables
-certifies membership in the corresponding elimination ideal.
+exponents, under plain lex order in declared variable order (first variable
+most significant).  That is an elimination order: by the elimination theorem
+(Cox, Little & O'Shea, ch. 3) the members of a Groebner basis that hold only a
+trailing block of variables form a Groebner basis of the elimination ideal.
+``_eliminate`` therefore stops at the minimal basis and hands on just that
+block, for the caller to reduce as a basis of its own.
 
 The kernel runs on packed monomials (Bachmann & Schonemann 1998, Monagan &
 Pearce 2007).  The public functions pack each input exponent vector once into
@@ -295,14 +297,28 @@ def _groebner(polys: Iterable[Terms], limit: int, reduced=True) -> list[tuple]:
         basis = sorted((members[g] for g in active), key=lambda m: m[0])
         if not reduced:
             return basis
-        # minimalise, then reduce each tail against the others once
-        leads = [m[0] for m in basis]
-        basis = [m for m in basis if not any(_divides(o, m[0], guard) for o in leads if o != m[0])]
+        # reduce each tail of the minimal basis against the others once
+        basis = _minimal(basis)
         tails = [normal_form(Terms(t), [o for o in basis if o[0] != lead]) for lead, t in basis]
         counts["reduction_steps"] += sum(tail.steps for tail in tails)
         return [_member(tail) for tail in tails]
     finally:
         GROEBNER_COUNTERS.update(counts)
+
+
+def _minimal(basis: list) -> list:
+    # the members of a sorted basis whose lead no smaller lead divides
+    guard, leads = _guard(basis[-1][0]), [lead for lead, _ in basis]
+    return [m for k, m in enumerate(basis) if not any(_divides(o, m[0], guard) for o in leads[:k])]
+
+
+def _eliminate(polys: list, block: tuple, limit: int) -> tuple[int, list]:
+    """The size of the minimal basis of the ideal the nonnegative inputs
+    generate, and, unreduced, its members in ``block`` (the ring's trailing
+    variables) alone: their leads are below the fields of every other variable."""
+    basis = _minimal(_groebner(_checked(polys, polys[0].variables)[0], limit, False))
+    kept = [t for lead, t in basis if lead < 1 << FIELD_BITS * len(block)]
+    return len(basis), [_make(block, _unpacked(t, (0,) * len(block))) for t in kept]
 
 
 def leading_term(poly: LaurentPolynomial) -> tuple[ExponentVector, Scalar]:
@@ -336,9 +352,7 @@ def s_polynomial(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomia
 
 
 def reduced_groebner_basis(
-    polys: Iterable[LaurentPolynomial],
-    *,
-    max_steps: int | None = None,
+    polys: Iterable[LaurentPolynomial], *, max_steps: int | None = None
 ) -> list[LaurentPolynomial]:
     """Unique reduced lex Groebner basis, members monic, of the ideal the inputs generate."""
     limit = max_steps_limit(DEFAULT_MAX_STEPS, max_steps)
@@ -349,9 +363,7 @@ def reduced_groebner_basis(
 
 
 def ideal_contains_one(
-    polys: Iterable[LaurentPolynomial],
-    *,
-    max_steps: int | None = None,
+    polys: Iterable[LaurentPolynomial], *, max_steps: int | None = None
 ) -> bool:
     """True when the inputs (any iterable of generators) generate the whole
     ring; the pair loop stops at the first nonzero constant remainder."""

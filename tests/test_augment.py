@@ -171,43 +171,53 @@ def test_synthetic_elimination_is_p_squared_minus_x():
     assert result.polynomial == lp("P^2 - X")
 
 
-def test_unknown_stripping_keeps_components():
-    # d(a) = u^2 - u*X: solutions u = 0 and u = X; both survive elimination,
-    # so no torus relation exists at all
-    doc = {
-        "name": "two_branches",
-        "torus_variables": ["Q", "X", "P"],
-        "generators": [
-            {"name": "u", "degree": 0},
-            {"name": "a", "degree": 1},
+# d(a) = u^2 - u*X: solutions u = 0 and u = X; both survive elimination, so
+# no torus relation exists at all
+TWO_BRANCHES = {
+    "name": "two_branches",
+    "torus_variables": ["Q", "X", "P"],
+    "generators": [
+        {"name": "u", "degree": 0},
+        {"name": "a", "degree": 1},
+    ],
+    "differential": {
+        "a": [
+            {"coefficient": "1", "word": ["u", "u"]},
+            {"coefficient": "-X", "word": ["u"]},
         ],
-        "differential": {
-            "a": [
-                {"coefficient": "1", "word": ["u", "u"]},
-                {"coefficient": "-X", "word": ["u"]},
-            ],
-        },
-    }
-    algebra = build_dga(doc, source="inline")
+    },
+}
+
+TWO_RELATIONS = {
+    "name": "two_relations",
+    "torus_variables": ["Q", "X", "P"],
+    "generators": [
+        {"name": "a", "degree": 1},
+        {"name": "b", "degree": 1},
+    ],
+    "differential": {
+        "a": [{"coefficient": "1 - X", "word": []}],
+        "b": [{"coefficient": "1 - P", "word": []}],
+    },
+}
+
+IMPOSSIBLE = {
+    "name": "impossible",
+    "torus_variables": ["Q", "X", "P"],
+    "generators": [{"name": "a", "degree": 1}],
+    "differential": {"a": [{"coefficient": "1", "word": []}]},
+}
+
+
+def test_unknown_stripping_keeps_components():
+    algebra = build_dga(TWO_BRANCHES, source="inline")
     result = eliminate_augmentation_ideal(algebra)
     assert result.principal and result.polynomial is None
     assert result.generators == ()
 
 
 def test_nonprincipal_elimination():
-    doc = {
-        "name": "two_relations",
-        "torus_variables": ["Q", "X", "P"],
-        "generators": [
-            {"name": "a", "degree": 1},
-            {"name": "b", "degree": 1},
-        ],
-        "differential": {
-            "a": [{"coefficient": "1 - X", "word": []}],
-            "b": [{"coefficient": "1 - P", "word": []}],
-        },
-    }
-    algebra = build_dga(doc, source="inline")
+    algebra = build_dga(TWO_RELATIONS, source="inline")
     result = eliminate_augmentation_ideal(algebra)
     assert not result.principal
     assert result.polynomial is None
@@ -215,13 +225,7 @@ def test_nonprincipal_elimination():
 
 
 def test_empty_variety_is_noted():
-    doc = {
-        "name": "impossible",
-        "torus_variables": ["Q", "X", "P"],
-        "generators": [{"name": "a", "degree": 1}],
-        "differential": {"a": [{"coefficient": "1", "word": []}]},
-    }
-    algebra = build_dga(doc, source="inline")
+    algebra = build_dga(IMPOSSIBLE, source="inline")
     result = eliminate_augmentation_ideal(algebra)
     assert any("empty" in note for note in result.notes)
 
@@ -449,3 +453,124 @@ def test_point_tests_match_the_specialize_route(monkeypatch):
             kinds["negative exponents"] += negative
             kinds["exists"] += answer
     assert all(count >= 20 for count in kinds.values()), kinds
+
+
+# -- the torus-block route against the full-basis route it replaced ---------------
+
+# two relations in the torus block, behind an unknown the block must not hold
+TWO_RELATIONS_BEHIND_AN_UNKNOWN = {
+    "name": "two_relations_behind_an_unknown",
+    "torus_variables": ["Q", "X", "P"],
+    "generators": [
+        {"name": "u", "degree": 0},
+        {"name": "a", "degree": 1},
+        {"name": "b", "degree": 1},
+        {"name": "c", "degree": 1},
+    ],
+    "differential": {
+        "a": [{"coefficient": "1", "word": ["u", "u"]}, {"coefficient": "-X", "word": []}],
+        "b": [{"coefficient": "1", "word": ["u"]}, {"coefficient": "-Q*P", "word": []}],
+        "c": [{"coefficient": "Q - P", "word": ["u"]}],
+    },
+}
+
+
+def _elimination_cases():
+    """Every algebra of the point-test reference, the inline documents whose
+    varieties are the whole torus, empty or not principal, and a Laurent one."""
+    for algebra, _ in _reference_cases():
+        yield algebra
+    for doc in (TWO_BRANCHES, TWO_RELATIONS, IMPOSSIBLE, TWO_RELATIONS_BEHIND_AN_UNKNOWN):
+        yield build_dga(doc, source="inline")
+    yield load_dga_text(
+        '{"name": "laurent", "torus_variables": ["Q", "X", "P"], "generators": [{"name": "a",'
+        ' "degree": 1}], "differential": {"a": [{"coefficient": "X^-1 - P", "word": []}]}}'
+    )
+
+
+def _full_basis_route(generators, torus):
+    """The elimination as first written: the whole reduced basis, its members
+    in the torus variables alone, each stripped and made primitive; the basis
+    size and the sorted survivors."""
+    basis = reduced_groebner_basis(generators)
+    width = len(generators[0].variables) - len(torus)
+    survivors = [
+        LaurentPolynomial(torus, {e[width:]: c for e, c in g.terms()})
+        for g in basis
+        if not any(any(e[:width]) for e, _ in g.terms())
+    ]
+    survivors = [p.strip_monomial_factor()[0].primitive_normalized() for p in survivors]
+    survivors.sort(key=lambda p: (len(list(p.terms())), str(p)))
+    return len(basis), tuple(survivors)
+
+
+@pytest.fixture
+def elimination_inputs(monkeypatch):
+    """The generators of every elimination from here on, as passed to the
+    kernel, in order."""
+    seen = []
+    original = augment._eliminate
+
+    def recorded(polys, block, limit):
+        seen.append(list(polys))
+        return original(polys, block, limit)
+
+    monkeypatch.setattr(augment, "_eliminate", recorded)
+    return seen
+
+
+def test_elimination_matches_the_full_basis_route(elimination_inputs):
+    kinds = {"principal": 0, "whole torus": 0, "empty": 0, "not principal": 0, "unknowns": 0}
+    for algebra in _elimination_cases():
+        elimination_inputs.clear()
+        result = eliminate_augmentation_ideal(algebra)
+        (generators,) = elimination_inputs
+        size, survivors = _full_basis_route(generators, algebra.torus_variables)
+        assert repr(result.generators) == repr(survivors)
+        assert result.notes[3] == (
+            f"reduced basis has {size} elements, {len(survivors)} in the torus block"
+        )
+        if not survivors:
+            assert result.principal and result.polynomial is None
+            kinds["whole torus"] += 1
+        elif len(survivors) > 1:
+            assert not result.principal and result.polynomial is None
+            kinds["not principal"] += 1
+        else:
+            assert result.principal and result.polynomial == survivors[0]
+            kinds["empty" if survivors[0].is_constant() else "principal"] += 1
+        kinds["unknowns"] += len(augmentation_system(algebra).unknowns) > 0
+    assert kinds["principal"] >= 10 and kinds["unknowns"] >= 10
+    assert all(kinds.values()), kinds
+
+
+def test_elimination_reduces_only_the_torus_block_once(monkeypatch):
+    # one public basis call per elimination, so a wrapper around
+    # augment.reduced_groebner_basis counts eliminations; it sees the torus
+    # block alone, over the torus ring
+    calls = []
+    original = augment.reduced_groebner_basis
+
+    def recorded(polys, **kwargs):
+        calls.append(list(polys))
+        return original(calls[-1], **kwargs)
+
+    monkeypatch.setattr(augment, "reduced_groebner_basis", recorded)
+    for algebra in _elimination_cases():
+        calls.clear()
+        result = eliminate_augmentation_ideal(algebra)
+        (block,) = calls
+        assert all(poly.variables == algebra.torus_variables for poly in block)
+        assert len(block) == len(result.generators)
+
+
+def test_elimination_reduces_as_many_pairs_as_the_full_basis(
+    groebner_counters, elimination_inputs
+):
+    from test_frozen_augment import DOCUMENTS
+
+    eliminate_augmentation_ideal(load_dga_text(DOCUMENTS[1][0]))
+    pairs = groebner_counters["pairs_reduced"]
+    groebner_counters.clear()
+    reduced_groebner_basis(elimination_inputs[0])
+    assert pairs == groebner_counters["pairs_reduced"] > 0

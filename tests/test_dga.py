@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kch import augment
 from kch.dga import (
     DGA,
     AlgebraElement,
@@ -136,6 +137,29 @@ def test_d_squared_failure_reported():
     assert not report.d_squared_ok
     bad = dict(report.nonzero_images())
     assert "b" in bad and str(bad["b"]) == "1 - X"
+
+
+def test_check_report_is_kept_on_the_algebra(monkeypatch):
+    # a request checks the algebra and then builds its augmentation system,
+    # which checks it again; the second check reads the first report
+    applied = []
+    original = DGA.apply_differential
+
+    def recorded(self, element):
+        applied.append(element)
+        return original(self, element)
+
+    monkeypatch.setattr(DGA, "apply_differential", recorded)
+    for algebra in (load_bundled("elim_synthetic"), make(BASE_DOC)):
+        applied.clear()
+        report = algebra.check()
+        assert len(applied) == len(algebra.generators)
+        assert algebra.check() is report
+        augment.eliminate_augmentation_ideal(algebra)
+        assert algebra.check() is report and len(applied) == len(algebra.generators)
+    broken = make({**BASE_DOC, "differential": {"a": [{"coefficient": "1", "word": ["a"]}]}})
+    report = broken.check()
+    assert not report.ok and broken.check() is report
 
 
 def test_scalar_unit_has_degree_zero_and_d_zero():
