@@ -326,20 +326,28 @@ def _cmd_feynman_ribbon(args) -> int:
     return 0
 
 
+def _skein_work(run):
+    """``run()`` and the skein work it did: each ``SKEIN_COUNTERS`` delta."""
+    counters = sys.modules["kch.homfly"].SKEIN_COUNTERS  # the module, not the function
+    keys = ("nodes", "memo_hits", "smoothings", "switches")
+    before = [counters[key] for key in keys]
+    value = run()
+    return value, {key: counters[key] - b for key, b in zip(keys, before)}
+
+
 def _cmd_homfly(args) -> int:
     diagram = parse_pd(_load_diagram_text(args.pd))
-    poly = homfly(
-        diagram, resolution=args.resolution, max_crossings=args.max_crossings
+    poly, skein = _skein_work(
+        lambda: homfly(diagram, resolution=args.resolution, max_crossings=args.max_crossings)
     )
     if args.json:
-        _print_json(
-            {
-                "homfly": str(poly),
-                "crossings": diagram.crossing_count,
-                "components": diagram.component_count,
-                "writhe": diagram.writhe(),
-            }
-        )
+        payload = {
+            "homfly": str(poly),
+            "crossings": diagram.crossing_count,
+            "components": diagram.component_count,
+            "writhe": diagram.writhe(),
+        }
+        _print_json({**payload, "skein": skein} if args.stats else payload)
     else:
         print(
             f"diagram: crossings {diagram.crossing_count}, "
@@ -351,9 +359,10 @@ def _cmd_homfly(args) -> int:
 
 def _cmd_wilson(args) -> int:
     diagram = parse_pd(_load_diagram_text(args.pd))
-    value = wilson_loop(diagram, args.N, args.k)
+    value, skein = _skein_work(lambda: wilson_loop(diagram, args.N, args.k))
     if args.json:
-        _print_json({"N": args.N, "k": args.k, "re": value.real, "im": value.imag})
+        payload = {"N": args.N, "k": args.k, "re": value.real, "im": value.imag}
+        _print_json({**payload, "skein": skein} if args.stats else payload)
     else:
         im = value.imag + 0.0  # normalize -0.0
         if abs(im) < 5e-13:  # below printed precision
@@ -497,6 +506,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wilson.add_argument("--k", type=int, required=True)
     p_wilson.add_argument("--json", action="store_true")
     p_wilson.set_defaults(handler=_cmd_wilson)
+    for p_skein in (p_homfly, p_wilson):
+        p_skein.add_argument("--stats", action="store_true", help="with --json, add skein work")
 
     p_sym = subparsers.add_parser("symtrace", help="symmetric-power trace series")
     p_sym.add_argument(

@@ -6,10 +6,13 @@ Convention: a * P(+) - a^{-1} * P(-) = z * P(0) with P(unknot) = 1, so
     P(-) = a^2 P(+) - a z P(0).
 
 The recursion runs on raw parts (crossings, signs, circles) and builds no
-``LinkDiagram`` past the one it is given.  It walks each diagram once,
-component by component from base points rotated by ``resolution`` (the
-result does not depend on it), for its memo key and its wrong crossings
-(first passage under).  Switching one leaves the strand cycles and every
+``LinkDiagram`` past the one it is given.  Each diagram's memo key numbers
+its arcs component by component from each least arc, whatever the
+``resolution``.  Its wrong crossings (first passage under) are read along a
+descending walk chosen per diagram to leave few of them: each component
+from its best base point, the search starting ``resolution`` arcs past its
+least arc, components topmost first (``_descending_walk``); any walk gives
+the same result.  Switching one leaves the strand cycles and every
 other first passage untouched, so they are resolved along one chain in
 walking order: each adds its smoothing times the rule's monomial times
 a^shift, shift steps by -2 (positive) or +2 (negative), and all but the last
@@ -31,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, count
 from math import comb
 from types import MappingProxyType
 
@@ -84,13 +87,50 @@ def _add_shifted(acc: dict, poly: Mapping, d_a: int, d_z: int, sign: int) -> Non
         acc[key] = acc.get(key, 0) + sign * c
 
 
+def _descending_walk(cycles, crossings, over_in, resolution: int) -> dict[int, int]:
+    """Arc -> position along a walk that meets few crossings under-first.
+
+    Each component starts at the base with the fewest self-crossings met
+    under-first, searched from ``resolution`` arcs past its least arc (a tie
+    goes to the first found): moving the base past an arc changes that count
+    by -1 if the arc arrives under at a self-crossing, +1 if over.  Components
+    go topmost first, greedily: each time the one under the fewest crossings
+    with those left.
+    """
+    owner = {arc: c for c, cycle in enumerate(cycles) for arc in cycle}
+    moved = dict.fromkeys(owner, 0)
+    # under[i][j]: crossings at which component i passes under component j
+    under = [[0] * len(cycles) for _ in cycles]
+    for record, over in zip(crossings, over_in):
+        low, high = owner[record[0]], owner[over]
+        if low == high:
+            moved[record[0]], moved[over] = -1, 1
+        else:
+            under[low][high] += 1
+    left = list(range(len(cycles)))
+    cost = [sum(row) for row in under]
+    walk: dict[int, int] = {}
+    while left:
+        top = min(left, key=cost.__getitem__)
+        left.remove(top)
+        for c in left:
+            cost[c] -= under[c][top]
+        cycle = cycles[top]
+        start = resolution % len(cycle)
+        cycle = cycle[start:] + cycle[:start]
+        wrong = list(accumulate([moved[arc] for arc in cycle[:-1]], initial=0))
+        base = wrong.index(min(wrong))
+        walk.update(zip(cycle[base:] + cycle[:base], count(len(walk))))
+    return walk
+
+
 def homfly(
     diagram: LinkDiagram,
     *,
     resolution: int = 0,
     max_crossings: int = DEFAULT_MAX_CROSSINGS,
 ) -> LaurentPolynomial:
-    """Skein polynomial in (a, z); independent of the resolution order.
+    """Skein polynomial in (a, z); independent of ``resolution``.
 
     The finished polynomial is kept on the diagram per resolution, so asking
     again for the same diagram object makes no skein step.
@@ -126,10 +166,10 @@ def homfly(
         if not crossings:
             return _unlink(circles)
         nodes += 1
-        # the walk: components sorted by least arc, each base rotated by
-        # ``resolution``; ``position`` numbers the arcs in walking order
+        # the key's walk: components sorted by least arc, each from its least
+        # arc; ``position`` numbers the arcs in that order
         successor, over_in = _strands(crossings, signs)
-        cycles = _cycles(successor, resolution)
+        cycles = _cycles(successor)
         position = {arc: i for i, arc in enumerate(chain.from_iterable(cycles), 1)}
         records = sorted(
             [((position[a], position[b], position[c], position[d]), sign)
@@ -140,11 +180,12 @@ def homfly(
         if known is not None:
             hits += 1
             return known
-        # wrong crossings, in walking order: under-strand arrival first
+        # wrong crossings, in descending walk order: under-strand arrival first
+        walk = _descending_walk(cycles, crossings, over_in, resolution)
         wrong = sorted(
-            [(position[record[0]], k)
+            [(walk[record[0]], k)
              for k, (record, arrive) in enumerate(zip(crossings, over_in))
-             if position[record[0]] < position[arrive]]
+             if walk[record[0]] < walk[arrive]]
         )
         value, shift = {}, 0
         if wrong:

@@ -103,9 +103,9 @@ def _strands(crossings, signs) -> tuple[dict[int, int], list[int]]:
     return successor, over_in
 
 
-def _cycles(successor: dict[int, int], rotation: int = 0) -> list[list[int]]:
+def _cycles(successor: dict[int, int]) -> list[list[int]]:
     """Arc cycles of a successor map, sorted by their smallest label, each
-    starting there and then rotated by ``rotation`` arcs."""
+    starting there."""
     seen: set[int] = set()
     cycles = []
     for start in sorted(successor):
@@ -117,8 +117,7 @@ def _cycles(successor: dict[int, int], rotation: int = 0) -> list[list[int]]:
             cycle.append(arc)
             arc = successor[arc]
         seen.update(cycle)
-        offset = rotation % len(cycle)
-        cycles.append(cycle[offset:] + cycle[:offset])
+        cycles.append(cycle)
     return cycles
 
 

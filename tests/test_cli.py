@@ -318,6 +318,30 @@ def test_wilson(capsys):
     assert payload["N"] == 2 and payload["k"] == 3
 
 
+def test_stats_add_the_skein_work_of_the_call(capsys):
+    # the trefoil's skein recursion: the root and its 2 smoothings, no switch
+    skein = {"nodes": 3, "memo_hits": 0, "smoothings": 2, "switches": 0}
+    homfly_payload = {
+        "homfly": "-a^-4 + 2*a^-2 + a^-2*z^2",
+        "crossings": 3,
+        "components": 1,
+        "writhe": 3,
+    }
+    for argv, payload in (
+        (("homfly", "--pd", "right_trefoil"), homfly_payload),
+        (("wilson", "--pd", "right_trefoil", "--N", "2", "--k", "3"), None),
+    ):
+        code, plain, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        payload = payload or json.loads(plain)
+        assert plain == json.dumps(payload, indent=2) + "\n"
+        code, out, _ = run(capsys, *argv, "--json", "--stats")
+        assert code == 0
+        assert out == json.dumps({**payload, "skein": skein}, indent=2) + "\n"
+        # each call counts only its own work, and --stats needs --json
+        assert run(capsys, *argv, "--stats")[1] == run(capsys, *argv)[1]
+
+
 def test_wilson_domain_error(capsys):
     code, _, err = run(capsys, "wilson", "--pd", "unknot", "--N", "2", "--k", "-2")
     assert code == 1

@@ -1,4 +1,7 @@
+import random
 import sys
+import time
+from itertools import chain
 
 import pytest
 
@@ -114,36 +117,28 @@ def test_skein_step_budget(monkeypatch):
         homfly(bundled("right_trefoil"))
 
 
-# The least KCH_MAX_STEPS that let BRAID_CLOSURES[3] finish when every switch
-# was a recursive call of its own: the root plus 268 smoothings and 268
-# switches, each one call.
-ONE_CALL_PER_SWITCH_STEPS = 537
-
-
 def test_skein_budget_bounds_the_same_work(monkeypatch, skein_counters):
     reference = homfly(parse_pd(BRAID_CLOSURES[3]))
     # a step per diagram recursed on (the root and each smoothing) and per
     # wrong crossing followed, switched or not (the last of a chain is not):
-    # 282 + 282, 14 smoothings more than with one call per switch, because
-    # switched intermediates are not memoised: 5.2% more
+    # 54 + 53 along descending walks chosen per diagram, against 283 + 282 =
+    # 565 when every diagram was walked from its least arcs in least-arc order
     assert skein_counters["nodes"] == 1 + skein_counters["smoothings"]
     needed = skein_counters["nodes"] + skein_counters["smoothings"]
-    assert needed == 565
-    assert needed - ONE_CALL_PER_SWITCH_STEPS == 2 * (282 - 268)
+    assert needed == 107
     monkeypatch.setenv("KCH_MAX_STEPS", str(needed))
     assert homfly(parse_pd(BRAID_CLOSURES[3])) == reference
     monkeypatch.setenv("KCH_MAX_STEPS", str(needed - 1))
-    message = "reached 565 steps on a diagram of 12 crossings; limit is 564 .*KCH_MAX_STEPS"
+    message = "reached 107 steps on a diagram of 12 crossings; limit is 106 .*KCH_MAX_STEPS"
     with pytest.raises(ResourceLimitError, match=message):
         homfly(parse_pd(BRAID_CLOSURES[3]))
 
 
-# smoothings one homfly call makes on each BRAID_CLOSURES diagram (268, not
-# 282, for the last when every switch was its own call), and switches: one
-# per wrong crossing but the last of each chain, whose result nothing reads
-# (0/18/36/282 while it was made); the first is descending as drawn
-BRAID_CLOSURE_SMOOTHINGS = [0, 18, 36, 282]
-BRAID_CLOSURE_SWITCHES = [0, 9, 19, 147]
+# smoothings one homfly call makes on each BRAID_CLOSURES diagram, and
+# switches: one per wrong crossing but the last of each chain, whose result
+# nothing reads; the first is descending as drawn
+BRAID_CLOSURE_SMOOTHINGS = [0, 11, 10, 53]
+BRAID_CLOSURE_SWITCHES = [0, 6, 3, 26]
 
 
 def test_every_skein_edit_goes_through_the_pd_names(skein_counters, skein_edits):
@@ -170,12 +165,12 @@ def test_homfly_leaves_the_shared_unlink_values_unchanged():
 
 
 def test_skein_counters_keep_the_work_a_stopped_recursion_did(monkeypatch, skein_counters):
-    monkeypatch.setenv("KCH_MAX_STEPS", "564")
-    with pytest.raises(ResourceLimitError, match="reached 565 steps"):
+    monkeypatch.setenv("KCH_MAX_STEPS", "106")
+    with pytest.raises(ResourceLimitError, match="reached 107 steps"):
         homfly(parse_pd(BRAID_CLOSURES[3]))
     # the step that stops it is the last wrong crossing of the root's chain
-    assert (skein_counters["nodes"], skein_counters["smoothings"]) == (283, 282)
-    assert (skein_counters["memo_hits"], skein_counters["switches"]) == (78, 147)
+    assert (skein_counters["nodes"], skein_counters["smoothings"]) == (54, 53)
+    assert (skein_counters["memo_hits"], skein_counters["switches"]) == (10, 26)
 
 
 @pytest.mark.parametrize(
@@ -267,3 +262,94 @@ def test_mirror_is_p_at_inverse_a_and_negative_z():
             [((-ea, ez), coeff if ez % 2 == 0 else -coeff) for (ea, ez), coeff in homfly(d).terms()],
         )
         assert homfly(mirror) == expected, d
+
+
+def braid_closure(strands, word):
+    """PD text of the closure of a braid word; +i is sigma_i, whose strand
+    rising left to right runs under, and -i its inverse."""
+    top = list(range(1, strands + 1))
+    label = strands
+    records = []
+    for letter in word:
+        i = abs(letter) - 1
+        left, right = top[i], top[i + 1]
+        label += 2
+        top[i], top[i + 1] = label - 1, label
+        records.append((left, right, label, label - 1) if letter > 0 else (right, label, label - 1, left))
+    bottom = dict(zip(top, range(1, strands + 1)))
+    return ";".join(
+        "X[" + ",".join(str(bottom.get(arc, arc)) for arc in record) + "]" for record in records
+    )
+
+
+def random_braid_closures(count, seed):
+    """Closures of seeded braids of 2-6 strands and 6-12 crossings, each
+    generator used, so every strand meets a crossing."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        strands, crossings = rng.randint(2, 6), rng.randint(6, 12)
+        word = list(range(1, strands)) + [
+            rng.randrange(1, strands) for _ in range(crossings - strands + 1)
+        ]
+        rng.shuffle(word)
+        texts.append(braid_closure(strands, [g if rng.random() < 0.5 else -g for g in word]))
+    return texts
+
+
+# the skein rule's monomials: P(+) = a^-1 z P(0) + a^-2 P(-) and
+# P(-) = a^2 P(+) - a z P(0); an extra unlinked circle is worth (a - a^-1)/z
+POSITIVE_RULE = lp("a^-1*z"), lp("a^-2")
+NEGATIVE_RULE = lp("-a*z"), lp("a^2")
+CIRCLE = lp("a*z^-1 - a^-1*z^-1")
+
+
+def fixed_base_homfly(d, resolution, known=None):
+    """The skein recursion from fixed base points, shared with nothing:
+    components in least-arc order, each walked from ``resolution`` arcs past
+    its least arc; the first crossing met under-first costs one call for its
+    smoothing and one for its switch.  ``known`` keeps the values of this one
+    computation, keyed by the diagram as it stands."""
+    known = {} if known is None else known
+    if d in known:
+        return known[d]
+    cycles = [c[resolution % len(c):] + c[: resolution % len(c)] for c in d.component_cycles()]
+    position = {arc: i for i, arc in enumerate(chain.from_iterable(cycles))}
+    wrong = [
+        k for k, ((under, b, _, over), sign) in enumerate(zip(d.crossings, d.signs))
+        if position[under] < position[over if sign > 0 else b]
+    ]
+    if wrong:
+        k = min(wrong, key=lambda k: position[d.crossings[k][0]])
+        smoothing, switch = POSITIVE_RULE if d.signs[k] > 0 else NEGATIVE_RULE
+        value = smoothing * fixed_base_homfly(
+            smooth_crossing(d, k), resolution, known
+        ) + switch * fixed_base_homfly(switch_crossing(d, k), resolution, known)
+    else:
+        value = CIRCLE ** (len(cycles) + d.circles - 1)
+    known[d] = value
+    return value
+
+
+@pytest.mark.parametrize("resolution", range(4))
+def test_descending_walks_agree_with_a_fixed_base_chain(resolution):
+    for text in random_braid_closures(30, "fixed-base"):
+        d = parse_pd(text)
+        assert homfly(d, resolution=resolution) == fixed_base_homfly(d, resolution), text
+
+
+def test_many_components_are_ordered_in_polynomial_time(skein_counters):
+    # 6 disjoint Hopf links: 12 crossings, 12 components; the components are
+    # ordered greedily, never over all 12! orders
+    hopf = BUNDLED_DIAGRAMS["positive_hopf"]
+    text = ";".join(
+        "X[%d,%d,%d,%d];X[%d,%d,%d,%d]" % tuple(4 * i + arc for arc in (1, 4, 2, 3, 4, 1, 3, 2))
+        for i in range(6)
+    )
+    d = parse_pd(text)
+    assert d.component_count == 12
+    started = time.perf_counter()
+    value = homfly(d, max_crossings=12)
+    assert time.perf_counter() - started < 1.0
+    assert skein_counters["nodes"] == 64
+    assert value == delta() ** 5 * homfly(parse_pd(hopf)) ** 6
