@@ -40,7 +40,7 @@ from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, check_count
-from .laurent import _check_variables, _denominator, _make, _narrow
+from .laurent import _check_variables, _denominator, _dot, _make, _narrow
 from .scalars import ONE, ZERO, Scalar
 from .series import FormalSeries
 
@@ -404,37 +404,6 @@ def connected_scalar_series(q: QuadraticForm, c: CubicForm, order: int) -> Forma
 # -- moment oracle ------------------------------------------------------------
 
 
-def _cubic_polynomial(c: CubicForm) -> dict[tuple[int, ...], object]:
-    """V as a polynomial: exponent vector of length n -> narrow coefficient."""
-    n = c.dimension
-    out: dict[tuple[int, ...], Scalar] = {}
-    for triple in product(range(n), repeat=3):
-        value = c.entry(*triple)
-        if value.is_zero():
-            continue
-        exps = [0] * n
-        for t in triple:
-            exps[t] += 1
-        key = tuple(exps)
-        out[key] = out.get(key, ZERO) + value
-    return {key: _narrow(value) for key, value in out.items()}
-
-
-def _poly_multiply(
-    a: dict[tuple[int, ...], object], b: dict[tuple[int, ...], object]
-) -> dict[tuple[int, ...], object]:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            total = out.get(key, 0) + c1 * c2
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return {key: _narrow(value) for key, value in out.items()}
-
-
 def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSeries:
     """Moment-recursion evaluation of the same expansion; no graphs involved.
 
@@ -469,14 +438,20 @@ def stein_oracle_series(q: QuadraticForm, c: CubicForm, order: int) -> FormalSer
         moments[exps] = total = _narrow(total)
         return total
 
-    cubic_poly = _cubic_polynomial(c)
-    power = {(0,) * n: 1}
+    # V over x0..x{n-1}: each stored C_ijk (i <= j <= k) once per distinct
+    # permutation of its indices
+    variables = tuple(f"x{i}" for i in range(n))
+    cubic = _make(variables, {
+        tuple(map(key.count, range(n))): value * len(set(permutations(key)))
+        for key, value in c._entries.items()
+    })
+    power = _make(variables, {(0,) * n: 1})
     values = []
     for m in range(order + 1):
         if m > 0:
-            power = _poly_multiply(power, cubic_poly)
+            power = _dot(variables, [(power, cubic)])
         expectation = 0
-        for exps, coeff in sorted(power.items()):
+        for exps, coeff in power._terms:
             value = moment(exps)
             if value:
                 expectation = expectation + coeff * value

@@ -53,6 +53,18 @@ def _narrow(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _times(c, n: int, d: int):
+    """c * n/d for a narrow coefficient c and d > 0, narrow: a rational
+    product in one normalising step, not through ``Fraction`` arithmetic."""
+    if type(c) is Scalar:
+        return _narrow(c * Fraction(n, d))
+    if type(c) is Fraction:
+        n, d = c.numerator * n, c.denominator * d
+    else:
+        n *= c
+    return Fraction(n, d) if n % d else n // d
+
+
 def _denominator(values: Iterable) -> int:
     """The least common denominator of narrow coefficients (both parts of an
     imaginary one)."""
@@ -218,13 +230,16 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def scale(self, value: Scalar | int | Fraction) -> "LaurentPolynomial":
-        value = _narrow(Scalar.of(value))
+        value = _narrow(value if type(value) in (int, Fraction) else Scalar.of(value))
         if value == 1:
             return self
         if not value:
             return _make(self.variables, {})
         # a nonzero factor keeps every exponent, and so the term order
-        return _adopt(self.variables, [(e, _narrow(c * value)) for e, c in self._terms])
+        if type(value) is Scalar:
+            return _adopt(self.variables, [(e, _narrow(c * value)) for e, c in self._terms])
+        n, d = value.numerator, value.denominator
+        return _adopt(self.variables, [(e, _times(c, n, d)) for e, c in self._terms])
 
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int):

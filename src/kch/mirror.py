@@ -40,7 +40,7 @@ from functools import partial
 from math import factorial, gcd, perm
 
 from .errors import DomainError, ResourceLimitError, check_count
-from .laurent import LaurentPolynomial, _adopt, _denominator, _make, _narrow
+from .laurent import LaurentPolynomial, _denominator, _make, _narrow
 from .scalars import Scalar
 from .series import FormalSeries, _kernel, _parts, _record_exp, _series_denominator
 
@@ -335,44 +335,17 @@ def p_series(branch: BranchSeries) -> FormalSeries:
 
 def potential_series(p: FormalSeries) -> PotentialSeries:
     """Integrate: the X^k coefficient divides by k; the constant becomes linear in x."""
-    ring = p.ring
-    coefficients = [LaurentPolynomial.zero(ring)]
-    coefficients += [
-        _adopt(ring, [(e, _divided(c, k)) for e, c in poly._terms])
-        for k, poly in enumerate(p.coefficients) if k
-    ]
+    coefficients = [LaurentPolynomial.zero(p.ring)]
+    coefficients += [poly.scale(Fraction(1, k)) for k, poly in enumerate(p.coefficients) if k]
     return PotentialSeries(p.coefficient(0), FormalSeries(p.variable, p.order, coefficients))
 
 
 def potential_x_derivative(potential: PotentialSeries) -> FormalSeries:
     """x-derivative (X d/dX plus the linear part) recovering the p series."""
     series = potential.series
-    ring = series.ring
     coefficients = [potential.linear_coefficient]
-    coefficients += [
-        _adopt(ring, [(e, _multiplied(c, k)) for e, c in poly._terms])
-        for k, poly in enumerate(series.coefficients) if k
-    ]
+    coefficients += [poly.scale(k) for k, poly in enumerate(series.coefficients) if k]
     return FormalSeries(series.variable, series.order, coefficients)
-
-
-def _divided(c, k: int):
-    """c / k for a narrow coefficient c and k > 0, narrow (an imaginary
-    ``Scalar`` stays imaginary)."""
-    if type(c) is int:
-        return Fraction(c, k) if c % k else c // k
-    if type(c) is Fraction:
-        return Fraction(c.numerator, c.denominator * k)
-    return c * Fraction(1, k)
-
-
-def _multiplied(c, k: int):
-    """c * k for a narrow coefficient c and k > 0, narrow: only a
-    ``Fraction`` can become an int."""
-    if type(c) is Fraction:
-        n, d = c.numerator * k, c.denominator
-        return Fraction(n, d) if n % d else n // d
-    return c * k
 
 
 def verify_on_curve(

@@ -5,14 +5,15 @@ Input format: statements separated by ``;``, each either the literal
 arc labels listed counterclockwise starting from the incoming under-strand.
 Slot 0 is therefore the under-strand arriving, slot 2 the under-strand
 leaving, and slots 1 and 3 carry the over-strand.  The over-strand direction
-is not written down; it is inferred from the global requirement that every
-arc runs from exactly one crossing exit to exactly one crossing entry.  A
-crossing is positive when its over-strand enters at slot 3 and leaves at
-slot 1, negative the other way around.
-
-Components whose arcs touch only over-slots admit both orientations; the
-lowest-numbered crossing involved is canonically given the positive one, so
-parsing is deterministic.
+is not written down; it is inferred by walking each strand.  Slot k of
+crossing i is the position 4i + k.  A strand that enters at position p
+leaves at p ^ 2 and enters next at the other end of the arc it leaves on.
+A walk starts at every crossing's slot 0; an over-strand that enters at
+slot 3 makes its crossing positive, at slot 1 negative.  A component whose
+arcs touch only over-slots admits both orientations: a walk then starts at
+slot 3 of each crossing no walk has reached, lowest first, so that crossing
+is positive and parsing is deterministic.  A strand entered from both
+sides is an orientation inconsistency.
 
 A ``LinkDiagram`` is immutable.  The public constructor checks every arc;
 ``switch_crossing`` and ``smooth_crossing`` check only the crossing index and
@@ -28,7 +29,6 @@ it has finished for it.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError, check_count
@@ -154,81 +154,40 @@ def parse_pd(text: str) -> LinkDiagram:
             raise ParseError(f"statement {idx}: arc labels must be positive")
         crossings.append(labels)
 
-    counts: Counter = Counter()
-    for record in crossings:
-        counts.update(record)
-    for label, count in sorted(counts.items()):
-        if count != 2:
-            raise ParseError(f"arc {label} appears {count} times; every arc appears exactly twice")
-
-    signs = _infer_signs(crossings)
-    return LinkDiagram(tuple(crossings), signs, circles)
-
-
-def _infer_signs(crossings: list[Crossing]) -> tuple[int, ...]:
-    """Assign an over-strand direction to each crossing.
-
-    Roles (entry/exit) propagate from the fixed under-strand slots through
-    the rule that each arc has one entry and one exit end; surviving
-    ambiguity means a component lies entirely on over-strands, and its
-    lowest-numbered crossing is set positive.
-    """
-    occurrences: dict[int, list[tuple[int, int]]] = {}
+    ends: dict[int, list[int]] = {}  # arc -> the positions 4k + slot of its two ends
     for k, record in enumerate(crossings):
         for slot, label in enumerate(record):
-            occurrences.setdefault(label, []).append((k, slot))
+            ends.setdefault(label, []).append(4 * k + slot)
+    for label, found in sorted(ends.items()):
+        if len(found) != 2:
+            raise ParseError(f"arc {label} appears {len(found)} times; every arc appears exactly twice")
 
-    roles: dict[tuple[int, int], bool] = {}
-    over_dir: dict[int, int] = {}
-    queue: list[tuple[int, int, bool]] = []
+    return LinkDiagram(tuple(crossings), _infer_signs(crossings, ends), circles)
 
-    def crossing_of(statement_index: int) -> str:
-        return f"crossing {statement_index + 1}"
 
-    def set_role(k: int, slot: int, is_entry: bool) -> None:
-        key = (k, slot)
-        known = roles.get(key)
-        if known is not None:
-            if known != is_entry:
-                raise ParseError(f"orientation inconsistency at {crossing_of(k)}")
-            return
-        roles[key] = is_entry
-        queue.append((k, slot, is_entry))
+def _infer_signs(crossings: list[Crossing], ends: dict[int, list[int]]) -> tuple[int, ...]:
+    """Each crossing's sign from one walk along each strand (see the module
+    docstring).  A strand is keyed by its lower slot position (slot 0 or 1)
+    and records the position at which the walk entered it."""
+    entered: dict[int, int] = {}
+    signs = [0] * len(crossings)
 
-    def set_over_dir(k: int, direction: int) -> None:
-        known = over_dir.get(k)
-        if known is not None:
-            if known != direction:
-                raise ParseError(f"orientation inconsistency at {crossing_of(k)}")
-            return
-        over_dir[k] = direction
-        # positive: enters at slot 3, leaves at slot 1
-        set_role(k, 3, direction > 0)
-        set_role(k, 1, direction < 0)
+    def walk(position: int) -> None:
+        while (known := entered.get(position & ~2)) != position:
+            if known is not None:
+                raise ParseError(f"orientation inconsistency at crossing {position // 4 + 1}")
+            entered[position & ~2] = position
+            if position & 1:
+                signs[position // 4] = 1 if position & 2 else -1
+            leave = position ^ 2
+            position = sum(ends[crossings[leave // 4][leave % 4]]) - leave
 
     for k in range(len(crossings)):
-        set_role(k, 0, True)
-        set_role(k, 2, False)
-
-    def drain() -> None:
-        while queue:
-            k, slot, is_entry = queue.pop()
-            if slot in (1, 3):
-                if slot == 3:
-                    set_over_dir(k, 1 if is_entry else -1)
-                else:
-                    set_over_dir(k, -1 if is_entry else 1)
-            label = crossings[k][slot]
-            first, second = occurrences[label]
-            other = second if (k, slot) == first else first
-            set_role(other[0], other[1], not is_entry)
-
-    drain()
+        walk(4 * k)
     for k in range(len(crossings)):
-        if k not in over_dir:
-            set_over_dir(k, 1)
-            drain()
-    return tuple(over_dir[k] for k in range(len(crossings)))
+        if not signs[k]:
+            walk(4 * k + 3)
+    return tuple(signs)
 
 
 def _check_index(diagram: LinkDiagram, index: int) -> None:

@@ -149,11 +149,12 @@ I = Scalar(_ZERO, _ONE)
 _SCALAR_TERM = _re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(i)?|(i))\s*")
 
 
-def _rational_literal(digits: str) -> Fraction:
-    """A parsed ``n`` or ``n/d`` token; a zero denominator, or a number
-    longer than Python converts to an int, is malformed text."""
+def _rational_literal(digits: str) -> int | Fraction:
+    """A parsed ``n`` (an int) or ``n/d`` token; a zero denominator, or a
+    number longer than Python converts to an int, is malformed text."""
+    n, slash, d = digits.partition("/")
     try:
-        return Fraction(digits)
+        return Fraction(int(n), int(d)) if slash else int(n)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {digits!r}") from None
     except ValueError:

@@ -1,3 +1,7 @@
+import random
+import re
+from itertools import product
+
 import pytest
 
 from kch.errors import DomainError, ParseError
@@ -106,6 +110,61 @@ def test_orientation_inconsistency_detected():
     with pytest.raises(ParseError) as err:
         parse_pd("X[1,2,3,4];X[1,4,3,2]")
     assert "orientation" in str(err.value)
+
+
+INCONSISTENCY = re.compile(r"orientation inconsistency at crossing (\d+)")
+
+
+def test_inconsistency_names_a_crossing():
+    with pytest.raises(ParseError) as err:
+        parse_pd("X[1,2,3,4];X[1,4,3,2]")
+    match = INCONSISTENCY.fullmatch(str(err.value))
+    assert match is not None and 1 <= int(match[1]) <= 2
+
+
+def random_pairing(rng, n):
+    """Records of n crossings whose 4n slots are paired into 2n arcs at random."""
+    slots = rng.sample(range(4 * n), 4 * n)
+    labels = [0] * (4 * n)
+    for arc in range(2 * n):
+        labels[slots[2 * arc]] = labels[slots[2 * arc + 1]] = arc + 1
+    return tuple(tuple(labels[4 * k : 4 * k + 4]) for k in range(n))
+
+
+def valid_signs(crossings):
+    """Every sign vector the validating constructor accepts for ``crossings``."""
+    found = []
+    for signs in product((-1, 1), repeat=len(crossings)):
+        try:
+            LinkDiagram(crossings, signs)
+        except DomainError:
+            continue
+        found.append(signs)
+    return found
+
+
+def test_orientation_matches_a_brute_force_search():
+    # a pairing parses exactly when some sign vector orients every arc from
+    # an exit to an entry; among those, the lowest crossing of each free
+    # component is positive, which is the lexicographic maximum
+    rng = random.Random(25)
+    accepted = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        crossings = random_pairing(rng, n)
+        text = ";".join("X[%d,%d,%d,%d]" % record for record in crossings)
+        expected = valid_signs(crossings)
+        try:
+            d = parse_pd(text)
+        except ParseError as err:
+            assert expected == [], text
+            match = INCONSISTENCY.fullmatch(str(err))
+            assert match is not None and 1 <= int(match[1]) <= n, (text, str(err))
+            continue
+        accepted += 1
+        assert d.crossings == crossings
+        assert d.signs == max(expected), text
+    assert 0 < accepted < 2000
 
 
 def test_ambiguous_over_component_defaults_positive():

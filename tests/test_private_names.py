@@ -52,3 +52,35 @@ def test_every_private_function_and_class_has_a_caller_in_the_library():
             if not count:
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def imported_names(tree, lines):
+    """The names a module's imports bind, apart from ``__future__`` features
+    and imports on lines marked ``# noqa``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        if not any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            yield from bound
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # there is no linter to catch an import left behind by a deletion; the
+    # package ``__init__`` imports in order to export
+    unread = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        names = reads(tree)[0]
+        unread += [
+            f"{path.stem}.{name}"
+            for name in imported_names(tree, text.splitlines())
+            if not names[name]
+        ]
+    assert unread == []
