@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from string import whitespace
 
 from .augment import augmentation_exists, eliminate_augmentation_ideal
 from .dga import DGA, _read_text, bundled_names, load_bundled, load_dga_text
@@ -68,7 +69,7 @@ def _load_algebra(spec: str) -> DGA:
 def _load_diagram_text(spec: str) -> str:
     text = _file_text(spec)
     if text is not None:
-        return text.strip()
+        return text.strip(whitespace)
     if spec in BUNDLED_DIAGRAMS:
         return BUNDLED_DIAGRAMS[spec]
     if "X[" in spec or "UNKNOT" in spec:
@@ -82,13 +83,13 @@ def _load_diagram_text(spec: str) -> str:
 def _parse_point(text: str) -> dict[str, Scalar]:
     point = {}
     for piece in text.split(","):
-        piece = piece.strip()
+        piece = piece.strip(whitespace)
         if not piece:
             continue
         if "=" not in piece:
             raise ParseError(f"expected NAME=VALUE in point assignment, got {piece!r}")
         name, _, raw = piece.partition("=")
-        name = name.strip()
+        name = name.strip(whitespace)
         if name in point:
             raise ParseError(f"coordinate {name!r} is given twice in point assignment")
         point[name] = parse_scalar(raw)
@@ -131,7 +132,7 @@ def _parse_array(text: str, flag: str, depth: int, shape: str) -> list:
 
 def _split_eigenvalues(text: str) -> list[Scalar]:
     # no scalar literal holds a comma
-    values = [parse_scalar(piece) for piece in text.split(",") if piece.strip()]
+    values = [parse_scalar(piece) for piece in text.split(",") if piece.strip(whitespace)]
     if not values:
         raise ParseError("--eigs: no eigenvalues given")
     return values
@@ -395,7 +396,7 @@ def _cmd_symtrace(args) -> int:
 
 def _cmd_mirror_branch(args) -> int:
     text = _file_text(args.poly)
-    text = args.poly if text is None else text.strip()
+    text = args.poly if text is None else text.strip(whitespace)
     curve = parse_polynomial(text, ("Q", "X", "P"))
     if args.Q is not None:
         curve = curve.substitute("Q", parse_scalar(args.Q))

@@ -233,25 +233,21 @@ class DGA:
         return self.differential[name]
 
     def apply_differential(self, element: AlgebraElement) -> AlgebraElement:
-        """Extend the differential to products by the graded Leibniz rule."""
+        """Extend the differential to products by the graded Leibniz rule,
+        collecting every term in one word -> coefficient dict."""
         if element.ring != self.torus_variables:
             raise RingMismatchError("element lives in the wrong ring")
-        out = AlgebraElement.zero(self.torus_variables)
+        acc = {}
         for word, poly in element.terms():
             sign = 1
             for i, gen_name in enumerate(word):
-                image = self.differential_of(gen_name)
-                if not image.is_zero():
-                    pieces = {}
-                    for w2, p2 in image.terms():
-                        new_word = word[:i] + w2 + word[i + 1 :]
-                        scaled = p2 * poly if sign > 0 else -(p2 * poly)
-                        prior = pieces.get(new_word)
-                        pieces[new_word] = scaled if prior is None else prior + scaled
-                    out = out + AlgebraElement(self.torus_variables, pieces)
+                for w2, p2 in self.differential_of(gen_name).terms():
+                    new_word = word[:i] + w2 + word[i + 1 :]
+                    scaled = p2 * poly if sign > 0 else -(p2 * poly)
+                    acc[new_word] = acc[new_word] + scaled if new_word in acc else scaled
                 if self.generator(gen_name).degree % 2:
                     sign = -sign
-        return out
+        return _make(self.torus_variables, acc)
 
     def check(self) -> DgaCheckReport:
         if self._report is not None:

@@ -12,7 +12,10 @@ Text grammar (``parse_polynomial`` and ``__str__``): terms are joined by
 ``parse_scalar`` literal in parentheses such as ``(2+3i)``) together with
 ``*``-separated variable powers ``X^k`` where ``k`` is optionally signed and
 ``X`` abbreviates ``X^1``.  Whitespace is ignored.  Example:
-``1 - X - P + Q*X*P``.
+``1 - X - P + Q*X*P``.  The grammar is ASCII: a digit is ``0-9`` and
+whitespace is ``string.whitespace``, so any other character is a
+``ParseError``.  ``parse_polynomial`` reads the text in one pass over its
+tokens, all of which are scanned before any grammar check.
 
 Values stay exact, but a coefficient is stored narrow: an ``int`` when it is
 integral, a ``Fraction`` when it is real, a ``Scalar`` only with a nonzero
@@ -473,121 +476,91 @@ def _dot(variables: tuple[str, ...], pairs: Iterable, scale=1) -> LaurentPolynom
 
 _TOKEN = _re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>" + _IDENTIFIER + r")"
-    r"|(?P<scalar>\([^()]*\))|(?P<op>[+\-*^()]))"
+    r"|(?P<scalar>\([^()]*\))|(?P<op>[+\-*^()])|(?P<bad>\S))",
+    _re.ASCII,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Every token of ``text``, read before any grammar check, so that a
+    character that starts no token is the error a text reports."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        if match.end() == pos:
-            break
+    while match := _TOKEN.match(text, pos):
         kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
+        where = match.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[where]!r} at position {where}")
+        tokens.append((kind, match[kind], where))
         pos = match.end()
     return tokens
 
 
-class _PolynomialParser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.text = text
-        self.variables = variables
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"unexpected end of polynomial {self.text!r}")
-        self.pos += 1
-        return token
-
-    def parse(self) -> LaurentPolynomial:
-        """All terms in one pass, collected into one dict and canonicalised once."""
-        if not self.tokens:
-            raise ParseError("empty polynomial text")
-        _check_variables(self.variables)
-        acc = {}
-        while (token := self.peek()) is not None:
-            if token[1] in "+-" and token[0] == "op":
-                self.take()
-                sign = -1 if token[1] == "-" else 1
-            elif self.pos:
-                raise ParseError(
-                    f"expected '+' or '-' at position {token[2]} in {self.text!r}"
-                )
-            else:
-                sign = 1
-            exps, coeff = self._term()
-            acc[exps] = acc.get(exps, 0) + (coeff if sign > 0 else -coeff)
-        return _make(self.variables, acc)
-
-    def _term(self) -> tuple[ExponentVector, object]:
+def parse_polynomial(text: str, variables: Iterable[str]) -> LaurentPolynomial:
+    """``text`` in the grammar of the module docstring, over ``variables``,
+    read in one pass over its tokens, which end in a sentinel: each term's
+    coefficient and powers go straight into one dict, canonicalised once."""
+    variables = tuple(variables)
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    _check_variables(variables)
+    tokens.append(("end", "", len(text)))
+    acc = {}
+    i = 0
+    while (token := tokens[i])[0] != "end":
+        negative = False
+        if token[0] == "op" and token[1] in "+-":
+            negative = token[1] == "-"
+            i += 1
+        elif i:
+            raise ParseError(f"expected '+' or '-' at position {token[2]} in {text!r}")
+        start = i
         coeff = 1
-        exps = [0] * len(self.variables)
-        saw_factor = False
-        while True:
-            token = self.peek()
-            if token is None:
-                break
-            kind, value, where = token
+        exps = [0] * len(variables)
+        while True:  # the term's factors, joined by '*'
+            kind, value, where = tokens[i]
             if kind == "number":
-                self.take()
                 coeff = coeff * _rational_literal(value)
             elif kind == "scalar":
-                self.take()
                 coeff = coeff * parse_scalar(value)
             elif kind == "name":
                 if value == "i":
                     raise ParseError(
                         f"imaginary coefficient at position {where} must be parenthesized"
                     )
-                if value not in self.variables:
+                if value not in variables:
                     raise ParseError(f"unknown variable {value!r} at position {where}")
-                self.take()
-                exps[self.variables.index(value)] += self._exponent()
+                power = 1
+                if tokens[i + 1][1] == "^":
+                    i += 2
+                    if tokens[i][1] in ("+", "-"):
+                        power = -1 if tokens[i][1] == "-" else 1
+                        i += 1
+                    kind, digits, where = tokens[i]
+                    if kind == "end":
+                        raise ParseError(f"unexpected end of polynomial {text!r}")
+                    if kind != "number" or "/" in digits:
+                        raise ParseError(f"expected an integer exponent at position {where}")
+                    try:
+                        power *= int(digits)
+                    except ValueError:  # past Python's int conversion limit
+                        raise ParseError(
+                            f"exponent at position {where} is too long to convert"
+                        ) from None
+                exps[variables.index(value)] += power
+            elif value == "(":
+                raise ParseError(f"unbalanced '(' at position {where} in {text!r}")
+            elif i > start:
+                break  # after a '*', an operator or the end closes the term
+            elif kind == "end":
+                raise ParseError(f"empty term in {text!r}")
             else:
-                if value == "(":
-                    raise ParseError(f"unbalanced '(' at position {where} in {self.text!r}")
-                if not saw_factor:
-                    raise ParseError(f"expected a term at position {where} in {self.text!r}")
+                raise ParseError(f"expected a term at position {where} in {text!r}")
+            i += 1
+            if tokens[i][1] != "*":
                 break
-            saw_factor = True
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-                self.take()
-                continue
-            break
-        if not saw_factor:
-            raise ParseError(f"empty term in {self.text!r}")
-        return tuple(exps), coeff
-
-    def _exponent(self) -> int:
-        token = self.peek()
-        if token is None or token[0] != "op" or token[1] != "^":
-            return 1
-        self.take()
-        sign = 1
-        token = self.take()
-        if token[0] == "op" and token[1] in "+-":
-            sign = -1 if token[1] == "-" else 1
-            token = self.take()
-        if token[0] != "number" or "/" in token[1]:
-            raise ParseError(f"expected an integer exponent at position {token[2]}")
-        try:
-            return sign * int(token[1])
-        except ValueError:  # past Python's int conversion limit
-            raise ParseError(f"exponent at position {token[2]} is too long to convert") from None
-
-
-def parse_polynomial(text: str, variables: Iterable[str]) -> LaurentPolynomial:
-    return _PolynomialParser(text, tuple(variables)).parse()
+            i += 1
+        exps = tuple(exps)
+        acc[exps] = acc.get(exps, 0) + (-coeff if negative else coeff)
+    return _make(variables, acc)

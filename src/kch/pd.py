@@ -2,7 +2,8 @@
 
 Input format: statements separated by ``;``, each either the literal
 ``UNKNOT`` (a crossing-free circle) or ``X[a,b,c,d]`` with positive integer
-arc labels listed counterclockwise starting from the incoming under-strand.
+arc labels listed counterclockwise starting from the incoming under-strand;
+labels are ASCII digits and whitespace is ``string.whitespace``.
 Slot 0 is therefore the under-strand arriving, slot 2 the under-strand
 leaving, and slots 1 and 3 carry the over-strand.  The over-strand direction
 is not written down; it is inferred by walking each strand.  Slot k of
@@ -30,13 +31,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from string import whitespace
 
 from .errors import DomainError, ParseError, check_count
 
 Crossing = tuple[int, int, int, int]
 
 _X_STATEMENT = re.compile(
-    r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]"
+    r"X\s*\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]", re.ASCII
 )
 
 
@@ -133,7 +135,7 @@ def _make(crossings: tuple[Crossing, ...], signs: tuple[int, ...], circles: int)
 
 def parse_pd(text: str) -> LinkDiagram:
     """Parse the PD format, inferring orientations and crossing signs."""
-    statements = [piece.strip() for piece in text.split(";")]
+    statements = [piece.strip(whitespace) for piece in text.split(";")]
     statements = [piece for piece in statements if piece]
     if not statements:
         raise ParseError("empty diagram text")

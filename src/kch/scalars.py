@@ -13,6 +13,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from string import whitespace
 
 from .errors import ParseError
 
@@ -146,7 +147,7 @@ ZERO = Scalar()
 ONE = Scalar(_ONE)
 I = Scalar(_ZERO, _ONE)
 
-_SCALAR_TERM = _re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(i)?|(i))\s*")
+_SCALAR_TERM = _re.compile(r"\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*(i)?|(i))\s*", _re.ASCII)
 
 
 def _rational_literal(digits: str) -> int | Fraction:
@@ -165,10 +166,11 @@ def parse_scalar(text: str) -> Scalar:
     """Parse ``3``, ``-1/2``, ``2+3i``, ``3i``, ``i`` (optionally parenthesized).
 
     The toolkit's one literal grammar: at most a real and an imaginary part,
-    each ``n`` or ``n/d``; no decimals and no exponent notation.  The
-    polynomial parser reads each parenthesized coefficient here, and the CLI
-    each point coordinate, eigenvalue and form entry."""
-    s = text.strip()
+    each ``n`` or ``n/d`` in ASCII digits, with ASCII whitespace only; no
+    decimals and no exponent notation.  The polynomial parser reads each
+    parenthesized coefficient here, and the CLI each point coordinate,
+    eigenvalue and form entry."""
+    s = text.strip(whitespace)
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     pos = 0

@@ -499,6 +499,13 @@ VALID_STDOUT = {
         pytest.param(("homfly", "--pd", "{undecodable}"), 2, id="pd-undecodable"),
         pytest.param(("mirror", "branch", "--order", "2", "--poly", "{undecodable}"), 2, id="poly-undecodable"),
         pytest.param(("dga", "check", "{undecodable}"), 2, id="dga-undecodable"),
+        # the grammars are ASCII: no other digit or space
+        pytest.param(("symtrace", "--eigs", "1,\u3000", "--order", "2"), 2, id="eigs-ideographic-space"),
+        pytest.param(("homfly", "--pd", "X[\u0661,\u0662,\u0662,\u0661]"), 2, id="pd-arabic-digits"),
+        pytest.param(
+            ("mirror", "branch", "--order", "2", "--poly", "1 - X - P + Q*X*P\u3000"), 2,
+            id="poly-ideographic-space",
+        ),
         pytest.param(("homfly", "--pd", ";".join(["UNKNOT"] * 40)), 0, id="pd-long-inline"),
         pytest.param(("wilson", "--pd", "right_trefoil", *RANK_PAST_FLOAT), 0, id="wilson-huge-rank"),
     ],

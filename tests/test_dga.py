@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -109,6 +110,41 @@ def test_even_degree_leibniz_no_sign():
     image = algebra.apply_differential(b * c)
     # |b| even: d(b*c) = d(b)*c + b*d(c) = b*b
     assert image == b * b
+
+
+def test_differential_is_linear_and_graded_leibniz():
+    # d(u*v) = d(u)*v + (-1)^|u| u*d(v) on words, and d is additive over
+    # sums whose images overlap and cancel
+    doc = {
+        "name": "mixed",
+        "torus_variables": ["X", "P"],
+        "generators": [
+            {"name": "x", "degree": 0},
+            {"name": "a", "degree": 1},
+            {"name": "b", "degree": 2},
+            {"name": "c", "degree": 3},
+        ],
+        "differential": {
+            "a": [{"coefficient": "1 - X", "word": ["x", "x"]}, {"coefficient": "P", "word": []}],
+            "b": [{"coefficient": "X^-1", "word": ["a"]}, {"coefficient": "-2", "word": ["x", "a"]}],
+            "c": [{"coefficient": "P", "word": ["b"]}, {"coefficient": "1", "word": ["a", "a"]}],
+        },
+    }
+    algebra = make(doc)
+    ring = algebra.torus_variables
+    rng = random.Random(7)
+    names = [g.name for g in algebra.generators]
+    d = algebra.apply_differential
+    for _ in range(60):
+        u = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        v = tuple(rng.choice(names) for _ in range(rng.randint(0, 3)))
+        wu, wv = word_element(algebra, *u), word_element(algebra, *v)
+        sign = -1 if algebra.word_degree(u) % 2 else 1
+        coeff = LaurentPolynomial.constant(ring, sign)
+        assert d(wu * wv) == d(wu) * wv + (wu * d(wv)).scale(coeff)
+        p = parse_polynomial(rng.choice(["1", "X - P", "(1/2)*X^-1", "2 + P^2"]), ring)
+        total = AlgebraElement(ring, [(u, p), (v, -p)])
+        assert d(total) == d(wu).scale(p) - d(wv).scale(p)
 
 
 def test_degree_violation_reported():

@@ -78,6 +78,93 @@ def test_parse_rejects(text):
         lp(text)
 
 
+HUGE = "7" * 5000  # past Python's int conversion limit
+
+# every message of the grammar, for the texts that first reach it; the
+# whole text is tokenized before any grammar check, so a bad character
+# anywhere wins over a grammar error earlier in the text
+PARSE_MESSAGES = [
+    ("", "empty polynomial text"),
+    ("  \t", "empty polynomial text"),
+    ("X$", "unexpected character '$' at position 1"),
+    ("Q$X", "unexpected character '$' at position 1"),
+    ("Y$", "unexpected character '$' at position 1"),
+    ("X^", "unexpected end of polynomial 'X^'"),
+    ("X^-", "unexpected end of polynomial 'X^-'"),
+    ("X^+", "unexpected end of polynomial 'X^+'"),
+    ("X X", "expected '+' or '-' at position 2 in 'X X'"),
+    ("2 3", "expected '+' or '-' at position 2 in '2 3'"),
+    ("2i", "expected '+' or '-' at position 1 in '2i'"),
+    ("X)", "expected '+' or '-' at position 1 in 'X)'"),
+    ("X*)", "expected '+' or '-' at position 2 in 'X*)'"),
+    ("X^2^3", "expected '+' or '-' at position 3 in 'X^2^3'"),
+    ("i", "imaginary coefficient at position 0 must be parenthesized"),
+    ("2*i", "imaginary coefficient at position 2 must be parenthesized"),
+    ("Y", "unknown variable 'Y' at position 0"),
+    ("X*+Y", "unknown variable 'Y' at position 3"),
+    ("X*(1", "unbalanced '(' at position 2 in 'X*(1'"),
+    ("(2+3i", "unbalanced '(' at position 0 in '(2+3i'"),
+    ("((1))", "unbalanced '(' at position 0 in '((1))'"),
+    ("1 + * X", "expected a term at position 4 in '1 + * X'"),
+    ("^2", "expected a term at position 0 in '^2'"),
+    ("- -X", "expected a term at position 2 in '- -X'"),
+    ("+", "empty term in '+'"),
+    ("X +", "empty term in 'X +'"),
+    ("X^1/2", "expected an integer exponent at position 2"),
+    ("X^2/0", "expected an integer exponent at position 2"),
+    ("X^P", "expected an integer exponent at position 2"),
+    ("X^(2)", "expected an integer exponent at position 2"),
+    ("X^" + HUGE, "exponent at position 2 is too long to convert"),
+    ("3/0", "zero denominator in '3/0'"),
+    (HUGE, "number of 5000 characters is too long to convert"),
+    # a parenthesized coefficient reports parse_scalar's message
+    ("(1.5)", "invalid scalar literal '(1.5)'"),
+    ("(1+2+3i)*X", "invalid scalar literal '(1+2+3i)': too many parts"),
+    ("(1 2)", "invalid scalar literal '(1 2)': missing sign"),
+    ("()", "invalid scalar literal '()': empty"),
+    ("(3/0)", "zero denominator in '3/0'"),
+    # whitespace before a bad character is skipped, not blamed
+    ("X .", "unexpected character '.' at position 2"),
+    ("X + 1 / 2", "unexpected character '/' at position 6"),
+    ("X\t#", "unexpected character '#' at position 2"),
+    # the grammar is ASCII: no other digit or space, wherever it stands
+    ("X\u3000+\u30001", "unexpected character '\\u3000' at position 1"),
+    ("\u3000X", "unexpected character '\\u3000' at position 0"),
+    ("X\u3000", "unexpected character '\\u3000' at position 1"),
+    ("X\x1c", "unexpected character '\\x1c' at position 1"),
+    ("\u0663", "unexpected character '\u0663' at position 0"),
+    ("X^\u0663", "unexpected character '\u0663' at position 2"),
+    ("(\u0663)", "invalid scalar literal '(\u0663)'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", PARSE_MESSAGES, ids=[repr(text[:12]) for text, _ in PARSE_MESSAGES]
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        lp(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, same_as",
+    # a dangling '*' ends its term, and an exponent takes a sign after '^'
+    [("X*", "X"), ("X*+P", "X + P"), ("X*-P", "X - P"), ("X^ -2", "X^-2"), ("X^+3", "X^3")],
+)
+def test_parse_quirks(text, same_as):
+    assert lp(text) == lp(same_as)
+
+
+def test_parse_checks_the_ring_after_the_characters():
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_polynomial("X$", ("i",))
+    with pytest.raises(ParseError, match="empty polynomial text"):
+        parse_polynomial("", ("i",))
+    with pytest.raises(DomainError, match="invalid variable name"):
+        parse_polynomial("X X", ("i",))
+
+
 def test_parse_str_round_trip_random():
     rng = random.Random(23)
     for _ in range(150):

@@ -98,6 +98,12 @@ def test_three_component_example():
         "X[1,1,1,1]",
         "garbage",
         "X[1,4,2,3];X[4,1,3,2];X[1,4,2,3]",  # arcs appear three times
+        # the grammar is ASCII: no Arabic-Indic digit or ideographic space
+        "X[\u0661,\u0664,\u0662,\u0665];X[\u0665,\u0663,\u0666,\u0662];X[\u0663,\u0661,\u0664,\u0666]",
+        "X[1,4,2,3];X[4,1,3,\u0662]",
+        "\u3000X[1,4,2,3];X[4,1,3,2]",
+        "X[1,4,2,3];X[4,1,3,2]\u3000",
+        "X[1,\u30004,2,3];X[4,1,3,2]",
     ],
 )
 def test_parse_rejects(text):

@@ -84,6 +84,7 @@ def test_str_forms():
         ("-i", -I),
         ("(2+3i)", Scalar(2, 3)),
         (" 7/3 ", Scalar(Fraction(7, 3))),
+        ("\t\n\r\x0b\x0c7/3\n", Scalar(Fraction(7, 3))),
         ("3i", Scalar(0, 3)),
         ("1/2i", Scalar(0, Fraction(1, 2))),
     ],
@@ -92,7 +93,14 @@ def test_parse_scalar(text, expected):
     assert parse_scalar(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1+", "1 2", "2++3i", "1+2i+3", "3/0"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "x", "1+", "1 2", "2++3i", "1+2i+3", "3/0",
+        # the grammar is ASCII: no Arabic-Indic digit or ideographic space
+        "\u0663/\u0664", "1/\u0664", "2+\u0663i", "\u30001", "1\u3000", "(1)\u3000",
+    ],
+)
 def test_parse_scalar_rejects(text):
     with pytest.raises(ParseError):
         parse_scalar(text)
