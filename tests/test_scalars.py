@@ -84,9 +84,9 @@ def test_str_forms():
         ("-i", -I),
         ("(2+3i)", Scalar(2, 3)),
         (" 7/3 ", Scalar(Fraction(7, 3))),
-        ("\t\n\r\x0b\x0c7/3\n", Scalar(Fraction(7, 3))),
         ("3i", Scalar(0, 3)),
         ("1/2i", Scalar(0, Fraction(1, 2))),
+        ("\t\n\r\x0b\x0c7/3\n", Scalar(Fraction(7, 3))),
     ],
 )
 def test_parse_scalar(text, expected):
