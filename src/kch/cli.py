@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from string import whitespace
@@ -30,7 +31,7 @@ from .feynman import (
     stein_oracle_series,
 )
 from .homfly import BUNDLED_DIAGRAMS, DEFAULT_MAX_CROSSINGS, homfly
-from .laurent import parse_polynomial
+from .laurent import _NAME, parse_polynomial
 from .mirror import (
     branch_series,
     p_series,
@@ -90,12 +91,26 @@ def _parse_point(text: str) -> dict[str, Scalar]:
             raise ParseError(f"expected NAME=VALUE in point assignment, got {piece!r}")
         name, _, raw = piece.partition("=")
         name = name.strip(whitespace)
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"invalid coordinate name {name!r} in point assignment")
         if name in point:
             raise ParseError(f"coordinate {name!r} is given twice in point assignment")
         point[name] = parse_scalar(raw)
     if not point:
         raise ParseError("empty point assignment")
     return point
+
+
+def _integer(text: str) -> int:
+    """An integer option: a sign and ASCII digits, between ASCII whitespace
+    (``int`` alone reads any Unicode digit, space or underscore)."""
+    text = text.strip(whitespace)
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past Python's int conversion limit
+        raise argparse.ArgumentTypeError(f"integer of {len(text)} digits is too long") from None
 
 
 def _rational_entry(value, where: str) -> Fraction:
@@ -330,7 +345,7 @@ def _cmd_feynman_ribbon(args) -> int:
 def _skein_work(run):
     """``run()`` and the skein work it did: each ``SKEIN_COUNTERS`` delta."""
     counters = sys.modules["kch.homfly"].SKEIN_COUNTERS  # the module, not the function
-    keys = ("nodes", "memo_hits", "smoothings", "switches")
+    keys = ("crossings_removed", "nodes", "memo_hits", "smoothings", "switches")
     before = [counters[key] for key in keys]
     value = run()
     return value, {key: counters[key] - b for key, b in zip(keys, before)}
@@ -472,19 +487,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_feyn = subparsers.add_parser("feynman", help="perturbative graph expansions")
     feyn_sub = p_feyn.add_subparsers(dest="subcommand", required=True)
     p_scalar = feyn_sub.add_parser("scalar", help="scalar model vs moment oracle")
-    p_scalar.add_argument("--n", type=int, required=True, help="dimension")
+    p_scalar.add_argument("--n", type=_integer, required=True, help="dimension")
     p_scalar.add_argument("--q", required=True, help="quadratic form, JSON matrix")
     p_scalar.add_argument("--c", required=True, help="cubic form, JSON rank-3 array")
-    p_scalar.add_argument("--order", type=int, required=True)
+    p_scalar.add_argument("--order", type=_integer, required=True)
     p_scalar.add_argument("--json", action="store_true")
     p_scalar.set_defaults(handler=_cmd_feynman_scalar)
     p_matrix = feyn_sub.add_parser("matrix", help="Hermitian one-matrix model")
-    p_matrix.add_argument("--N", type=int, required=True, help="matrix size")
-    p_matrix.add_argument("--order", type=int, required=True)
+    p_matrix.add_argument("--N", type=_integer, required=True, help="matrix size")
+    p_matrix.add_argument("--order", type=_integer, required=True)
     p_matrix.add_argument("--json", action="store_true")
     p_matrix.set_defaults(handler=_cmd_feynman_matrix)
     p_ribbon = feyn_sub.add_parser("ribbon", help="ribbon graph (g,h) census")
-    p_ribbon.add_argument("--order", type=int, required=True)
+    p_ribbon.add_argument("--order", type=_integer, required=True)
     p_ribbon.add_argument("--json", action="store_true")
     p_ribbon.set_defaults(handler=_cmd_feynman_ribbon)
 
@@ -492,9 +507,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_homfly.add_argument(
         "--pd", required=True, help="PD file, bundled diagram name, or inline text"
     )
-    p_homfly.add_argument("--resolution", type=int, default=0)
+    p_homfly.add_argument("--resolution", type=_integer, default=0)
     p_homfly.add_argument(
-        "--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS
+        "--max-crossings", type=_integer, default=DEFAULT_MAX_CROSSINGS
     )
     p_homfly.add_argument("--json", action="store_true")
     p_homfly.set_defaults(handler=_cmd_homfly)
@@ -503,8 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_wilson.add_argument(
         "--pd", required=True, help="PD file, bundled diagram name, or inline text"
     )
-    p_wilson.add_argument("--N", type=int, required=True)
-    p_wilson.add_argument("--k", type=int, required=True)
+    p_wilson.add_argument("--N", type=_integer, required=True)
+    p_wilson.add_argument("--k", type=_integer, required=True)
     p_wilson.add_argument("--json", action="store_true")
     p_wilson.set_defaults(handler=_cmd_wilson)
     for p_skein in (p_homfly, p_wilson):
@@ -514,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sym.add_argument(
         "--eigs", required=True, help="comma-separated eigenvalues, e.g. 1,1/2,(2+3i)"
     )
-    p_sym.add_argument("--order", type=int, required=True)
+    p_sym.add_argument("--order", type=_integer, required=True)
     p_sym.add_argument("--json", action="store_true")
     p_sym.set_defaults(handler=_cmd_symtrace)
 
@@ -524,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_branch.add_argument(
         "--poly", required=True, help="curve polynomial in Q, X, P: file or inline"
     )
-    p_branch.add_argument("--order", type=int, required=True)
+    p_branch.add_argument("--order", type=_integer, required=True)
     p_branch.add_argument("--Q", default=None, help="numeric Q value (default symbolic)")
     p_branch.add_argument("--base", default="1", help="base value P(0), default 1")
     p_branch.add_argument("--json", action="store_true")

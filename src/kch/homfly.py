@@ -6,27 +6,31 @@ Convention: a * P(+) - a^{-1} * P(-) = z * P(0) with P(unknot) = 1, so
     P(-) = a^2 P(+) - a z P(0).
 
 The recursion runs on raw parts (crossings, signs, circles) and builds no
-``LinkDiagram`` past the one it is given.  Each diagram's memo key numbers
-its arcs component by component from each least arc, whatever the
-``resolution``.  Its wrong crossings (first passage under) are read along a
-descending walk chosen per diagram to leave few of them: each component
-from its best base point, the search starting ``resolution`` arcs past its
-least arc, components topmost first (``_descending_walk``); any walk gives
-the same result.  Switching one leaves the strand cycles and every
-other first passage untouched, so they are resolved along one chain in
-walking order: each adds its smoothing times the rule's monomial times
-a^shift, shift steps by -2 (positive) or +2 (negative), and all but the last
-(nothing reads it) are switched in place on the chain's own lists.  The
-chain ends descending, an unlink worth a^shift * delta^(components-1),
-delta = (a - a^{-1}) z^{-1}.  Strands come from ``kch.pd._strands`` and edits
-from its kernels ``_smoothed`` and ``_switch``, the rules of its public edits.
+``LinkDiagram`` past the one it is given.  Before it starts, the kinks and
+cancelling bigons of a planar diagram are taken out once, by Reidemeister I
+and II moves (``kch.pd._reduced``); the crossing cap reads the diagram as
+given.  Each diagram's memo key numbers its arcs component by component
+from each least arc, whatever the ``resolution``.  Its wrong crossings
+(first passage under) are read along a descending walk chosen per diagram
+to leave few of them: each component from its best base point, the search
+starting ``resolution`` arcs past its least arc, components topmost first
+(``_descending_walk``); any walk gives the same result.  Switching one
+leaves the strand cycles and every other first passage untouched, so they
+are resolved along one chain in walking order: each adds its smoothing
+times the rule's monomial times a^shift, shift steps by -2 (positive) or +2
+(negative), and all but the last (nothing reads it) are switched in place on
+the chain's own lists.  The chain ends descending, an unlink worth
+a^shift * delta^(components-1), delta = (a - a^{-1}) z^{-1}.  Strands come
+from ``kch.pd._strands`` and edits from its kernels ``_smoothed`` and
+``_switch``, the rules of its public edits.
 
 Coefficients are integers: a polynomial is a dict {(e_a, e_z): int} until it
 becomes a ``LaurentPolynomial``.  A skein step, capped by ``KCH_MAX_STEPS``,
 is one diagram recursed on or one wrong crossing followed.  The result is
 kept on the diagram per resolution (the crossing cap is checked on every
 call); distinct diagram objects share nothing.  ``SKEIN_COUNTERS`` sums the
-work of every call, added once per call from locals.
+work of every call, added once per call from locals, the crossings the moves
+removed included.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from types import MappingProxyType
 
 from .errors import DomainError, ResourceLimitError, check_count, max_steps_limit
 from .laurent import LaurentPolynomial, _make
-from .pd import LinkDiagram, _cycles, _smoothed, _strands, _switch
+from .pd import LinkDiagram, _cycles, _reduced, _smoothed, _strands, _switch
 # unused: perfbench's tracer wraps and restores these two names in this module
 from .pd import smooth_crossing, switch_crossing  # noqa: F401
 
@@ -62,8 +66,9 @@ BUNDLED_DIAGRAMS: dict[str, str] = {
 }
 
 
-# skein work summed over all ``homfly`` calls: "nodes" (diagrams walked),
-# "memo_hits" among them, "smoothings" and "switches"
+# skein work summed over all ``homfly`` calls: "crossings_removed" by the
+# moves made first, "nodes" (diagrams walked), "memo_hits" among them,
+# "smoothings" and "switches"
 SKEIN_COUNTERS: Counter = Counter()
 
 
@@ -146,6 +151,7 @@ def homfly(
     known = diagram._homfly.get(resolution)
     if known is not None:
         return known
+    root = _reduced(diagram.crossings, diagram.signs, diagram.circles)
     budget = max_steps_limit(DEFAULT_SKEIN_STEPS)
     memo: dict = {}
     steps = nodes = hits = smoothings = switches = 0
@@ -156,7 +162,8 @@ def homfly(
         if steps > budget:
             raise ResourceLimitError(
                 f"skein recursion reached {steps} steps on a diagram of "
-                f"{diagram.crossing_count} crossings; limit is {budget} "
+                f"{diagram.crossing_count} crossings ({len(root[0])} after Reidemeister "
+                f"I/II moves); limit is {budget} "
                 "(set KCH_MAX_STEPS to raise)"
             )
 
@@ -208,10 +215,14 @@ def homfly(
         return value
 
     try:
-        value = compute(diagram.crossings, diagram.signs, diagram.circles)
+        value = compute(*root)
     finally:
         SKEIN_COUNTERS.update(
-            nodes=nodes, memo_hits=hits, smoothings=smoothings, switches=switches
+            crossings_removed=diagram.crossing_count - len(root[0]),
+            nodes=nodes,
+            memo_hits=hits,
+            smoothings=smoothings,
+            switches=switches,
         )
     result = diagram._homfly[resolution] = _make(HOMFLY_VARIABLES, value)
     return result

@@ -22,7 +22,13 @@ build their result through ``_make``, because an edit of a valid diagram is
 valid by construction.  Each edit rule lives in one private kernel on raw
 parts, ``_switch`` (in place on lists) and ``_smoothed`` (crossings, signs,
 circles), which the skein recursion of ``kch.homfly`` calls as well, and the
-slot rule of the strands lives in ``_strands``, which it reads too.  Each
+slot rule of the strands lives in ``_strands``, which it reads too.  A third
+kernel, ``_reduced``, takes out kinks and cancelling bigons (Reidemeister I
+and II moves) until none is left; ``kch.homfly`` runs it once per call, on
+the parts of the diagram it is given.  It moves nothing on a code that is
+not planar (``_planar`` counts faces): ``parse_pd`` accepts such codes, and
+on some of them the moves would change what the recursion computes.
+``_smoothed`` and ``_reduced`` join arcs by one rule, ``_joined``.  Each
 diagram carries a private slot in which ``kch.homfly`` keeps the polynomials
 it has finished for it.
 """
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from string import whitespace
 
 from .errors import DomainError, ParseError, check_count
@@ -156,15 +163,20 @@ def parse_pd(text: str) -> LinkDiagram:
             raise ParseError(f"statement {idx}: arc labels must be positive")
         crossings.append(labels)
 
-    ends: dict[int, list[int]] = {}  # arc -> the positions 4k + slot of its two ends
-    for k, record in enumerate(crossings):
-        for slot, label in enumerate(record):
-            ends.setdefault(label, []).append(4 * k + slot)
+    ends = _ends(crossings)
     for label, found in sorted(ends.items()):
         if len(found) != 2:
             raise ParseError(f"arc {label} appears {len(found)} times; every arc appears exactly twice")
 
     return LinkDiagram(tuple(crossings), _infer_signs(crossings, ends), circles)
+
+
+def _ends(crossings) -> dict[int, list[int]]:
+    """Arc -> the positions 4i + k of its ends, in the order they are listed."""
+    ends: dict[int, list[int]] = {}
+    for position, label in enumerate(chain.from_iterable(crossings)):
+        ends.setdefault(label, []).append(position)
+    return ends
 
 
 def _infer_signs(crossings: list[Crossing], ends: dict[int, list[int]]) -> tuple[int, ...]:
@@ -229,13 +241,20 @@ def _smoothed(crossings, signs, circles: int, index: int):
 
     Entering and leaving arcs are joined respecting orientation (positive:
     slot 0 to slot 1 and slot 3 to slot 2; negative: slot 0 to slot 3 and
-    slot 1 to slot 2).  Each join renames the higher of its two labels to the
-    lower, after the earlier join's rename; a join whose two ends already
-    carry one label closes a free circle.  The at most two renames are then
-    applied to the other crossings that carry a renamed label.
+    slot 1 to slot 2) by ``_joined``.
     """
     a, b, c, d = crossings[index]
     joins = ((a, b), (d, c)) if signs[index] > 0 else ((a, d), (b, c))
+    kept, circles = _joined((*crossings[:index], *crossings[index + 1 :]), joins, circles)
+    return kept, (*signs[:index], *signs[index + 1 :]), circles
+
+
+def _joined(records, joins, circles: int):
+    """``records`` (as a tuple) after a run of joins of arc pairs, and the
+    circle count after it.  Each join renames the higher of its two labels to
+    the lower, after the earlier joins' renames; a join whose two ends already
+    carry one label closes a free circle.  The renames are then applied to
+    the records that carry a renamed label."""
     rename: dict[int, int] = {}
     for x, y in joins:
         x, y = rename.get(x, x), rename.get(y, y)
@@ -247,9 +266,81 @@ def _smoothed(crossings, signs, circles: int, index: int):
             if target == high:
                 rename[label] = low
         rename[high] = low
-    renamed, get = rename.keys(), rename.get
+    untouched, get = rename.keys().isdisjoint, rename.get
     kept = [
-        record if renamed.isdisjoint(record) else tuple(map(get, record, record))
-        for record in (*crossings[:index], *crossings[index + 1 :])
+        record if untouched(record) else tuple(map(get, record, record)) for record in records
     ]
-    return tuple(kept), (*signs[:index], *signs[index + 1 :]), circles
+    return tuple(kept), circles
+
+
+def _reduced(crossings, signs, circles: int):
+    """Parts with every kink and cancelling bigon taken out, by Reidemeister I
+    and II moves repeated until none applies (``_move``); the parts as given
+    when the code is not planar (``_planar``), on which the moves can change
+    what the skein recursion computes."""
+    if not _planar(crossings):
+        return crossings, signs, circles
+    while move := _move(crossings, signs):
+        dead, joins = move
+        crossings, circles = _joined(
+            [record for k, record in enumerate(crossings) if k not in dead], joins, circles
+        )
+        signs = tuple([sign for k, sign in enumerate(signs) if k not in dead])
+    return crossings, signs, circles
+
+
+def _move(crossings, signs):
+    """The first Reidemeister I or II move found: (the crossings it deletes,
+    the arc pairs it joins), or None.
+
+    R1: a record holding one label in two cyclically adjacent slots; its
+    other two arcs are joined.  R2: an arc x between over slots (1 or 3) of
+    two crossings of opposite sign, and an arc y between their under slots
+    (0 or 2); the outer under arcs are joined, then the outer over arcs.
+    Every label has two ends, so no outer arc is x or y.
+    """
+    for k, record in enumerate(crossings):
+        for slot in range(4):
+            if record[slot] == record[slot - 1]:
+                return (k,), ((record[slot - 2], record[slot - 3]),)
+    for p, q in _ends(crossings).values():
+        if p & q & 1 and signs[p >> 2] != signs[q >> 2]:
+            first, second = crossings[p >> 2], crossings[q >> 2]
+            for slot in (0, 2):
+                y = first[slot]
+                if y == second[0] or y == second[2]:
+                    under = first[slot ^ 2], second[second.index(y) ^ 2]
+                    over = first[p & 3 ^ 2], second[q & 3 ^ 2]
+                    return (p >> 2, q >> 2), (under, over)
+    return None
+
+
+def _planar(crossings) -> bool:
+    """Whether the code draws on the sphere: each connected part of n
+    crossings has n + 2 faces.  A face is an orbit of the positions 4i + k
+    under "cross the arc to its other end, then turn to the next slot"."""
+    n = len(crossings)
+    other = [0] * (4 * n)
+    part = list(range(n))  # union-find over crossings: a root per connected part
+
+    def root(k: int) -> int:
+        while part[k] != k:
+            part[k] = part[part[k]]
+            k = part[k]
+        return k
+
+    for p, q in _ends(crossings).values():
+        other[p], other[q] = q, p
+        part[root(p >> 2)] = root(q >> 2)
+    faces = 0
+    seen = [False] * (4 * n)
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        faces += 1
+        position = start
+        while not seen[position]:
+            seen[position] = True
+            far = other[position]
+            position = far & ~3 | (far + 1) & 3
+    return faces == n + 2 * sum(part[k] == k for k in range(n))

@@ -88,6 +88,16 @@ def test_aug_exists_bad_point(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "name", ["X\u3000", "", "1X", "i"], ids=["ideographic-space", "empty", "digit-first", "i"]
+)
+def test_point_names_follow_the_name_rule(capsys, name):
+    # a malformed name is a parse error, not a missing torus variable
+    code, _, err = run(capsys, "aug", "exists", "unknot", "--at", f"Q=1,{name}=2,P=1")
+    assert code == 2
+    assert err == f"error: invalid coordinate name {name!r} in point assignment\n"
+
+
 def test_feynman_scalar_table(capsys):
     code, out, _ = run(
         capsys,
@@ -319,8 +329,9 @@ def test_wilson(capsys):
 
 
 def test_stats_add_the_skein_work_of_the_call(capsys):
-    # the trefoil's skein recursion: the root and its 2 smoothings, no switch
-    skein = {"nodes": 3, "memo_hits": 0, "smoothings": 2, "switches": 0}
+    # the trefoil's skein recursion: no move applies, then the root and its 2
+    # smoothings, no switch
+    skein = {"crossings_removed": 0, "nodes": 3, "memo_hits": 0, "smoothings": 2, "switches": 0}
     homfly_payload = {
         "homfly": "-a^-4 + 2*a^-2 + a^-2*z^2",
         "crossings": 3,
@@ -342,9 +353,35 @@ def test_stats_add_the_skein_work_of_the_call(capsys):
         assert run(capsys, *argv, "--stats")[1] == run(capsys, *argv)[1]
 
 
+def test_stats_count_the_crossings_the_moves_removed(capsys):
+    code, out, _ = run(capsys, "homfly", "--pd", "kinked_right_trefoil", "--json", "--stats")
+    assert code == 0
+    assert json.loads(out)["skein"] == {
+        "crossings_removed": 1, "nodes": 3, "memo_hits": 0, "smoothings": 2, "switches": 0
+    }
+
+
 def test_wilson_domain_error(capsys):
     code, _, err = run(capsys, "wilson", "--pd", "unknot", "--N", "2", "--k", "-2")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "order",
+    ["\u0663", "\uff12", "1_0", "3.0", "", "4" * 5000],
+    ids=["arabic-indic-3", "fullwidth-2", "underscore", "point", "empty", "too-long"],
+)
+def test_integer_options_are_ascii(capsys, order):
+    code, out, err = run(capsys, "symtrace", "--eigs", "1,1/2", "--order", order)
+    assert (code, out) == (2, "")
+    assert "error: argument --order: " in err
+
+
+def test_integer_options_take_a_sign_and_ascii_space(capsys):
+    assert run(capsys, "symtrace", "--eigs", "1,1/2", "--order", " +4\n") == run(
+        capsys, "symtrace", "--eigs", "1,1/2", "--order", "4"
+    )
+    assert run(capsys, "wilson", "--pd", "unknot", "--N", "2", "--k", "-7")[0] == 0
 
 
 def test_symtrace(capsys):

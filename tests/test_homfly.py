@@ -5,11 +5,20 @@ from itertools import chain
 
 import pytest
 
-from kch.errors import DomainError, ResourceLimitError
+from kch.errors import DomainError, ParseError, ResourceLimitError
 from kch.homfly import BUNDLED_DIAGRAMS, DEFAULT_MAX_CROSSINGS, delta, homfly
 from kch.laurent import LaurentPolynomial, parse_polynomial
-from kch.pd import LinkDiagram, parse_pd, smooth_crossing, switch_crossing
+from kch.pd import (
+    LinkDiagram,
+    _move,
+    _planar,
+    _reduced,
+    parse_pd,
+    smooth_crossing,
+    switch_crossing,
+)
 from kch.scalars import Scalar
+from test_pd import random_pairing
 
 VARS = ("a", "z")
 
@@ -121,24 +130,28 @@ def test_skein_budget_bounds_the_same_work(monkeypatch, skein_counters):
     reference = homfly(parse_pd(BRAID_CLOSURES[3]))
     # a step per diagram recursed on (the root and each smoothing) and per
     # wrong crossing followed, switched or not (the last of a chain is not):
-    # 54 + 53 along descending walks chosen per diagram, against 283 + 282 =
-    # 565 when every diagram was walked from its least arcs in least-arc order
+    # 23 + 22 once the moves have taken out one bigon, against 54 + 53 on all
+    # 12 crossings, and 283 + 282 = 565 when every diagram was walked from its
+    # least arcs in least-arc order
     assert skein_counters["nodes"] == 1 + skein_counters["smoothings"]
     needed = skein_counters["nodes"] + skein_counters["smoothings"]
-    assert needed == 107
+    assert needed == 45
     monkeypatch.setenv("KCH_MAX_STEPS", str(needed))
     assert homfly(parse_pd(BRAID_CLOSURES[3])) == reference
     monkeypatch.setenv("KCH_MAX_STEPS", str(needed - 1))
-    message = "reached 107 steps on a diagram of 12 crossings; limit is 106 .*KCH_MAX_STEPS"
+    message = (
+        r"reached 45 steps on a diagram of 12 crossings \(10 after Reidemeister I/II "
+        r"moves\); limit is 44 .*KCH_MAX_STEPS"
+    )
     with pytest.raises(ResourceLimitError, match=message):
         homfly(parse_pd(BRAID_CLOSURES[3]))
 
 
 # smoothings one homfly call makes on each BRAID_CLOSURES diagram, and
 # switches: one per wrong crossing but the last of each chain, whose result
-# nothing reads; the first is descending as drawn
-BRAID_CLOSURE_SMOOTHINGS = [0, 11, 10, 53]
-BRAID_CLOSURE_SWITCHES = [0, 6, 3, 26]
+# nothing reads; the moves leave the first an unknot with no crossing
+BRAID_CLOSURE_SMOOTHINGS = [0, 9, 11, 22]
+BRAID_CLOSURE_SWITCHES = [0, 3, 4, 9]
 
 
 def test_every_skein_edit_goes_through_the_pd_names(skein_counters, skein_edits):
@@ -165,12 +178,13 @@ def test_homfly_leaves_the_shared_unlink_values_unchanged():
 
 
 def test_skein_counters_keep_the_work_a_stopped_recursion_did(monkeypatch, skein_counters):
-    monkeypatch.setenv("KCH_MAX_STEPS", "106")
-    with pytest.raises(ResourceLimitError, match="reached 107 steps"):
+    monkeypatch.setenv("KCH_MAX_STEPS", "44")
+    with pytest.raises(ResourceLimitError, match="reached 45 steps"):
         homfly(parse_pd(BRAID_CLOSURES[3]))
     # the step that stops it is the last wrong crossing of the root's chain
-    assert (skein_counters["nodes"], skein_counters["smoothings"]) == (54, 53)
-    assert (skein_counters["memo_hits"], skein_counters["switches"]) == (10, 26)
+    assert (skein_counters["nodes"], skein_counters["smoothings"]) == (23, 22)
+    assert (skein_counters["memo_hits"], skein_counters["switches"]) == (0, 9)
+    assert skein_counters["crossings_removed"] == 2
 
 
 @pytest.mark.parametrize(
@@ -236,7 +250,10 @@ def test_equal_diagrams_do_not_share_the_memo(skein_counters):
 
 
 def test_edits_equal_a_validated_rebuild(skein_edits, skein_counters):
-    for d in all_diagrams():
+    from test_frozen_homfly import STRATA  # which imports this module
+
+    # the recursion starts from the parts the moves leave, so those are checked too
+    for d in [*all_diagrams(), *(parse_pd(text) for text, _ in STRATA)]:
         homfly(d)
     assert len(skein_edits) == 2 * skein_counters["smoothings"] > 100
     for edited in skein_edits:
@@ -297,6 +314,29 @@ def random_braid_closures(count, seed):
     return texts
 
 
+def reducible_braid_closures(count, seed):
+    """Closures of seeded braids of 3-5 strands and 6-12 crossings with
+    kinks and bigons to take out: each generator but the last used, one to
+    three cancelling pairs sigma_i sigma_i^-1 put in, and the last generator
+    used once more, so the last strand always ends in a kink."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        strands = rng.randint(3, 5)
+        word = list(range(1, strands - 1)) + [
+            rng.randrange(1, strands - 1) for _ in range(rng.randint(0, 2))
+        ]
+        rng.shuffle(word)
+        word = [g if rng.random() < 0.5 else -g for g in word]
+        for _ in range(rng.randint(1, 3)):
+            g = rng.choice((1, -1)) * rng.randrange(1, strands)
+            at = rng.randint(0, len(word))
+            word[at:at] = [g, -g]
+        word.insert(rng.randint(0, len(word)), rng.choice((1, -1)) * (strands - 1))
+        texts.append(braid_closure(strands, word))
+    return texts
+
+
 # the skein rule's monomials: P(+) = a^-1 z P(0) + a^-2 P(-) and
 # P(-) = a^2 P(+) - a z P(0); an extra unlinked circle is worth (a - a^-1)/z
 POSITIVE_RULE = lp("a^-1*z"), lp("a^-2")
@@ -353,3 +393,84 @@ def test_many_components_are_ordered_in_polynomial_time(skein_counters):
     assert time.perf_counter() - started < 1.0
     assert skein_counters["nodes"] == 64
     assert value == delta() ** 5 * homfly(parse_pd(hopf)) ** 6
+
+
+def test_moves_take_out_a_kink_and_a_bigon():
+    d = bundled("kinked_right_trefoil")
+    trefoil = bundled("right_trefoil")
+    assert _reduced(d.crossings, d.signs, d.circles) == (trefoil.crossings, trefoil.signs, 0)
+    # closure of (2 strands) -1 -1 1 -1 -1: the middle pair is a bigon
+    d = parse_pd("X[2,4,3,1];X[4,6,5,3];X[5,6,8,7];X[8,10,9,7];X[10,2,1,9]")
+    assert d.signs == (1, 1, -1, 1, 1)
+    assert _reduced(d.crossings, d.signs, d.circles) == (
+        ((2, 4, 3, 1), (4, 10, 9, 3), (10, 2, 1, 9)), (1, 1, 1), 0
+    )
+    # a bigon between two circles: each join closes one
+    d = bundled("twisted_unlink")
+    assert _reduced(d.crossings, d.signs, d.circles) == ((), (), 2)
+
+
+def test_moves_keep_the_polynomial_of_reducible_braid_closures(skein_counters):
+    texts = reducible_braid_closures(40, "moves")
+    for text in texts:
+        d = parse_pd(text)
+        assert homfly(d) == fixed_base_homfly(d, 0), text
+    # every closure has a kink at least; most lose more
+    assert skein_counters["crossings_removed"] >= 2 * len(texts)
+
+
+def test_moves_keep_the_polynomial_of_random_pairings(monkeypatch):
+    # random codes of 1-5 crossings that parse_pd accepts, planar or not.  The
+    # recursion's value on a non-planar code depends on its walk, so the
+    # reference is the same recursion with no moves; a planar code must also
+    # match the fixed-base chain
+    homfly_module = sys.modules["kch.homfly"]
+    pd_module = sys.modules["kch.pd"]
+    rng = random.Random("moves")
+    accepted, planar, gated = [], 0, []
+    for _ in range(1500):
+        records = random_pairing(rng, rng.randint(1, 5))
+        text = ";".join("X[%d,%d,%d,%d]" % record for record in records)
+        try:
+            d = parse_pd(text)
+        except ParseError:
+            continue
+        value = homfly(d)
+        accepted.append((text, value))
+        if _planar(d.crossings):
+            planar += 1
+            assert value == fixed_base_homfly(d, 0), text
+        elif _move(d.crossings, d.signs) is not None:
+            gated.append((text, value))
+    with monkeypatch.context() as patch:
+        patch.setattr(homfly_module, "_reduced", lambda *parts: parts)
+        for text, value in accepted:
+            assert homfly(parse_pd(text)) == value, text
+    assert len(accepted) == 742 and planar == 305 and len(gated) == 236
+    # the face count is what keeps these: without it some polynomials change
+    monkeypatch.setattr(pd_module, "_planar", lambda crossings: True)
+    changed = [text for text, value in gated if homfly(parse_pd(text)) != value]
+    assert len(changed) == 4
+
+
+def test_planarity_is_counted_in_faces():
+    # a braid closure draws on the sphere; X[1,2,1,2] has one face, not three
+    closures = [*BRAID_CLOSURES, *reducible_braid_closures(20, "faces")]
+    for text in [*BUNDLED_DIAGRAMS.values(), *closures]:
+        assert _planar(parse_pd(text).crossings), text
+    assert not _planar(parse_pd("X[1,2,1,2]").crossings)
+    # two planar parts are planar together, a planar and a non-planar part are not
+    assert _planar(parse_pd("X[1,1,2,2];X[3,4,4,3]").crossings)
+    assert not _planar(parse_pd("X[1,1,2,2];X[3,4,3,4]").crossings)
+
+
+def test_crossing_cap_holds_on_the_diagram_as_given(skein_counters):
+    # 14 crossings, closure of (3 strands) -1 -1 -1, five pairs -1 1, then 2:
+    # the moves leave the right trefoil, but the cap reads the given diagram
+    d = parse_pd(braid_closure(3, [-1, -1, -1] + [-1, 1] * 5 + [2]))
+    assert d.crossing_count == 14
+    with pytest.raises(ResourceLimitError, match="diagram has 14 crossings; limit is 12"):
+        homfly(d, max_crossings=12)
+    assert skein_counters["crossings_removed"] == 0
+    assert homfly(d, max_crossings=14) == homfly(bundled("right_trefoil"))
+    assert skein_counters["crossings_removed"] == 11
