@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from fractions import Fraction
 from string import whitespace
 
 from .augment import augmentation_exists, eliminate_augmentation_ideal
 from .dga import DGA, _read_text, bundled_names, load_bundled, load_dga_text
-from .errors import KchError, ParseError
+from .errors import KchError, ParseError, _integer_text
 from .feynman import (
     CubicForm,
     QuadraticForm,
@@ -102,15 +101,11 @@ def _parse_point(text: str) -> dict[str, Scalar]:
 
 
 def _integer(text: str) -> int:
-    """An integer option: a sign and ASCII digits, between ASCII whitespace
-    (``int`` alone reads any Unicode digit, space or underscore)."""
-    text = text.strip(whitespace)
-    if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    """An integer option, read by the one integer-text rule."""
     try:
-        return int(text)
-    except ValueError:  # past Python's int conversion limit
-        raise argparse.ArgumentTypeError(f"integer of {len(text)} digits is too long") from None
+        return _integer_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _rational_entry(value, where: str) -> Fraction:

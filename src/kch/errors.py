@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the toolkit, the one rule for count
-arguments (orders, sizes, levels, indices, step caps), and the one reader of
-the ``KCH_MAX_STEPS`` work cap."""
+arguments (orders, sizes, levels, indices, step caps) and for integer text,
+and the one reader of the ``KCH_MAX_STEPS`` work cap."""
 
 import os
+import re
+from string import whitespace
 
 
 class KchError(Exception):
@@ -48,17 +50,29 @@ def check_count(
     return value
 
 
+def _integer_text(text: str) -> int:
+    """The integer of an optional sign and ASCII digits between ASCII whitespace
+    (``int`` alone reads any Unicode digit, space or underscore), else ``ValueError``."""
+    text = text.strip(whitespace)
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # past Python's int conversion limit
+        raise ValueError(f"integer of {len(text)} digits is too long") from None
+
+
 def max_steps_limit(default: int, given: int | None = None) -> int:
     """The step cap: ``given`` if not None, else the ``KCH_MAX_STEPS``
     environment cap if set, else the caller's default.  Either must be a
-    positive integer."""
+    positive integer; the environment's is read by ``_integer_text``."""
     if given is not None:
         return check_count(given, "max_steps", least=1)
     raw = os.environ.get("KCH_MAX_STEPS")
     if raw is None:
         return default
     try:
-        limit = int(raw)
+        limit = _integer_text(raw)
     except ValueError:
         raise DomainError(f"KCH_MAX_STEPS must be an integer, got {raw!r}") from None
     return check_count(limit, "KCH_MAX_STEPS", least=1)

@@ -26,7 +26,9 @@ whose face count h, loop count r and genus g satisfy 2 - 2g - h = 1 - r.
 
 Both models read one cached walk over the matchings per order, counted by
 (isomorphism class, face count of the standard-rotation ribbon); the class,
-face and ribbon censuses are views of it.
+face and ribbon censuses are views of it.  Each class keeps its contraction
+plan; the scalar model contracts on the form's integral adjugate (fraction-free
+elimination) and divides each order's sum once.
 """
 
 from __future__ import annotations
@@ -35,56 +37,69 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, prod
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, check_count
-from .laurent import _check_variables, _denominator, _dot, _make, _narrow
-from .scalars import ONE, ZERO, Scalar
+from .laurent import _check_variables, _denominator, _dot, _make, _narrow, _scalar
+from .scalars import ZERO, Scalar
 from .series import FormalSeries
 
 Edge = tuple[int, int]
 
 
-def _to_scalar_grid(rows: Sequence[Sequence]) -> tuple[tuple[Scalar, ...], ...]:
-    return tuple(tuple(Scalar.of(entry) for entry in row) for row in rows)
-
-
-def _invert_matrix(matrix: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[Scalar, ...], ...]:
+def _adjugate_det(matrix: Sequence[Sequence]) -> tuple[tuple[tuple, ...], object]:
+    """(adj(M), det(M)) of a Gaussian-integer matrix (narrow ints and
+    imaginary ``Scalar``s) by fraction-free Gauss-Jordan elimination of
+    [M | I] (Bareiss 1968): every entry stays a minor, so each division is
+    exact, and [M | I] ends as [det I | adj] up to the row swaps' sign."""
     n = len(matrix)
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-        if pivot_row is None:
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    pivot = sign = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if work[r][k]), None)
+        if p is None:
             raise DomainError("quadratic form is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv = work[col][col].inverse()
-        work[col] = [entry * inv for entry in work[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+        if p != k:
+            work[k], work[p], sign = work[p], work[k], -sign
+        previous, top = pivot, work[k]
+        pivot = top[k]
+        for i, row in enumerate(work):
+            if i != k:
+                factor = row[k]
+                work[i] = [_exact_quotient(pivot * a - factor * b, previous) for a, b in zip(row, top)]
+    return tuple(tuple(sign * value for value in row[n:]) for row in work), sign * pivot
+
+
+def _exact_quotient(a, b):
+    """a / b for Gaussian integers whose quotient is one, narrow."""
+    return a // b if type(a) is int and type(b) is int else _narrow(a / b)
 
 
 class QuadraticForm:
-    """Symmetric invertible matrix Q_ij with its cached inverse Q^{ij}."""
+    """Symmetric invertible matrix Q_ij with its cached inverse Q^{ij}, also
+    kept as adj(M) / unit for the integral M = D Q (D the lcm of the entries'
+    denominators) and unit = det(M) / D, which the graph sums read directly."""
 
-    __slots__ = ("matrix", "propagator")
+    __slots__ = ("matrix", "propagator", "_adjugate", "_unit")
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
-        matrix = _to_scalar_grid(rows)
+        matrix = tuple(tuple(Scalar.of(entry) for entry in row) for row in rows)
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise DomainError("quadratic form must be a nonempty square matrix")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if matrix[i][j] != matrix[j][i]:
-                    raise DomainError(f"quadratic form is not symmetric at ({i},{j})")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "propagator", _invert_matrix(matrix))
+        for i, j in combinations(range(n), 2):
+            if matrix[i][j] != matrix[j][i]:
+                raise DomainError(f"quadratic form is not symmetric at ({i},{j})")
+        # narrowed before and after scaling: a Fraction times D stays a Fraction
+        entries = [[_narrow(value) for value in row] for row in matrix]
+        d = _denominator(value for row in entries for value in row)
+        adjugate, det = _adjugate_det([[_narrow(value * d) for value in row] for row in entries])
+        unit = det * Fraction(1, d)
+        propagator = tuple(tuple(_scalar(a / unit) for a in row) for row in adjugate)
+        for name, value in zip(self.__slots__, (matrix, propagator, adjugate, unit)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("QuadraticForm is immutable")
@@ -157,18 +172,13 @@ class Pairing:
             a, b = record
             if not (0 <= a < b < total):
                 raise DomainError(f"half-edge pair ({a},{b}) out of range or unordered")
-            seen.add(a)
-            seen.add(b)
+            seen.update(record)
         if len(seen) != total or len(self.matching) != total // 2:
             raise DomainError("matching is not a perfect matching")
         object.__setattr__(self, "matching", tuple(sorted(self.matching)))
 
     def partner(self) -> dict[int, int]:
-        out = {}
-        for a, b in self.matching:
-            out[a] = b
-            out[b] = a
-        return out
+        return {h: g for a, b in self.matching for h, g in ((a, b), (b, a))}
 
     def vertex_edges(self) -> tuple[Edge, ...]:
         """Edges as unordered vertex pairs, sorted; the labeled multigraph."""
@@ -211,11 +221,7 @@ def enumerate_pairings(m: int) -> tuple[Pairing, ...]:
 
 
 def double_factorial(k: int) -> int:
-    result = 1
-    while k > 1:
-        result *= k
-        k -= 2
-    return result
+    return prod(range(k, 1, -2))
 
 
 # -- multigraph bookkeeping ---------------------------------------------------
@@ -223,24 +229,16 @@ def double_factorial(k: int) -> int:
 
 def _connected(m: int, edges: Sequence[Edge]) -> bool:
     # the empty graph has zero components, not one
-    if m == 0:
-        return False
-    if m == 1:
-        return True
     parent = list(range(m))
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    root = find(0)
-    return all(find(v) == root for v in range(m))
+        parent[find(u)] = find(v)
+    return len({find(v) for v in range(m)}) == 1
 
 
 def canonical_graph_class(m: int, edges: Sequence[Edge]) -> tuple[Edge, ...]:
@@ -256,11 +254,12 @@ def canonical_graph_class(m: int, edges: Sequence[Edge]) -> tuple[Edge, ...]:
 
 
 @lru_cache(maxsize=None)
-def _pairing_census(m: int) -> tuple[tuple[tuple[tuple[Edge, ...], int], int], ...]:
+def _pairing_census(m: int):
     """The one walk over the matchings of order m: how many pairings realize
     each (``canonical_graph_class`` label, face count of the standard-rotation
-    ribbon), with each distinct labeled multigraph canonicalised once.  The
-    order is checked here, so that every view of the census is guarded."""
+    ribbon), with each distinct labeled multigraph canonicalised once; and per
+    class, (label, pairings, connected, contraction plan), the label standing
+    for its class.  The order is checked here, so every view is guarded."""
     _check_pairing_order(m)
     sigma = [h - h % 3 + (h + 1) % 3 for h in range(3 * m)]
     partner = [0] * (3 * m)
@@ -273,66 +272,66 @@ def _pairing_census(m: int) -> tuple[tuple[tuple[tuple[Edge, ...], int], int], .
         labeled[edges, _count_faces(sigma, partner)] += 1
     labels = {edges: canonical_graph_class(m, edges) for edges, _ in labeled}
     census: Counter = Counter()
+    classes: Counter = Counter()
     for (edges, faces), count in labeled.items():
         census[labels[edges], faces] += count
-    return tuple(sorted(census.items()))
-
-
-def _class_census(m: int) -> tuple[tuple[tuple[Edge, ...], int], ...]:
-    """How many pairings realize each isomorphism class, keyed by its
-    ``canonical_graph_class`` label.  The label is itself a labeled multigraph
-    of the class, and the contraction weight depends only on the class, so it
-    stands for every pairing counted with it."""
-    census: Counter = Counter()
-    for (label, _), count in _pairing_census(m):
-        census[label] += count
-    return tuple(sorted(census.items()))
+        classes[labels[edges]] += count
+    return tuple(sorted(census.items())), tuple(
+        (label, count, _connected(m, label), _contraction_plan(label, m))
+        for label, count in sorted(classes.items())
+    )
 
 
 def connected_isomorphism_classes(m: int) -> dict[tuple[Edge, ...], int]:
     """Pairing counts per connected-graph isomorphism class at order m."""
-    return {edges: count for edges, count in _class_census(m) if _connected(m, edges)}
+    return {label: count for label, count, connected, _ in _pairing_census(m)[1] if connected}
 
 
 # -- scalar model -------------------------------------------------------------
 
 
-def _contract_multigraph(edges: Sequence[Edge], m: int, propagator, vertices):
-    """Tensor contraction of one labeled multigraph.
-
-    ``propagator`` is the n*n matrix Q^{ij} and ``vertices`` lists the
-    nonzero ((i, j, k), C_ijk) over all ordered triples.  Vertices are
-    consumed in order; a state is the tuple of indices carried by the edges
+def _contraction_plan(edges: Sequence[Edge], m: int) -> tuple:
+    """How ``_contract_multigraph`` visits one labeled multigraph: per
+    vertex, in order, (loop flag, closed (state slot, stub) pairs, kept state
+    slots, stub start).  A state is the tuple of indices carried by the edges
     with exactly one visited endpoint: the edges kept open, in order, then
-    the ones this vertex opens.  Symmetry of C makes the stub ordering at a
-    vertex irrelevant.  The values are exact, in the narrow types a
-    polynomial stores: int, Fraction, or a ``Scalar`` only with an imaginary
-    part.
-    """
-    indexed = list(enumerate(edges))
+    the ones this vertex opens.  Stubs are read loop first, then closing
+    edges, then opening edges; symmetry of C makes their order irrelevant."""
     open_edges: list[int] = []
-    states = {(): 1}
+    plan = []
     for v in range(m):
         loops = sum(1 for a, b in edges if a == v and b == v)
-        closing = [eid for eid, (a, b) in indexed if (a == v) != (b == v) and min(a, b) < v]
-        opening = [eid for eid, (a, b) in indexed if (a == v) != (b == v) and max(a, b) > v]
+        closing = [eid for eid, (a, b) in enumerate(edges) if (a == v) != (b == v) and min(a, b) < v]
+        opening = [eid for eid, (a, b) in enumerate(edges) if (a == v) != (b == v) and max(a, b) > v]
         if 2 * loops + len(closing) + len(opening) != 3:
             raise DomainError("multigraph is not trivalent")
-        # stubs are read loop first, then closing edges, then opening edges
-        closed = [(open_edges.index(eid), pos) for pos, eid in enumerate(closing, 2 * loops)]
-        kept = [k for k, eid in enumerate(open_edges) if eid not in closing]
+        closed = tuple((open_edges.index(eid), pos) for pos, eid in enumerate(closing, 2 * loops))
+        kept = tuple(k for k, eid in enumerate(open_edges) if eid not in closing)
         open_edges = [open_edges[k] for k in kept] + opening
-        start = 2 * loops + len(closing)
+        plan.append((bool(loops), closed, kept, 2 * loops + len(closing)))
+    return tuple(plan)
+
+
+def _contract_multigraph(plan: tuple, propagator, vertices):
+    """Tensor contraction of one labeled multigraph by its plan, on an n*n
+    ``propagator`` proportional to Q^{ij} and ``vertices``, the nonzero
+    ((i, j, k), C_ijk) over all ordered triples.  Each state reads the row of
+    each edge it closes once.  Values are exact and narrow: int, Fraction, or
+    a ``Scalar`` only with an imaginary part."""
+    states = {(): 1}
+    for loop, closed, kept, start in plan:
         next_states = {}
         for state, weight in states.items():
+            rows = [(propagator[state[k]], pos) for k, pos in closed]
+            prefix = tuple([state[k] for k in kept])
             for idx, factor in vertices:
-                if loops:
+                if loop:
                     factor = factor * propagator[idx[0]][idx[1]]
-                for k, pos in closed:
-                    factor = factor * propagator[state[k]][idx[pos]]
+                for row, pos in rows:
+                    factor = factor * row[idx[pos]]
                 if not factor:
                     continue
-                key = tuple(state[k] for k in kept) + idx[start:]
+                key = prefix + idx[start:]
                 total = next_states.get(key, 0) + weight * factor
                 if total:
                     next_states[key] = total
@@ -357,19 +356,14 @@ def _graph_series(
     """Coefficient of hbar^m is (1/m!) times the sum over pairing classes
     (the connected ones, if asked) of count * contraction.
 
-    The integer propagator (Q^{ij} times the lcm D of its denominators) and
-    the vertex list (each nonzero C entry over its ordered triples, times
-    the lcm Dc of theirs) are built once per call, so every weight is an
-    integer (a ``Scalar`` with integral parts where an entry is imaginary);
-    each order's sum is divided once by D^edges * Dc^m * m!.
+    Each class is contracted by its cached plan on the form's integral
+    adjugate adj(D Q) and on one vertex list (each nonzero C entry over its
+    ordered triples, times the lcm Dc of their denominators).  So every weight
+    is an integer (a ``Scalar`` with integral parts where an entry is
+    imaginary); each order's sum is divided once, by (det(D Q)/D)^edges Dc^m m!.
     """
     _check_model(q, c)
     _check_pairing_order(order)
-    # narrowed before and after scaling: a Fraction times its denominator
-    # is still a Fraction
-    propagator = [[_narrow(value) for value in row] for row in q.propagator]
-    d = _denominator(value for row in propagator for value in row)
-    propagator = [[_narrow(value * d) for value in row] for row in propagator]
     entries = {key: _narrow(value) for key, value in c._entries.items() if value}
     d_cubic = _denominator(entries.values())
     vertices = sorted(
@@ -380,10 +374,10 @@ def _graph_series(
     values = []
     for m in range(order + 1):
         total = 0
-        for edges, count in _class_census(m):
-            if not connected_only or _connected(m, edges):
-                total += _contract_multigraph(edges, m, propagator, vertices) * count
-        values.append(total * Fraction(1, d ** (3 * m // 2) * d_cubic**m * factorial(m)))
+        for _, count, connected, plan in _pairing_census(m)[1]:
+            if connected or not connected_only:
+                total += _contract_multigraph(plan, q._adjugate, vertices) * count
+        values.append(total / (q._unit ** (3 * m // 2) * d_cubic**m * factorial(m)))
     return FormalSeries.from_scalars("hbar", values)
 
 
@@ -498,9 +492,7 @@ class RibbonGraph:
     @classmethod
     def standard(cls, pairing: Pairing) -> "RibbonGraph":
         """The matrix-model rotations: (3v, 3v+1, 3v+2) at each vertex."""
-        return cls(
-            pairing, tuple((3 * v, 3 * v + 1, 3 * v + 2) for v in range(pairing.m))
-        )
+        return cls(pairing, tuple((3 * v, 3 * v + 1, 3 * v + 2) for v in range(pairing.m)))
 
     def vertex_count(self) -> int:
         return self.pairing.m
@@ -563,7 +555,7 @@ MATRIX_VARIABLE = "N"
 def _face_census(m: int) -> tuple[tuple[int, int], ...]:
     """(face count, pairings) pairs at order m with the standard rotations."""
     census: Counter = Counter()
-    for (_, faces), count in _pairing_census(m):
+    for (_, faces), count in _pairing_census(m)[0]:
         census[faces] += count
     return tuple(sorted(census.items()))
 
@@ -638,9 +630,7 @@ def evaluate_matrix_series(series: FormalSeries, size: int) -> FormalSeries:
     ring = series.ring
     if len(ring) != 1:
         raise DomainError("expected a series with one symbolic matrix-size variable")
-    coefficients = [
-        coeff.substitute(ring[0], size) for coeff in series.coefficients
-    ]
+    coefficients = [coeff.substitute(ring[0], size) for coeff in series.coefficients]
     return FormalSeries(series.variable, series.order, coefficients)
 
 
@@ -654,7 +644,7 @@ def ribbon_census(order: int) -> tuple[dict[tuple[int, int], int], int]:
     """
     census: Counter = Counter()
     disconnected = 0
-    for (label, faces), count in _pairing_census(order):
+    for (label, faces), count in _pairing_census(order)[0]:
         if _connected(order, label):
             census[_euler_genus(faces, order, 3 * order // 2)[0], faces] += count
         else:

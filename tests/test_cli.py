@@ -384,6 +384,15 @@ def test_integer_options_take_a_sign_and_ascii_space(capsys):
     assert run(capsys, "wilson", "--pd", "unknot", "--N", "2", "--k", "-7")[0] == 0
 
 
+@pytest.mark.parametrize("raw", ["1_000", " \u0663 "], ids=["underscore", "arabic-indic-3"])
+def test_a_step_cap_not_in_ascii_digits_exits_1(capsys, monkeypatch, raw):
+    # the environment cap is read by the same integer rule as the options
+    monkeypatch.setenv("KCH_MAX_STEPS", raw)
+    code, out, err = run(capsys, "homfly", "--pd", "right_trefoil")
+    assert (code, out) == (1, "")
+    assert err == f"error: KCH_MAX_STEPS must be an integer, got {raw!r}\n"
+
+
 def test_symtrace(capsys):
     code, out, _ = run(capsys, "symtrace", "--eigs", "1,1/2", "--order", "4")
     assert code == 0

@@ -4,7 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -30,13 +30,20 @@ from kch.feynman import (
     scalar_model_series,
     stein_oracle_series,
     trace_faces,
-    _class_census,
     _face_census,
     _wick_class_counts,
     _connected,
+    _adjugate_det,
     _contract_multigraph,
+    _contraction_plan,
+    _pairing_census,
 )
-from kch.scalars import ZERO, Scalar
+from kch.scalars import I, ZERO, Scalar
+
+
+def class_census(m):
+    """(label, pairings) per isomorphism class at order m."""
+    return tuple((label, count) for label, count, _, _ in _pairing_census(m)[1])
 
 
 def one_dim():
@@ -66,6 +73,121 @@ def test_quadratic_form_validation():
         QuadraticForm([[1, 2]])  # not square
     with pytest.raises(DomainError):
         QuadraticForm([[1, 1], [1, 1]])  # singular
+
+
+# a seeded sample of each kind, with the row swap and singular forms named
+PROPAGATOR_ENTRIES = {
+    "rational": [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)],
+    "gaussian": [0, 1, -1, Fraction(1, 2), I, Scalar(1, -1), Scalar(Fraction(1, 2), 2)],
+}
+NAMED_FORMS = {
+    "rational": [[[0, 1], [1, 0]], [[1, 1], [1, 1]]],
+    "gaussian": [[[0, I], [I, 0]], [[1, I], [I, -1]]],
+}
+
+
+def seeded_symmetric_rows(kind):
+    yield from NAMED_FORMS[kind]
+    rng = random.Random(f"propagator:{kind}")
+    for trial in range(40):
+        n = 1 + trial % 4
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice(PROPAGATOR_ENTRIES[kind])
+        yield rows
+
+
+def to_sympy(sympy, value):
+    value = Scalar.of(value)
+    return sympy.Rational(value.re.numerator, value.re.denominator) + sympy.I * sympy.Rational(
+        value.im.numerator, value.im.denominator
+    )
+
+
+def sympy_matrix(sympy, rows, ring):
+    from sympy.polys.matrices import DomainMatrix
+
+    matrix = sympy.Matrix([[to_sympy(sympy, value) for value in row] for row in rows])
+    return DomainMatrix.from_Matrix(matrix).convert_to(ring)
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian"])
+def test_fraction_free_propagator_matches_sympy(kind):
+    sympy = pytest.importorskip("sympy")
+    singular = invertible = 0
+    for rows in seeded_symmetric_rows(kind):
+        if not sympy_matrix(sympy, rows, sympy.QQ_I).det():
+            with pytest.raises(DomainError, match="^quadratic form is singular$"):
+                QuadraticForm(rows)
+            singular += 1
+            continue
+        q = QuadraticForm(rows)
+        expected = sympy_matrix(sympy, rows, sympy.QQ_I).inv().to_Matrix()
+        assert sympy.Matrix([[to_sympy(sympy, v) for v in row] for row in q.propagator]) == expected
+        # the form keeps adj(M) and det(M) / D of the integral M = D Q
+        d = lcm(*(Fraction(part).denominator for row in rows for v in row
+                  for part in (Scalar.of(v).re, Scalar.of(v).im)))
+        scaled = [[Scalar.of(v) * d for v in row] for row in rows]
+        adjugate, det = sympy_matrix(sympy, scaled, sympy.ZZ_I).adj_det()
+        assert sympy.Matrix([[to_sympy(sympy, a) for a in row] for row in q._adjugate]) == (
+            adjugate.to_Matrix()
+        )
+        assert to_sympy(sympy, q._unit) == sympy.ZZ_I.to_sympy(det) / d
+        # narrow: an imaginary Scalar only where the value is imaginary
+        assert all(type(a) is int or a.im for row in q._adjugate for a in row)
+        invertible += 1
+    assert singular >= 1 and invertible >= 30
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian"])
+def test_adjugate_and_determinant_match_sympy_with_row_swaps(kind):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"adjugate:{kind}")
+    values = [0, 0, 1, -1, 2, -3] + ([I, Scalar(1, -2)] if kind == "gaussian" else [])
+    swaps = [[[0, 1], [1, 0]], [[0, 0, 1], [0, 2, 0], [3, 0, 0]]]
+    matrices = swaps + [
+        [[rng.choice(values) for _ in range(n)] for _ in range(n)] for n in (1, 2, 3, 4) * 8
+    ]
+    for rows in matrices:
+        expected_adjugate, expected_det = sympy_matrix(sympy, rows, sympy.ZZ_I).adj_det()
+        if not expected_det:
+            with pytest.raises(DomainError, match="^quadratic form is singular$"):
+                _adjugate_det(rows)
+            continue
+        adjugate, det = _adjugate_det(rows)
+        assert sympy.Matrix([[to_sympy(sympy, a) for a in row] for row in adjugate]) == (
+            expected_adjugate.to_Matrix()
+        )
+        assert to_sympy(sympy, det) == sympy.ZZ_I.to_sympy(expected_det)
+    assert _adjugate_det([[0, 1], [1, 0]]) == (((0, -1), (-1, 0)), -1)
+
+
+# the Scalar operations a traced benchmark run counts as ``scalars.ops``
+SCALAR_OPS = [
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__neg__", "__truediv__", "__rtruediv__", "inverse", "__pow__",
+]
+
+
+def test_a_rational_model_does_no_scalar_arithmetic(monkeypatch):
+    calls = Counter()
+    for name in SCALAR_OPS:
+        def counted(*args, name=name, original=getattr(Scalar, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(Scalar, name, counted)
+    rows = [[Fraction(7, 2), 1, 0], [1, Fraction(9, 2), -1], [0, -1, 4]]
+    cubic = CubicForm(3, {(0, 0, 0): Fraction(1, 2), (1, 1, 2): -2})
+    # entries as given, and as Scalars the way ``parse_scalar`` returns them
+    for q in (QuadraticForm(rows), QuadraticForm([[Scalar.of(v) for v in row] for row in rows])):
+        assert q.propagator and calls == Counter()
+        scalar_model_series(q, cubic, 4)
+        assert calls == Counter()
+    # the count sees an imaginary form, which goes through Scalar arithmetic
+    QuadraticForm([[1, I], [I, 3]])
+    assert calls
 
 
 def test_propagator_is_matrix_inverse():
@@ -298,7 +420,7 @@ def test_moment_oracle_gaussian_normalization():
 
 def test_class_census_counts_every_pairing_once():
     for m, classes in ((2, 2), (4, 8)):
-        census = _class_census(m)
+        census = class_census(m)
         assert len(census) == classes
         assert sum(count for _, count in census) == double_factorial(3 * m - 1)
         assert all(canonical_graph_class(m, edges) == edges for edges, _ in census)
@@ -322,13 +444,47 @@ def test_class_sum_equals_labeled_sum():
         for m in (2, 4):
             full = connected = ZERO
             for edges, count in labeled[m]:
-                term = _contract_multigraph(edges, m, q.propagator, vertices) * Scalar.of(count)
+                plan = _contraction_plan(edges, m)
+                term = _contract_multigraph(plan, q.propagator, vertices) * Scalar.of(count)
                 full = full + term
                 if _connected(m, edges):
                     connected = connected + term
             inv_fact = Scalar.of(Fraction(1, factorial(m)))
             assert full_series.coefficient(m).constant_term() == full * inv_fact
             assert connected_series.coefficient(m).constant_term() == connected * inv_fact
+
+
+def test_a_second_graph_sum_builds_no_plan(monkeypatch):
+    feynman = importlib.import_module("kch.feynman")
+    built = []
+    plan = feynman._contraction_plan
+    monkeypatch.setattr(
+        feynman, "_contraction_plan", lambda *args: built.append(args) or plan(*args)
+    )
+    feynman._pairing_census.cache_clear()
+    q, c = random_model(random.Random(6), 2)
+    first = scalar_model_series(q, c, 4)
+    # one plan per class of each order, built with the census
+    assert built == [(label, m) for m in range(5) for label, _ in class_census(m)]
+    built.clear()
+    assert scalar_model_series(q, c, 4) == first
+    assert connected_scalar_series(q, c, 4) == connected_log(first)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "edges, m",
+    [
+        (((0, 1),), 2),
+        (((0, 0), (0, 0)), 1),
+        (((0, 1), (0, 1), (0, 1), (1, 1)), 2),
+        (((0, 1),) * 3, 3),
+    ],
+    ids=["one-edge-each", "two-loops", "five-stubs", "idle-vertex"],
+)
+def test_a_multigraph_that_is_not_trivalent_has_no_plan(edges, m):
+    with pytest.raises(DomainError, match="^multigraph is not trivalent$"):
+        _contraction_plan(edges, m)
 
 
 def test_graph_series_builds_its_inputs_once(monkeypatch):
@@ -346,13 +502,13 @@ def test_graph_series_builds_its_inputs_once(monkeypatch):
     )
     series = scalar_model_series(q, c, 4)
     assert built == []
-    # one contraction per census class of each order, all on one propagator
-    # and one vertex list
-    assert [(edges, m) for edges, m, _, _ in calls] == [
-        (edges, m) for m in range(5) for edges, _ in _class_census(m)
+    # one contraction per census class of each order, each by the plan kept
+    # with the census, all on one propagator and one vertex list
+    assert [plan for plan, _, _ in calls] == [
+        plan for m in range(5) for _, _, _, plan in _pairing_census(m)[1]
     ]
-    assert len({id(propagator) for _, _, propagator, _ in calls}) == 1
-    assert len({id(vertices) for _, _, _, vertices in calls}) == 1
+    assert len({id(propagator) for _, propagator, _ in calls}) == 1
+    assert len({id(vertices) for _, _, vertices in calls}) == 1
     assert series == stein_oracle_series(q, c, 4)
 
 
@@ -392,7 +548,7 @@ def test_census_views_equal_their_per_pairing_definitions():
                 ribbons[g, h] += 1
             else:
                 disconnected += 1
-        assert _class_census(m) == tuple(sorted(classes.items())), m
+        assert class_census(m) == tuple(sorted(classes.items())), m
         assert _face_census(m) == tuple(sorted(faces.items())), m
         assert ribbon_census(m) == (dict(sorted(ribbons.items())), disconnected), m
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -153,6 +154,21 @@ def test_step_cap_reader(monkeypatch):
         with pytest.raises(DomainError, match="KCH_MAX_STEPS"):
             max_steps_limit(20000)
         assert max_steps_limit(20000, 5) == 5
+
+
+@pytest.mark.parametrize("raw", ["1_000", " \u0663 "], ids=["underscore", "arabic-indic-3"])
+def test_step_cap_reader_takes_only_ascii_digits(monkeypatch, raw):
+    # ``int`` alone would read these as 1000 and 3
+    monkeypatch.setenv("KCH_MAX_STEPS", raw)
+    message = f"^KCH_MAX_STEPS must be an integer, got {re.escape(repr(raw))}$"
+    with pytest.raises(DomainError, match=message):
+        max_steps_limit(20000)
+
+
+def test_step_cap_reader_takes_a_sign_and_ascii_space(monkeypatch):
+    for raw, limit in (("+5", 5), (" 7 ", 7)):
+        monkeypatch.setenv("KCH_MAX_STEPS", raw)
+        assert max_steps_limit(20000) == limit
 
 
 # -- an independent oracle: textbook Buchberger over Scalar ---------------------
