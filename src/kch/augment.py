@@ -228,10 +228,8 @@ def eliminate_augmentation_ideal(
     saturation_exps = (0,) * width + (1,) * (1 + len(system.torus_variables))
     generators.append(_make(elim_ring, {(0,) * len(elim_ring): 1, saturation_exps: -1}))
     size, block = _eliminate(generators, system.torus_variables, max_steps)
-    eliminated = [
-        g.strip_monomial_factor()[0].primitive_normalized()
-        for g in reduced_groebner_basis(block, max_steps=max_steps)
-    ]
+    basis = reduced_groebner_basis(block, max_steps=max_steps)
+    eliminated = [g.primitive_normalized() for g in basis]
     eliminated.sort(key=lambda p: (len(p._terms), str(p)))
     notes.append(f"reduced basis has {size} elements, {len(eliminated)} in the torus block")
     if not eliminated:

@@ -9,9 +9,11 @@ step.
 Phi_n itself is built over the integers: x^n - 1 divided exactly by the
 monic Phi_d of every proper divisor d, each computed once.  Integer kernels
 such as the Wilson evaluation reduce by that integer Phi_n directly; the
-field reads the same polynomial with ``Fraction`` coefficients.  The index n
-is checked by ``errors.check_count`` and capped at ``MAX_CYCLOTOMIC_INDEX``,
-because building Phi_n and computing in Q(zeta_n) grow quickly with it.
+field reads the same polynomial with ``Fraction`` coefficients and divides
+by it, and by each Euclid remainder made monic, with the same monic
+division, ``_divmod_monic``.  The index n is checked by
+``errors.check_count`` and capped at ``MAX_CYCLOTOMIC_INDEX``, because
+building Phi_n and computing in Q(zeta_n) grow quickly with it.
 """
 
 from __future__ import annotations
@@ -50,28 +52,10 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num_list = list(num)
-    quotient = [Fraction(0)] * max(0, len(num_list) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    while len(num_list) >= len(den) and _trim(num_list):
-        if num_list[-1] == 0:
-            num_list.pop()
-            continue
-        shift = len(num_list) - len(den)
-        factor = num_list[-1] * inv_lead
-        quotient[shift] = factor
-        for i, coeff in enumerate(den):
-            num_list[shift + i] -= factor * coeff
-        num_list.pop()
-    return _trim(quotient), _trim(num_list)
-
-
 def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials by a monic divisor,
-    little-endian; exact over the integers because the divisor is monic."""
+    little-endian; exact over the integers because the divisor is monic, and
+    on ``Fraction``s alike, since it only multiplies and subtracts."""
     remainder = list(num)
     low = len(den) - 1
     quotient = [0] * max(0, len(remainder) - low)
@@ -120,8 +104,7 @@ class CyclotomicField:
         return hash(("CyclotomicField", self.n))
 
     def _reduce(self, coeffs: Sequence[Fraction]) -> Poly:
-        _, remainder = _poly_divmod(_trim(coeffs), self.modulus)
-        return remainder
+        return _trim(_divmod_monic(coeffs, self.modulus)[1])
 
     def element(self, coeffs: Sequence[Fraction | int]) -> "CyclotomicElement":
         return CyclotomicElement(self, self._reduce(tuple(Fraction(c) for c in coeffs)))
@@ -188,13 +171,15 @@ class CyclotomicElement:
     def inverse(self) -> "CyclotomicElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        # extended Euclid: find u with u*self + v*modulus = gcd (a unit)
+        # extended Euclid: find u with u*self + v*modulus = gcd (a unit); each
+        # remainder r = u*self (mod modulus) is scaled, with its u, to be monic
         r_prev, r_cur = self.field.modulus, self.coeffs
-        u_prev: Poly = ()
-        u_cur: Poly = (Fraction(1),)
+        u_prev, u_cur = (), (Fraction(1),)
         while r_cur:
-            quotient, remainder = _poly_divmod(r_prev, r_cur)
-            r_prev, r_cur = r_cur, remainder
+            scale = 1 / r_cur[-1]
+            r_cur, u_cur = [c * scale for c in r_cur], [c * scale for c in u_cur]
+            quotient, remainder = _divmod_monic(r_prev, r_cur)
+            r_prev, r_cur = r_cur, _trim(remainder)
             qu = _poly_mul(quotient, u_cur)
             size = max(len(u_prev), len(qu))
             nxt = [Fraction(0)] * size
@@ -205,10 +190,7 @@ class CyclotomicElement:
             u_prev, u_cur = u_cur, _trim(nxt)
         if len(r_prev) != 1:
             raise DomainError("cyclotomic modulus is not irreducible over the element")
-        scale = 1 / r_prev[0]
-        return CyclotomicElement(
-            self.field, self.field._reduce(tuple(c * scale for c in u_prev))
-        )
+        return CyclotomicElement(self.field, self.field._reduce(u_prev))
 
     def __pow__(self, exponent: int) -> "CyclotomicElement":
         if not isinstance(exponent, int):

@@ -6,14 +6,17 @@ Convention: a * P(+) - a^{-1} * P(-) = z * P(0) with P(unknot) = 1, so
     P(-) = a^2 P(+) - a z P(0).
 
 The recursion runs on raw parts (crossings, signs, circles) and builds no
-``LinkDiagram`` past the one it is given.  Before it starts, the kinks and
-cancelling bigons of a planar diagram are taken out once, by Reidemeister I
-and II moves (``kch.pd._reduced``); the crossing cap reads the diagram as
-given.  Each diagram's memo key numbers its arcs component by component
-from each least arc, whatever the ``resolution``.  Its wrong crossings
-(first passage under) are read along a descending walk chosen per diagram
-to leave few of them: each component from its best base point, the search
-starting ``resolution`` arcs past its least arc, components topmost first
+``LinkDiagram`` past the one it is given.  A code that ``kch.pd._planar``
+finds not planar (a virtual-link diagram, on which the skein relation alone
+defines no invariant) raises ``DomainError``; every edit of the recursion
+keeps a code planar, so it is checked once per call.  At every node, kinks
+and cancelling bigons are first taken out by Reidemeister I and II moves
+(``_reduced``); the crossing cap reads the diagram as given.  Each
+diagram's memo key numbers its arcs component by component from each least
+arc, whatever the ``resolution``.  Its wrong crossings (first passage
+under) are read along a descending walk chosen per diagram to leave few of
+them: each component from its best base point, the search starting
+``resolution`` arcs past its least arc, components topmost first
 (``_descending_walk``); any walk gives the same result.  Switching one
 leaves the strand cycles and every other first passage untouched, so they
 are resolved along one chain in walking order: each adds its smoothing
@@ -30,7 +33,7 @@ is one diagram recursed on or one wrong crossing followed.  The result is
 kept on the diagram per resolution (the crossing cap is checked on every
 call); distinct diagram objects share nothing.  ``SKEIN_COUNTERS`` sums the
 work of every call, added once per call from locals, the crossings the moves
-removed included.
+removed at every node included.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from types import MappingProxyType
 
 from .errors import DomainError, ResourceLimitError, check_count, max_steps_limit
 from .laurent import LaurentPolynomial, _make
-from .pd import LinkDiagram, _cycles, _reduced, _smoothed, _strands, _switch
+from .pd import LinkDiagram, _cycles, _planar, _reduced, _smoothed, _strands, _switch
 # unused: perfbench's tracer wraps and restores these two names in this module
 from .pd import smooth_crossing, switch_crossing  # noqa: F401
 
@@ -67,7 +70,7 @@ BUNDLED_DIAGRAMS: dict[str, str] = {
 
 
 # skein work summed over all ``homfly`` calls: "crossings_removed" by the
-# moves made first, "nodes" (diagrams walked), "memo_hits" among them,
+# moves at every node, "nodes" (diagrams walked), "memo_hits" among them,
 # "smoothings" and "switches"
 SKEIN_COUNTERS: Counter = Counter()
 
@@ -151,10 +154,11 @@ def homfly(
     known = diagram._homfly.get(resolution)
     if known is not None:
         return known
-    root = _reduced(diagram.crossings, diagram.signs, diagram.circles)
+    if not _planar(diagram.crossings):
+        raise DomainError("the PD code is not planar (it cannot be drawn on the sphere)")
     budget = max_steps_limit(DEFAULT_SKEIN_STEPS)
     memo: dict = {}
-    steps = nodes = hits = smoothings = switches = 0
+    steps = removed = nodes = hits = smoothings = switches = 0
 
     def step() -> None:
         nonlocal steps
@@ -162,14 +166,16 @@ def homfly(
         if steps > budget:
             raise ResourceLimitError(
                 f"skein recursion reached {steps} steps on a diagram of "
-                f"{diagram.crossing_count} crossings ({len(root[0])} after Reidemeister "
-                f"I/II moves); limit is {budget} "
+                f"{diagram.crossing_count} crossings; limit is {budget} "
                 "(set KCH_MAX_STEPS to raise)"
             )
 
     def compute(crossings, signs, circles: int) -> Mapping[tuple[int, int], int]:
-        nonlocal nodes, hits, smoothings, switches
+        nonlocal removed, nodes, hits, smoothings, switches
         step()
+        removed += len(crossings)
+        crossings, signs, circles = _reduced(crossings, signs, circles)
+        removed -= len(crossings)
         if not crossings:
             return _unlink(circles)
         nodes += 1
@@ -215,10 +221,10 @@ def homfly(
         return value
 
     try:
-        value = compute(*root)
+        value = compute(diagram.crossings, diagram.signs, diagram.circles)
     finally:
         SKEIN_COUNTERS.update(
-            crossings_removed=diagram.crossing_count - len(root[0]),
+            crossings_removed=removed,
             nodes=nodes,
             memo_hits=hits,
             smoothings=smoothings,

@@ -24,13 +24,11 @@ parts, ``_switch`` (in place on lists) and ``_smoothed`` (crossings, signs,
 circles), which the skein recursion of ``kch.homfly`` calls as well, and the
 slot rule of the strands lives in ``_strands``, which it reads too.  A third
 kernel, ``_reduced``, takes out kinks and cancelling bigons (Reidemeister I
-and II moves) until none is left; ``kch.homfly`` runs it once per call, on
-the parts of the diagram it is given.  It moves nothing on a code that is
-not planar (``_planar`` counts faces): ``parse_pd`` accepts such codes, and
-on some of them the moves would change what the recursion computes.
-``_smoothed`` and ``_reduced`` join arcs by one rule, ``_joined``.  Each
-diagram carries a private slot in which ``kch.homfly`` keeps the polynomials
-it has finished for it.
+and II moves) until none is left; ``kch.homfly`` runs it at every node of
+its recursion, and refuses a code that ``parse_pd`` accepts but ``_planar``
+(a face count) does not.  ``_smoothed`` and ``_reduced`` join arcs by one
+rule, ``_joined``.  Each diagram carries a private slot in which
+``kch.homfly`` keeps the polynomials it has finished.
 """
 
 from __future__ import annotations
@@ -275,11 +273,7 @@ def _joined(records, joins, circles: int):
 
 def _reduced(crossings, signs, circles: int):
     """Parts with every kink and cancelling bigon taken out, by Reidemeister I
-    and II moves repeated until none applies (``_move``); the parts as given
-    when the code is not planar (``_planar``), on which the moves can change
-    what the skein recursion computes."""
-    if not _planar(crossings):
-        return crossings, signs, circles
+    and II moves repeated until none applies (``_move``)."""
     while move := _move(crossings, signs):
         dead, joins = move
         crossings, circles = _joined(

@@ -329,9 +329,9 @@ def test_wilson(capsys):
 
 
 def test_stats_add_the_skein_work_of_the_call(capsys):
-    # the trefoil's skein recursion: no move applies, then the root and its 2
-    # smoothings, no switch
-    skein = {"crossings_removed": 0, "nodes": 3, "memo_hits": 0, "smoothings": 2, "switches": 0}
+    # the trefoil's skein recursion: the root and its 2 smoothings, no switch;
+    # the second smoothing is a kink, which the moves take out
+    skein = {"crossings_removed": 1, "nodes": 2, "memo_hits": 0, "smoothings": 2, "switches": 0}
     homfly_payload = {
         "homfly": "-a^-4 + 2*a^-2 + a^-2*z^2",
         "crossings": 3,
@@ -357,8 +357,17 @@ def test_stats_count_the_crossings_the_moves_removed(capsys):
     code, out, _ = run(capsys, "homfly", "--pd", "kinked_right_trefoil", "--json", "--stats")
     assert code == 0
     assert json.loads(out)["skein"] == {
-        "crossings_removed": 1, "nodes": 3, "memo_hits": 0, "smoothings": 2, "switches": 0
+        "crossings_removed": 2, "nodes": 2, "memo_hits": 0, "smoothings": 2, "switches": 0
     }
+
+
+@pytest.mark.parametrize(
+    "argv", [("homfly",), ("wilson", "--N", "2", "--k", "3")], ids=["homfly", "wilson"]
+)
+def test_a_pd_code_that_is_not_planar_exits_1(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--pd", "X[1,2,1,2]", *argv[1:])
+    assert (code, out) == (1, "")
+    assert "not planar" in err
 
 
 def test_wilson_domain_error(capsys):

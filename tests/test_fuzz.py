@@ -3,7 +3,8 @@
 Each parser sees random token soup and small mutations of valid texts.  PD
 codes also come as random pairings of arc labels, and every parse with at
 most four crossings goes on through ``homfly``, which runs the skein
-recursion and its diagram edits on diagrams nobody wrote by hand.  Every
+recursion and its diagram edits on diagrams nobody wrote by hand and must
+refuse, with ``DomainError``, exactly the codes that are not planar.  Every
 token list holds a number longer than Python converts to an int.
 """
 
@@ -11,10 +12,10 @@ import random
 from importlib import resources
 
 from kch.dga import bundled_names, load_dga_text
-from kch.errors import KchError
+from kch.errors import DomainError, KchError
 from kch.homfly import BUNDLED_DIAGRAMS, homfly
 from kch.laurent import parse_polynomial
-from kch.pd import parse_pd
+from kch.pd import _planar, parse_pd
 from kch.scalars import parse_scalar
 
 HUGE = "7" * 5000
@@ -70,9 +71,19 @@ def escapes(parse, texts):
 
 
 def pd_then_homfly(text):
+    """Parse, then take a code of at most four crossings through ``homfly``;
+    a failed assertion escapes as a non-``KchError``."""
     diagram = parse_pd(text)
-    if diagram.crossing_count <= 4:
+    if diagram.crossing_count > 4:
+        return
+    planar = _planar(diagram.crossings)
+    try:
         homfly(diagram)
+    except KchError as exc:
+        assert type(exc) is DomainError and not planar, repr(exc)
+        assert "not planar" in str(exc), repr(exc)
+    else:
+        assert planar, "a code that is not planar was not refused"
 
 
 def test_pd_parser_and_skein_recursion():

@@ -124,6 +124,25 @@ def test_field_inverse_random():
         assert elem * elem.inverse() == field.one()
 
 
+def test_field_inverse_and_reduction_on_random_elements():
+    rng = random.Random("field")
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for n in [*range(1, 41), 100]:
+        field = CyclotomicField(n)
+        # every coefficient below the degree nonzero: a nonzero element
+        elem = field.element([rational() for _ in range(field.degree)])
+        assert elem * elem.inverse() == field.one(), n
+        # a polynomial in zeta longer than 2n reduces to its value
+        coeffs = [rational() for _ in range(2 * n + 3)]
+        value = field.zero()
+        for k, c in enumerate(coeffs):
+            value += field.rational(c) * field.zeta(k)
+        assert field.element(coeffs) == value, n
+
+
 def test_to_complex_agrees_with_root_of_unity():
     field = CyclotomicField(7)
     for k in range(7):
