@@ -68,8 +68,6 @@ def _build_system(dga: DGA) -> AugmentationSystem:
     for unknown in unknowns:
         if unknown in forbidden:
             raise DomainError(f"unknown name {unknown!r} collides with a declared name")
-    if len(set(unknowns)) != len(unknowns):
-        raise DomainError("degree-zero generator names produce colliding unknowns")
     ring = unknowns + dga.torus_variables
     # every name valid and distinct, the elimination ring's saturation variable too
     _check_variables(ring + (SATURATION_VARIABLE,))

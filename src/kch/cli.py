@@ -215,6 +215,22 @@ def _cmd_aug_exists(args) -> int:
     return 0
 
 
+def _checked_rows(graph, oracle, order: int):
+    """For each order m: m, the graph-sum and oracle constant terms as text,
+    and whether they agree; then whether every order agrees."""
+    rows = []
+    for m in range(order + 1):
+        left = graph.coefficient(m).constant_term()
+        right = oracle.coefficient(m).constant_term()
+        rows.append((m, str(left), str(right), left == right))
+    return rows, all(row[3] for row in rows)
+
+
+def _classes(census) -> list[dict]:
+    """The (g, h) classes of a ribbon census, in order, as JSON records."""
+    return [{"g": g, "h": h, "count": count} for (g, h), count in sorted(census.items())]
+
+
 def _cmd_feynman_scalar(args) -> int:
     q = QuadraticForm(_parse_array(args.q, "--q", 2, "a JSON array of arrays"))
     c = CubicForm.from_array(_parse_array(args.c, "--c", 3, "a triply nested JSON array"))
@@ -222,16 +238,9 @@ def _cmd_feynman_scalar(args) -> int:
         raise ParseError(
             f"--n {args.n} does not match the {q.dimension}-dimensional quadratic form"
         )
-    graph = scalar_model_series(q, c, args.order)
-    oracle = stein_oracle_series(q, c, args.order)
-    rows = []
-    all_match = True
-    for m in range(args.order + 1):
-        left = graph.coefficient(m).constant_term()
-        right = oracle.coefficient(m).constant_term()
-        match = left == right
-        all_match = all_match and match
-        rows.append((m, str(left), str(right), match))
+    rows, all_match = _checked_rows(
+        scalar_model_series(q, c, args.order), stein_oracle_series(q, c, args.order), args.order
+    )
     if args.json:
         _print_json(
             {
@@ -255,56 +264,31 @@ def _cmd_feynman_scalar(args) -> int:
 def _cmd_feynman_matrix(args) -> int:
     symbolic = matrix_model_series(args.order)
     oracle = matrix_wick_oracle_series(args.N, args.order)
-    evaluated = evaluate_matrix_series(symbolic, args.N)
-    rows = []
-    all_match = True
-    for m in range(args.order + 1):
-        poly = symbolic.coefficient(m)
-        left = evaluated.coefficient(m).constant_term()
-        right = oracle.coefficient(m).constant_term()
-        match = left == right
-        all_match = all_match and match
-        rows.append((m, str(poly), str(left), str(right), match))
-    census_rows = []
-    for m in range(1, args.order + 1):
-        if (3 * m) % 2:
-            continue
-        census, disconnected = ribbon_census(m)
-        census_rows.append((m, census, disconnected))
+    rows, all_match = _checked_rows(evaluate_matrix_series(symbolic, args.N), oracle, args.order)
+    polynomials = [str(symbolic.coefficient(m)) for m in range(args.order + 1)]
+    # the 3m half-edges of m cubic vertices pair up only when m is even
+    censuses = [(m, *ribbon_census(m)) for m in range(2, args.order + 1, 2)]
     if args.json:
         _print_json(
             {
                 "N": args.N,
                 "orders": [
-                    {
-                        "order": m,
-                        "polynomial": poly,
-                        "evaluated": left,
-                        "oracle": right,
-                        "match": match,
-                    }
-                    for m, poly, left, right, match in rows
+                    {"order": m, "polynomial": poly, "evaluated": l, "oracle": r, "match": match}
+                    for poly, (m, l, r, match) in zip(polynomials, rows)
                 ],
                 "census": [
-                    {
-                        "order": m,
-                        "classes": [
-                            {"g": g, "h": h, "count": count}
-                            for (g, h), count in sorted(census.items())
-                        ],
-                        "disconnected_pairings": disconnected,
-                    }
-                    for m, census, disconnected in census_rows
+                    {"order": m, "classes": _classes(census), "disconnected_pairings": d}
+                    for m, census, d in censuses
                 ],
             }
         )
     else:
         print(f"{'order':<6} {'graph-sum':<24} {'at N=' + str(args.N):<12} oracle  match")
-        for m, poly, left, right, match in rows:
+        for poly, (m, left, right, match) in zip(polynomials, rows):
             print(f"{m:<6} {poly:<24} {left:<12} {right:<7} {'yes' if match else 'NO'}")
         print()
         print("ribbon census (connected pairings, standard rotations):")
-        for m, census, disconnected in census_rows:
+        for m, census, disconnected in censuses:
             body = ", ".join(
                 f"(g={g},h={h}) x {count}" for (g, h), count in sorted(census.items())
             )
@@ -318,15 +302,8 @@ def _cmd_feynman_ribbon(args) -> int:
     total = sum(census.values()) + disconnected
     if args.json:
         _print_json(
-            {
-                "order": args.order,
-                "pairings": total,
-                "classes": [
-                    {"g": g, "h": h, "count": count}
-                    for (g, h), count in sorted(census.items())
-                ],
-                "disconnected_pairings": disconnected,
-            }
+            {"order": args.order, "pairings": total, "classes": _classes(census),
+             "disconnected_pairings": disconnected}
         )
     else:
         print(f"order {args.order}: {total} pairings, {total - disconnected} connected")
@@ -450,96 +427,89 @@ def _cmd_mirror_branch(args) -> int:
 # -- parser ---------------------------------------------------------------------
 
 
+def _arg(*flags, **options):
+    """One argument spec, as ``add_argument`` takes it."""
+    return flags, options
+
+
+DOCUMENT = _arg("document", help="JSON file or bundled algebra name")
+PD = _arg("--pd", required=True, help="PD file, bundled diagram name, or inline text")
+ORDER = _arg("--order", type=_integer, required=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kch",
         description="Exact computer algebra for knot contact homology, "
         "skein invariants, and cubic Gaussian graph expansions.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p_dga = subparsers.add_parser("dga", help="differential graded algebra tools")
-    dga_sub = p_dga.add_subparsers(dest="subcommand", required=True)
-    p_check = dga_sub.add_parser("check", help="validate degrees and d^2 = 0")
-    p_check.add_argument("document", help="JSON file or bundled algebra name")
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(handler=_cmd_dga_check)
+    def group(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True
+        )
 
-    p_aug = subparsers.add_parser("aug", help="augmentation tools")
-    aug_sub = p_aug.add_subparsers(dest="subcommand", required=True)
-    p_poly = aug_sub.add_parser("poly", help="eliminate to the augmentation polynomial")
-    p_poly.add_argument("document", help="JSON file or bundled algebra name")
-    p_poly.add_argument("--json", action="store_true")
-    p_poly.set_defaults(handler=_cmd_aug_poly)
-    p_exists = aug_sub.add_parser("exists", help="decide existence at a torus point")
-    p_exists.add_argument("document", help="JSON file or bundled algebra name")
-    p_exists.add_argument(
-        "--at", required=True, help="torus point, e.g. Q=1,X=2,P=1/2"
+    def leaf(parent, name, help, handler, *specs, stats=False):
+        """Register one subcommand: its own arguments, then ``--json``."""
+        command = parent.add_parser(name, help=help)
+        for flags, options in specs:
+            command.add_argument(*flags, **options)
+        command.add_argument("--json", action="store_true")
+        if stats:
+            command.add_argument("--stats", action="store_true", help="with --json, add skein work")
+        command.set_defaults(handler=handler)
+
+    dga = group("dga", "differential graded algebra tools")
+    leaf(dga, "check", "validate degrees and d^2 = 0", _cmd_dga_check, DOCUMENT)
+
+    aug = group("aug", "augmentation tools")
+    leaf(aug, "poly", "eliminate to the augmentation polynomial", _cmd_aug_poly, DOCUMENT)
+    leaf(
+        aug, "exists", "decide existence at a torus point", _cmd_aug_exists,
+        DOCUMENT, _arg("--at", required=True, help="torus point, e.g. Q=1,X=2,P=1/2"),
     )
-    p_exists.add_argument("--json", action="store_true")
-    p_exists.set_defaults(handler=_cmd_aug_exists)
 
-    p_feyn = subparsers.add_parser("feynman", help="perturbative graph expansions")
-    feyn_sub = p_feyn.add_subparsers(dest="subcommand", required=True)
-    p_scalar = feyn_sub.add_parser("scalar", help="scalar model vs moment oracle")
-    p_scalar.add_argument("--n", type=_integer, required=True, help="dimension")
-    p_scalar.add_argument("--q", required=True, help="quadratic form, JSON matrix")
-    p_scalar.add_argument("--c", required=True, help="cubic form, JSON rank-3 array")
-    p_scalar.add_argument("--order", type=_integer, required=True)
-    p_scalar.add_argument("--json", action="store_true")
-    p_scalar.set_defaults(handler=_cmd_feynman_scalar)
-    p_matrix = feyn_sub.add_parser("matrix", help="Hermitian one-matrix model")
-    p_matrix.add_argument("--N", type=_integer, required=True, help="matrix size")
-    p_matrix.add_argument("--order", type=_integer, required=True)
-    p_matrix.add_argument("--json", action="store_true")
-    p_matrix.set_defaults(handler=_cmd_feynman_matrix)
-    p_ribbon = feyn_sub.add_parser("ribbon", help="ribbon graph (g,h) census")
-    p_ribbon.add_argument("--order", type=_integer, required=True)
-    p_ribbon.add_argument("--json", action="store_true")
-    p_ribbon.set_defaults(handler=_cmd_feynman_ribbon)
-
-    p_homfly = subparsers.add_parser("homfly", help="skein polynomial of a diagram")
-    p_homfly.add_argument(
-        "--pd", required=True, help="PD file, bundled diagram name, or inline text"
+    feynman = group("feynman", "perturbative graph expansions")
+    leaf(
+        feynman, "scalar", "scalar model vs moment oracle", _cmd_feynman_scalar,
+        _arg("--n", type=_integer, required=True, help="dimension"),
+        _arg("--q", required=True, help="quadratic form, JSON matrix"),
+        _arg("--c", required=True, help="cubic form, JSON rank-3 array"),
+        ORDER,
     )
-    p_homfly.add_argument("--resolution", type=_integer, default=0)
-    p_homfly.add_argument(
-        "--max-crossings", type=_integer, default=DEFAULT_MAX_CROSSINGS
+    leaf(
+        feynman, "matrix", "Hermitian one-matrix model", _cmd_feynman_matrix,
+        _arg("--N", type=_integer, required=True, help="matrix size"), ORDER,
     )
-    p_homfly.add_argument("--json", action="store_true")
-    p_homfly.set_defaults(handler=_cmd_homfly)
+    leaf(feynman, "ribbon", "ribbon graph (g,h) census", _cmd_feynman_ribbon, ORDER)
 
-    p_wilson = subparsers.add_parser("wilson", help="Wilson loop at level k, rank N")
-    p_wilson.add_argument(
-        "--pd", required=True, help="PD file, bundled diagram name, or inline text"
+    leaf(
+        commands, "homfly", "skein polynomial of a diagram", _cmd_homfly,
+        PD,
+        _arg("--resolution", type=_integer, default=0),
+        _arg("--max-crossings", type=_integer, default=DEFAULT_MAX_CROSSINGS),
+        stats=True,
     )
-    p_wilson.add_argument("--N", type=_integer, required=True)
-    p_wilson.add_argument("--k", type=_integer, required=True)
-    p_wilson.add_argument("--json", action="store_true")
-    p_wilson.set_defaults(handler=_cmd_wilson)
-    for p_skein in (p_homfly, p_wilson):
-        p_skein.add_argument("--stats", action="store_true", help="with --json, add skein work")
-
-    p_sym = subparsers.add_parser("symtrace", help="symmetric-power trace series")
-    p_sym.add_argument(
-        "--eigs", required=True, help="comma-separated eigenvalues, e.g. 1,1/2,(2+3i)"
+    leaf(
+        commands, "wilson", "Wilson loop at level k, rank N", _cmd_wilson,
+        PD, _arg("--N", type=_integer, required=True), _arg("--k", type=_integer, required=True),
+        stats=True,
     )
-    p_sym.add_argument("--order", type=_integer, required=True)
-    p_sym.add_argument("--json", action="store_true")
-    p_sym.set_defaults(handler=_cmd_symtrace)
-
-    p_mirror = subparsers.add_parser("mirror", help="mirror curve branches")
-    mirror_sub = p_mirror.add_subparsers(dest="subcommand", required=True)
-    p_branch = mirror_sub.add_parser("branch", help="series branch and disk potential")
-    p_branch.add_argument(
-        "--poly", required=True, help="curve polynomial in Q, X, P: file or inline"
+    leaf(
+        commands, "symtrace", "symmetric-power trace series", _cmd_symtrace,
+        _arg("--eigs", required=True, help="comma-separated eigenvalues, e.g. 1,1/2,(2+3i)"),
+        ORDER,
     )
-    p_branch.add_argument("--order", type=_integer, required=True)
-    p_branch.add_argument("--Q", default=None, help="numeric Q value (default symbolic)")
-    p_branch.add_argument("--base", default="1", help="base value P(0), default 1")
-    p_branch.add_argument("--json", action="store_true")
-    p_branch.set_defaults(handler=_cmd_mirror_branch)
 
+    mirror = group("mirror", "mirror curve branches")
+    leaf(
+        mirror, "branch", "series branch and disk potential", _cmd_mirror_branch,
+        _arg("--poly", required=True, help="curve polynomial in Q, X, P: file or inline"),
+        ORDER,
+        _arg("--Q", help="numeric Q value (default symbolic)"),
+        _arg("--base", default="1", help="base value P(0), default 1"),
+    )
     return parser
 
 
@@ -551,12 +521,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

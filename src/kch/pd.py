@@ -17,12 +17,14 @@ is positive and parsing is deterministic.  A strand entered from both
 sides is an orientation inconsistency.
 
 A ``LinkDiagram`` is immutable.  The public constructor checks every arc;
-``switch_crossing`` and ``smooth_crossing`` check only the crossing index and
-build their result through ``_make``, because an edit of a valid diagram is
-valid by construction.  Each edit rule lives in one private kernel on raw
-parts, ``_switch`` (in place on lists) and ``_smoothed`` (crossings, signs,
-circles), which the skein recursion of ``kch.homfly`` calls as well, and the
-slot rule of the strands lives in ``_strands``, which it reads too.  A third
+``parse_pd`` builds its result through ``_make``, because its own checks and
+the sign walk imply every check of the constructor, and ``switch_crossing``
+and ``smooth_crossing`` check only the crossing index and build theirs through
+``_make`` too, because an edit of a valid diagram is valid by construction.
+Each edit rule lives in one private kernel on raw parts, ``_switch`` (in
+place on lists) and ``_smoothed`` (crossings, signs, circles), which the
+skein recursion of ``kch.homfly`` calls as well, and the slot rule of the
+strands lives in ``_strands``, which it reads too.  A third
 kernel, ``_reduced``, takes out kinks and cancelling bigons (Reidemeister I
 and II moves) until none is left; ``kch.homfly`` runs it at every node of
 its recursion, and refuses a code that ``parse_pd`` accepts but ``_planar``
@@ -166,7 +168,7 @@ def parse_pd(text: str) -> LinkDiagram:
         if len(found) != 2:
             raise ParseError(f"arc {label} appears {len(found)} times; every arc appears exactly twice")
 
-    return LinkDiagram(tuple(crossings), _infer_signs(crossings, ends), circles)
+    return _make(tuple(crossings), _infer_signs(crossings, ends), circles)
 
 
 def _ends(crossings) -> dict[int, list[int]]:

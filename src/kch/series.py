@@ -37,6 +37,18 @@ from .scalars import Scalar, _power
 # a million slots, and as two terms it costs almost nothing.
 MAX_PACKED_BITS = 1 << 20
 
+# a series holds order + 1 coefficient references, and ``zero`` and ``one``
+# fill them before any arithmetic: order 10^4 is 80 KB of references, while
+# order 10^9 asked for 8 GB.  The largest orders the library builds are the
+# mirror's 200 (``MAX_BRANCH_ORDER``) and the trace series' 100.  This cap
+# bounds memory, not time: one inverse of a rational series of order 200
+# already takes seconds.
+MAX_SERIES_ORDER = 10_000
+
+
+def _series_order(order) -> int:
+    return check_count(order, "series order", cap=MAX_SERIES_ORDER, cap_name="series order cap")
+
 
 class FormalSeries:
     __slots__ = ("variable", "order", "coefficients")
@@ -47,7 +59,7 @@ class FormalSeries:
         order: int,
         coefficients: Sequence[LaurentPolynomial],
     ) -> None:
-        check_count(order, "series order")
+        _series_order(order)
         if not isinstance(variable, str) or not _NAME.fullmatch(variable):
             raise DomainError(f"invalid series variable name {variable!r}")
         coefficients = tuple(coefficients)
@@ -70,12 +82,12 @@ class FormalSeries:
 
     @classmethod
     def zero(cls, variable: str, order: int, ring: Iterable[str] = ()) -> "FormalSeries":
-        check_count(order, "series order")
+        _series_order(order)
         return cls(variable, order, [LaurentPolynomial.zero(ring)] * (order + 1))
 
     @classmethod
     def one(cls, variable: str, order: int, ring: Iterable[str] = ()) -> "FormalSeries":
-        check_count(order, "series order")
+        _series_order(order)
         ring = tuple(ring)
         coeffs = [LaurentPolynomial.one(ring)]
         coeffs += [LaurentPolynomial.zero(ring)] * order

@@ -8,7 +8,9 @@ Newton's identity k h_k = sum_{j=1..k} p_j h_{k-j}, on Gaussian integers
 once the eigenvalues are scaled by their common denominator, and verified in
 place against the independent geometric-series product expansion, a running
 recurrence on the same scaled Gaussian integers that shares no code with the
-power sums.
+power sums.  Every order or degree above ``MAX_TRACE_ORDER`` raises
+``ResourceLimitError`` before any work, checked by ``_trace_order`` in each
+kernel where the work starts.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ SERIES_VARIABLE = "t"
 # product check n * order: order 100 of four eigenvalues takes about 0.004 s
 # on a shared 2-vCPU VM, the check about 0.0002 s of it
 MAX_TRACE_ORDER = 100
+
+
+def _trace_order(value, what: str = "order") -> int:
+    return check_count(value, what, cap=MAX_TRACE_ORDER, cap_name="trace order cap")
 
 
 class HolonomySpectrum:
@@ -56,7 +62,7 @@ def _gaussian_power_sums(spectrum: HolonomySpectrum, order: int) -> tuple[int, l
     """The common denominator D of the eigenvalues and P_1..P_order, where
     P_j = D^j p_j is the power sum of the Gaussian integers D lambda_i, as
     (re, im) pairs of ints."""
-    check_count(order, "order")
+    _trace_order(order)
     d = _denominator(spectrum.eigenvalues)
     bases = [_parts(value, d) for value in spectrum.eigenvalues]
     powers, sums = bases, []
@@ -98,7 +104,7 @@ def _product_traces(spectrum: HolonomySpectrum, order: int) -> tuple[int, list]:
     D lambda.  O(n * order) products in all, and nothing shared with the
     power sums.
     """
-    check_count(order, "order")
+    _trace_order(order)
     values = spectrum.eigenvalues
     d = lcm(*(part.denominator for value in values for part in (value.re, value.im)))
     re, im = [1] + [0] * order, [0] * (order + 1)
@@ -128,7 +134,7 @@ def complete_homogeneous(spectrum: HolonomySpectrum, order: int) -> list[Scalar]
 
 def complete_homogeneous_direct(spectrum: HolonomySpectrum, k: int) -> Scalar:
     """h_k straight from the definition: sum over degree-k monomial multisets."""
-    check_count(k, "degree")
+    _trace_order(k, "degree")
     monomials = combinations_with_replacement(spectrum.eigenvalues, k)
     return sum((prod(combo, start=ONE) for combo in monomials), ZERO)
 
@@ -140,12 +146,7 @@ def determinant_product_series(spectrum: HolonomySpectrum, order: int) -> Formal
 
 
 def symmetric_trace_series(spectrum: HolonomySpectrum, order: int) -> FormalSeries:
-    """sum_k h_k t^k, asserted equal to the determinant-inverse expansion.
-
-    Orders above ``MAX_TRACE_ORDER`` raise ``ResourceLimitError`` before any
-    power sum.
-    """
-    check_count(order, "order", cap=MAX_TRACE_ORDER, cap_name="trace order cap")
+    """sum_k h_k t^k, asserted equal to the determinant-inverse expansion."""
     traces = _newton_traces(spectrum, order)
     if traces != _product_traces(spectrum, order):
         raise VerificationError(

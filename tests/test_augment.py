@@ -121,6 +121,24 @@ def test_names_of_an_algebra_built_in_code_are_checked(torus, generators, messag
         augmentation_system(algebra)
 
 
+@pytest.mark.parametrize(
+    "torus, generators",
+    [(["Q", "X", "P"], ["a", "u_a"]), (["u_a", "X"], ["a"])],
+    ids=["generator", "torus-variable"],
+)
+def test_an_unknown_that_collides_with_a_declared_name_is_refused(torus, generators):
+    # loading accepts both documents: only the system names the unknown u_a
+    doc = {
+        "name": "clash",
+        "torus_variables": torus,
+        "generators": [{"name": name, "degree": 0} for name in generators],
+        "differential": {},
+    }
+    algebra = build_dga(doc, source="inline")
+    with pytest.raises(DomainError, match=r"^unknown name 'u_a' collides with a declared name$"):
+        augmentation_system(algebra)
+
+
 def test_is_augmentation_on_synthetic():
     algebra = load_bundled("elim_synthetic")
     point = {"Q": sc(1), "X": sc(4), "P": sc(2)}

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import kch
-from kch.cli import main
+from kch.cli import _build_parser, main
 
 TREFOIL_PD = "X[1,5,2,4];X[5,3,6,2];X[3,1,4,6]"
 
@@ -494,6 +495,31 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "feynman", "--help")[0] == 0
+
+
+def leaves(parser, path=()):
+    """(path, parser) of every command below ``parser`` that has no subcommands."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(path), parser
+    for group in groups:
+        for name, child in group.choices.items():
+            yield from leaves(child, (*path, name))
+
+
+def test_every_subcommand_takes_json_last_and_has_a_handler():
+    commands = dict(leaves(_build_parser()))
+    assert sorted(commands) == [
+        "aug exists", "aug poly", "dga check", "feynman matrix", "feynman ribbon",
+        "feynman scalar", "homfly", "mirror branch", "symtrace", "wilson",
+    ]
+    for path, parser in commands.items():
+        dests = [action.dest for action in parser._actions]
+        # ``--json`` follows the command's own options; only ``--stats`` may follow it
+        tail = ["json", "stats"] if path in ("homfly", "wilson") else ["json"]
+        assert dests[-len(tail):] == tail, path
+        assert "--json" in parser._option_string_actions, path
+        assert callable(parser.get_default("handler")), path
 
 
 def test_repeated_runs_are_identical(capsys):

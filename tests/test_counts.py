@@ -33,7 +33,7 @@ from kch.homfly import homfly
 from kch.laurent import LaurentPolynomial, parse_polynomial
 from kch.mirror import MAX_BRANCH_ORDER, branch_series, verify_on_curve
 from kch.pd import LinkDiagram, parse_pd, smooth_crossing, switch_crossing
-from kch.series import FormalSeries
+from kch.series import MAX_SERIES_ORDER, FormalSeries
 from kch.symfunc import (
     MAX_TRACE_ORDER,
     HolonomySpectrum,
@@ -100,20 +100,24 @@ ROWS = {
     "symmetric_trace_series": (
         lambda m: symmetric_trace_series(SPECTRUM, m), (-1,), MAX_TRACE_ORDER + 1
     ),
-    "power_sums": (lambda m: power_sums(SPECTRUM, m), (-1,), None),
-    "complete_homogeneous": (lambda m: complete_homogeneous(SPECTRUM, m), (-1,), None),
+    "power_sums": (lambda m: power_sums(SPECTRUM, m), (-1,), MAX_TRACE_ORDER + 1),
+    "complete_homogeneous": (
+        lambda m: complete_homogeneous(SPECTRUM, m), (-1,), MAX_TRACE_ORDER + 1
+    ),
     "complete_homogeneous_direct": (
-        lambda k: complete_homogeneous_direct(SPECTRUM, k), (-1,), None
+        lambda k: complete_homogeneous_direct(SPECTRUM, k), (-1,), MAX_TRACE_ORDER + 1
     ),
     "determinant_product_series": (
-        lambda m: determinant_product_series(SPECTRUM, m), (-1,), None
+        lambda m: determinant_product_series(SPECTRUM, m), (-1,), MAX_TRACE_ORDER + 1
     ),
     # as many coefficients as the order asks for, so only the order is wrong
     "FormalSeries": (
-        lambda m: FormalSeries("t", m, [LaurentPolynomial.one(())] * (int(m) + 1)), (-1,), None
+        lambda m: FormalSeries("t", m, [LaurentPolynomial.one(())] * (int(m) + 1)),
+        (-1,),
+        MAX_SERIES_ORDER + 1,
     ),
-    "FormalSeries.zero": (lambda m: FormalSeries.zero("t", m), (-1,), None),
-    "FormalSeries.one": (lambda m: FormalSeries.one("t", m), (-1,), None),
+    "FormalSeries.zero": (lambda m: FormalSeries.zero("t", m), (-1,), MAX_SERIES_ORDER + 1),
+    "FormalSeries.one": (lambda m: FormalSeries.one("t", m), (-1,), MAX_SERIES_ORDER + 1),
     "FormalSeries.coefficient": (SERIES.coefficient, (-1, 4), None),
     "FormalSeries.truncate": (SERIES.truncate, (-1, 4), None),
     "FormalSeries.shifted": (SERIES.shifted, (-1,), None),
@@ -168,3 +172,8 @@ def test_check_count_messages():
     message = r"^order 201 exceeds the branch order cap 200$"
     with pytest.raises(ResourceLimitError, match=message):
         check_count(201, "order", cap=200, cap_name="branch order cap")
+
+
+def test_series_cap_admits_every_order_the_library_builds():
+    assert max(MAX_BRANCH_ORDER, MAX_TRACE_ORDER, MAX_FEYNMAN_ORDER) <= MAX_SERIES_ORDER
+    assert FormalSeries.one("t", MAX_SERIES_ORDER).order == MAX_SERIES_ORDER

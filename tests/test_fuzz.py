@@ -1,8 +1,9 @@
 """Seeded fuzzing of the public parsers: only ``KchError`` may escape.
 
 Each parser sees random token soup and small mutations of valid texts.  PD
-codes also come as random pairings of arc labels, and every parse with at
-most four crossings goes on through ``homfly``, which runs the skein
+codes also come as random pairings of arc labels; the validating
+``LinkDiagram`` constructor must accept the parts of every parse, and every
+parse with at most four crossings goes on through ``homfly``, which runs the skein
 recursion and its diagram edits on diagrams nobody wrote by hand and must
 refuse, with ``DomainError``, exactly the codes that are not planar.  Every
 token list holds a number longer than Python converts to an int.
@@ -15,7 +16,7 @@ from kch.dga import bundled_names, load_dga_text
 from kch.errors import DomainError, KchError
 from kch.homfly import BUNDLED_DIAGRAMS, homfly
 from kch.laurent import parse_polynomial
-from kch.pd import _planar, parse_pd
+from kch.pd import LinkDiagram, _planar, parse_pd
 from kch.scalars import parse_scalar
 
 HUGE = "7" * 5000
@@ -71,9 +72,15 @@ def escapes(parse, texts):
 
 
 def pd_then_homfly(text):
-    """Parse, then take a code of at most four crossings through ``homfly``;
-    a failed assertion escapes as a non-``KchError``."""
+    """Parse, check that the validating constructor accepts the parts, then
+    take a code of at most four crossings through ``homfly``; a failed
+    assertion escapes as a non-``KchError``."""
     diagram = parse_pd(text)
+    try:
+        rebuilt = LinkDiagram(diagram.crossings, diagram.signs, diagram.circles)
+    except KchError as exc:
+        raise AssertionError(f"the constructor refuses a parsed code: {exc!r}") from None
+    assert rebuilt == diagram
     if diagram.crossing_count > 4:
         return
     planar = _planar(diagram.crossings)

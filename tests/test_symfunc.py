@@ -162,11 +162,10 @@ def test_complex_spectrum():
 
 
 def test_trace_order_cap_raises_before_any_power_sum(monkeypatch):
-    # the integer kernel is where every power sum is built
+    # the integer kernel checks the order, then starts every power sum from
+    # the common denominator of the eigenvalues
     symfunc = importlib.import_module("kch.symfunc")
-    monkeypatch.setattr(
-        symfunc, "_gaussian_power_sums", lambda *args: pytest.fail("power sum built")
-    )
+    monkeypatch.setattr(symfunc, "_denominator", lambda *args: pytest.fail("power sum begun"))
     start = time.perf_counter()
     for order in (MAX_TRACE_ORDER + 1, 5000):
         with pytest.raises(ResourceLimitError, match=f"{order}.*cap {MAX_TRACE_ORDER}"):
